@@ -128,7 +128,7 @@ fn bench_stability(c: &mut Criterion) {
     });
     let jac = jacobian_reduced(&params, &e0, 0.2, 0.05).expect("jacobian");
     c.bench_function("jacobian_eigenvalues", |b| {
-        b.iter(|| spectral_abscissa(black_box(&jac)).expect("abscissa"))
+        b.iter(|| spectral_abscissa(black_box(jac.clone())).expect("abscissa"))
     });
 }
 

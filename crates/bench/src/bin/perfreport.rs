@@ -626,7 +626,7 @@ fn main() {
 
     let _ = writeln!(
         json,
-        "  \"notes\": [\n    \"parallel ensemble output is bit-identical to the serial run at every thread count (asserted above)\",\n    \"speedups are physical: on a host with {cores} available core(s), thread counts beyond {cores} measure scheduling overhead rather than parallel speedup\",\n    \"intra_scaling rows beyond t{cores} on this host measure pool dispatch overhead, not parallel speedup; bit-identity is asserted for every row regardless\",\n    \"gated fbsm sweeps pin inner_threads = 1 so their wall times stay host-comparable; production solves resolve the inner budget from RUMOR_INNER_THREADS / --threads\",\n    \"serve latencies are end-to-end over a real localhost socket, one connection per request\",\n    \"the admission workload intentionally overloads a queue_depth=8 pool: 503s are the bounded queue working, not a failure\"\n  ]"
+        "  \"notes\": [\n    \"parallel ensemble output is bit-identical to the serial run at every thread count (asserted above)\",\n    \"speedups are physical: on a host with {cores} available core(s), thread counts beyond {cores} measure scheduling overhead rather than parallel speedup\",\n    \"intra_scaling rows beyond t{cores} on this host measure pool dispatch overhead, not parallel speedup; bit-identity is asserted for every row regardless\",\n    \"gated fbsm sweeps pin inner_threads = 1 so their wall times stay host-comparable; production solves resolve the inner budget from --inner-threads / RUMOR_INNER_THREADS, else run serially\",\n    \"serve latencies are end-to-end over a real localhost socket, one connection per request\",\n    \"the admission workload intentionally overloads a queue_depth=8 pool: 503s are the bounded queue working, not a failure\"\n  ]"
     );
     json.push_str("}\n");
 

@@ -73,9 +73,9 @@ PERFORMANCE:
     --inner-threads N
                      intra-replica worker threads for the Theta/RHS,
                      costate and sharded-ABM kernels of a single solve
-                     (default: the RUMOR_INNER_THREADS env var, else the
-                     --threads/RUMOR_THREADS budget); results are
-                     bit-identical for every inner thread count
+                     (default: the RUMOR_INNER_THREADS env var, else 1:
+                     single solves run serially unless asked); results
+                     are bit-identical for every inner thread count
 
 OBSERVABILITY (all commands):
     --log-format F   trace output: off (default), text, or json; spans
@@ -221,8 +221,8 @@ fn main() -> ExitCode {
         }
     }
     match parsed.get_usize("inner-threads", 0) {
-        // 0 = "not given": leave resolution to RUMOR_INNER_THREADS /
-        // the outer thread budget.
+        // 0 = "not given": leave resolution to RUMOR_INNER_THREADS,
+        // else a serial solve.
         Ok(0) => {}
         Ok(t) => rumor_par::set_inner_thread_override(Some(t)),
         Err(e) => {

@@ -64,11 +64,10 @@ pub struct FbsmOptions {
     /// Intra-replica thread count for the sweep's forward/backward
     /// kernels, resolved through
     /// [`rumor_par::resolve_inner_threads`] (`None` consults the
-    /// `--inner-threads` override, `RUMOR_INNER_THREADS`, then the
-    /// `--threads`/`RUMOR_THREADS` chain — the replica-vs-intra split
-    /// policy: a single sweep soaks the full budget). The partitioned
-    /// kernels are bit-identical at every thread count, so this knob
-    /// affects wall-clock only, never the optimum.
+    /// `--inner-threads` override, then `RUMOR_INNER_THREADS`, else 1:
+    /// a single sweep runs serially unless asked for a pool). The
+    /// partitioned kernels are bit-identical at every thread count, so
+    /// this knob affects wall-clock only, never the optimum.
     pub inner_threads: Option<usize>,
     /// Backtracking under-relaxation: when the relaxed update *grows*
     /// the control change (damped-Picard oscillation), retry the same

@@ -249,9 +249,11 @@ pub struct MultiFbsmOptions {
     /// the sweep grid and clamped into the box, instead of the mid-box
     /// constant guess.
     pub initial_control: Option<MultiPiecewiseControl>,
-    /// Intra-replica thread count for the forward/backward kernels
-    /// (resolved through [`rumor_par::resolve_inner_threads`];
-    /// bit-identical at every count).
+    /// Intra-replica thread count for the forward/backward kernels,
+    /// resolved through [`rumor_par::resolve_inner_threads`] (`None`
+    /// runs serially unless the `--inner-threads` override or
+    /// `RUMOR_INNER_THREADS` asks for a pool); bit-identical at every
+    /// count.
     pub inner_threads: Option<usize>,
     /// Backtracking under-relaxation (see
     /// [`crate::fbsm::FbsmOptions::backtracking`]); on by default, like

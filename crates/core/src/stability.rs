@@ -109,8 +109,10 @@ pub fn jacobian_reduced(
 /// Propagates equilibrium construction and eigenvalue failures.
 pub fn local_stability_e0(params: &ModelParams, eps1: f64, eps2: f64) -> Result<Stability> {
     let e0 = crate::equilibrium::zero_equilibrium(params, eps1, eps2)?;
+    // The Jacobian moves into the eigenvalue solver, which reduces it in
+    // place: at paper scale it is a dense 1,696 × 1,696 matrix (23 MB).
     let jac = jacobian_reduced(params, &e0, eps1, eps2)?;
-    let abscissa = spectral_abscissa(&jac)?;
+    let abscissa = spectral_abscissa(jac)?;
     Ok(Stability::from_abscissa(abscissa))
 }
 
@@ -321,11 +323,49 @@ mod tests {
         let expect = (gamma - eps2).max(-eps1);
         let e0 = zero_equilibrium(&p, eps1, eps2).unwrap();
         let jac = jacobian_reduced(&p, &e0, eps1, eps2).unwrap();
-        let abscissa = spectral_abscissa(&jac).unwrap();
+        let abscissa = spectral_abscissa(jac).unwrap();
         assert!(
             (abscissa - expect).abs() < 1e-9,
             "abscissa {abscissa} vs closed form {expect}"
         );
+    }
+
+    #[test]
+    fn theorem2_tuple_is_pinned_bit_for_bit_on_a_digg_net() {
+        // Bits recorded with the textbook column-by-column Hessenberg
+        // reduction; the row-walking rewrite must not move a rounding.
+        use rumor_datasets::digg::{DiggConfig, DiggDataset};
+        let ds = DiggDataset::synthesize(DiggConfig {
+            nodes: 2_000,
+            k_max: 100,
+            target_mean_degree: 12.0,
+            ..DiggConfig::small()
+        })
+        .unwrap();
+        assert_eq!(ds.classes().len(), 97);
+        let pins: [(f64, u64, u64, bool); 2] = [
+            (0.02, 0x3f90_f50e_df40_e955, 0xbfa9_2d12_d404_c6f8, true),
+            (2.0, 0x3ffa_7ee7_3cd5_6c8f, 0x3fa0_cb0b_9488_ad8c, false),
+        ];
+        for (lambda0, r0_bits, abscissa_bits, stable) in pins {
+            let p = ModelParams::builder(ds.classes().clone())
+                .alpha(0.01)
+                .acceptance(AcceptanceRate::LinearInDegree { lambda0 })
+                .infectivity(Infectivity::paper_default())
+                .build()
+                .unwrap();
+            let (threshold, verdict, consistent) = theorem2_consistency(&p, 0.2, 0.05).unwrap();
+            assert_eq!(threshold.to_bits(), r0_bits, "r0 at lambda0 {lambda0}");
+            // Nonzero finite abscissas compare equal only bit for bit.
+            let abscissa = f64::from_bits(abscissa_bits);
+            let want = if stable {
+                Stability::LocallyStable { abscissa }
+            } else {
+                Stability::Unstable { abscissa }
+            };
+            assert_eq!(verdict, want, "verdict at lambda0 {lambda0}");
+            assert!(consistent);
+        }
     }
 
     #[test]

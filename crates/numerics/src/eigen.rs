@@ -60,70 +60,124 @@ impl fmt::Display for Complex {
 
 /// Reduces `a` to upper Hessenberg form via Householder similarity
 /// transformations (the result is similar to `a`, so it has the same
-/// eigenvalues).
+/// eigenvalues). The reduction runs in place on `a`'s storage.
+///
+/// Memory is walked row by row. Each left reflector touches only the
+/// live columns `k..n` and gathers its column dots one row at a time
+/// into a reused scratch vector. Columns left of `k` hold only entries
+/// below the subdiagonal there, which nothing reads again and the final
+/// cleanup zeroes. Each right reflector forms its row dots four rows at
+/// a time. Every surviving entry still sees the same floating-point
+/// operations in the same order as the textbook column-by-column loop,
+/// so `H` is bit-identical to it.
 ///
 /// # Errors
 ///
 /// Returns [`NumericsError::InvalidArgument`] if `a` is not square.
-pub fn hessenberg(a: &Matrix) -> Result<Matrix> {
+pub fn hessenberg(mut a: Matrix) -> Result<Matrix> {
     if !a.is_square() {
         return Err(NumericsError::InvalidArgument(
             "hessenberg reduction requires a square matrix".into(),
         ));
     }
     let n = a.rows();
-    let mut h = a.clone();
     if n < 3 {
-        return Ok(h);
+        return Ok(a);
     }
+    let h = a.as_mut_slice();
+    let mut v_buf = vec![0.0; n];
+    let mut f_buf = vec![0.0; n];
     for k in 0..n - 2 {
         // Householder vector annihilating h[k+2.., k].
-        let mut norm2 = 0.0;
-        for i in (k + 1)..n {
-            norm2 += h[(i, k)] * h[(i, k)];
+        let v = &mut v_buf[..n - k - 1];
+        for (vi, i) in v.iter_mut().zip((k + 1)..n) {
+            *vi = h[i * n + k];
         }
-        let norm = norm2.sqrt();
+        let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
         if norm == 0.0 {
             continue;
         }
-        let alpha = if h[(k + 1, k)] > 0.0 { -norm } else { norm };
-        let mut v: Vec<f64> = ((k + 1)..n).map(|i| h[(i, k)]).collect();
-        v[0] -= alpha;
+        v[0] -= if v[0] > 0.0 { -norm } else { norm };
         let vnorm2: f64 = v.iter().map(|x| x * x).sum();
         if vnorm2 == 0.0 {
             continue;
         }
         // H := P H P with P = I - 2 v v^T / (v^T v) acting on rows/cols k+1..n.
-        // Left application (rows k+1..n).
-        for j in 0..n {
-            let mut dot = 0.0;
-            for i in (k + 1)..n {
-                dot += v[i - k - 1] * h[(i, j)];
-            }
-            let factor = 2.0 * dot / vnorm2;
-            for i in (k + 1)..n {
-                h[(i, j)] -= factor * v[i - k - 1];
-            }
-        }
-        // Right application (columns k+1..n).
-        for i in 0..n {
-            let mut dot = 0.0;
-            for j in (k + 1)..n {
-                dot += h[(i, j)] * v[j - k - 1];
-            }
-            let factor = 2.0 * dot / vnorm2;
-            for j in (k + 1)..n {
-                h[(i, j)] -= factor * v[j - k - 1];
+        // Left application (rows k+1..n, live columns k..n): column
+        // dots summed over rows in row order, then factors, then the
+        // rank-one update.
+        let lower = &mut h[(k + 1) * n..];
+        let f = &mut f_buf[..n - k];
+        f.fill(0.0);
+        for (row, &vi) in lower.chunks_exact(n).zip(v.iter()) {
+            for (fj, &hij) in f.iter_mut().zip(&row[k..]) {
+                *fj += vi * hij;
             }
         }
+        for fj in f.iter_mut() {
+            *fj = 2.0 * *fj / vnorm2;
+        }
+        for (row, &vi) in lower.chunks_exact_mut(n).zip(v.iter()) {
+            for (hij, &fj) in row[k..].iter_mut().zip(f.iter()) {
+                *hij -= fj * vi;
+            }
+        }
+        // Right application (all rows, columns k+1..n).
+        reflect_rows(h, n, v, vnorm2);
     }
     // Clean below the first subdiagonal.
-    for i in 2..n {
-        for j in 0..(i - 1) {
-            h[(i, j)] = 0.0;
+    for (i, row) in h.chunks_exact_mut(n).enumerate().skip(2) {
+        row[..i - 1].fill(0.0);
+    }
+    Ok(a)
+}
+
+/// Applies `P = I - 2 v v^T / vnorm2` from the right to the trailing
+/// `v.len()` columns of every row of the `n`-column row-major `h`.
+///
+/// Rows go four at a time so the dot products run as four independent
+/// chains over one pass of `v`; each row still sums its own products in
+/// column order.
+fn reflect_rows(h: &mut [f64], n: usize, v: &[f64], vnorm2: f64) {
+    let m = v.len();
+    let c0 = n - m;
+    let mut quads = h.chunks_exact_mut(4 * n);
+    for quad in &mut quads {
+        let (r0, rest) = quad.split_at_mut(n);
+        let (r1, rest) = rest.split_at_mut(n);
+        let (r2, r3) = rest.split_at_mut(n);
+        let (r0, r1, r2, r3) = (&mut r0[c0..], &mut r1[c0..], &mut r2[c0..], &mut r3[c0..]);
+        let (mut d0, mut d1, mut d2, mut d3) = (0.0, 0.0, 0.0, 0.0);
+        for j in 0..m {
+            d0 += r0[j] * v[j];
+            d1 += r1[j] * v[j];
+            d2 += r2[j] * v[j];
+            d3 += r3[j] * v[j];
+        }
+        let (f0, f1, f2, f3) = (
+            2.0 * d0 / vnorm2,
+            2.0 * d1 / vnorm2,
+            2.0 * d2 / vnorm2,
+            2.0 * d3 / vnorm2,
+        );
+        for j in 0..m {
+            r0[j] -= f0 * v[j];
+            r1[j] -= f1 * v[j];
+            r2[j] -= f2 * v[j];
+            r3[j] -= f3 * v[j];
         }
     }
-    Ok(h)
+    for row in quads.into_remainder().chunks_exact_mut(n) {
+        let row = &mut row[c0..];
+        let mut dot = 0.0;
+        for (hij, vj) in row.iter().zip(v) {
+            dot += hij * vj;
+        }
+        let factor = 2.0 * dot / vnorm2;
+        for (hij, vj) in row.iter_mut().zip(v) {
+            *hij -= factor * vj;
+        }
+    }
 }
 
 /// Householder reflection data for a 3-vector: `(v, beta)` such that
@@ -165,7 +219,8 @@ fn eig2x2(a: f64, b: f64, c: f64, d: f64) -> (Complex, Complex) {
     }
 }
 
-/// Computes all eigenvalues of a general real square matrix.
+/// Computes all eigenvalues of a general real square matrix, consuming
+/// it: the Hessenberg reduction reuses its storage.
 ///
 /// Uses Hessenberg reduction followed by the Francis implicit
 /// double-shift QR iteration with deflation and exceptional shifts.
@@ -183,14 +238,18 @@ fn eig2x2(a: f64, b: f64, c: f64, d: f64) -> (Complex, Complex) {
 ///
 /// # fn main() -> Result<(), rumor_numerics::NumericsError> {
 /// let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 3.0]])?;
-/// let mut eigs: Vec<f64> = eigenvalues(&a)?.iter().map(|c| c.re).collect();
+/// let mut eigs: Vec<f64> = eigenvalues(a)?.iter().map(|c| c.re).collect();
 /// eigs.sort_by(f64::total_cmp);
 /// assert!((eigs[0] - 2.0).abs() < 1e-12 && (eigs[1] - 3.0).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
-pub fn eigenvalues(a: &Matrix) -> Result<Vec<Complex>> {
-    let mut h = hessenberg(a)?;
+pub fn eigenvalues(a: Matrix) -> Result<Vec<Complex>> {
+    hessenberg_eigenvalues(hessenberg(a)?)
+}
+
+/// The Francis QR phase of [`eigenvalues`] on an upper Hessenberg `h`.
+fn hessenberg_eigenvalues(mut h: Matrix) -> Result<Vec<Complex>> {
     let n = h.rows();
     if n == 0 {
         return Ok(Vec::new());
@@ -344,7 +403,7 @@ pub fn eigenvalues(a: &Matrix) -> Result<Vec<Complex>> {
 /// # Errors
 ///
 /// Propagates errors from [`eigenvalues`].
-pub fn spectral_abscissa(a: &Matrix) -> Result<f64> {
+pub fn spectral_abscissa(a: Matrix) -> Result<f64> {
     Ok(eigenvalues(a)?
         .iter()
         .map(|c| c.re)
@@ -357,7 +416,7 @@ pub fn spectral_abscissa(a: &Matrix) -> Result<f64> {
 /// # Errors
 ///
 /// Propagates errors from [`eigenvalues`].
-pub fn is_hurwitz(a: &Matrix) -> Result<bool> {
+pub fn is_hurwitz(a: Matrix) -> Result<bool> {
     Ok(spectral_abscissa(a)? < 0.0)
 }
 
@@ -366,13 +425,162 @@ pub fn is_hurwitz(a: &Matrix) -> Result<bool> {
 /// # Errors
 ///
 /// Propagates errors from [`eigenvalues`].
-pub fn spectral_radius(a: &Matrix) -> Result<f64> {
+pub fn spectral_radius(a: Matrix) -> Result<f64> {
     Ok(eigenvalues(a)?.iter().map(Complex::abs).fold(0.0, f64::max))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The textbook column-by-column reduction [`hessenberg`] must match
+    /// bit for bit: both reflectors over every column and row through
+    /// `Index`, on a copy of the input.
+    fn hessenberg_reference(a: &Matrix) -> Result<Matrix> {
+        if !a.is_square() {
+            return Err(NumericsError::InvalidArgument(
+                "hessenberg reduction requires a square matrix".into(),
+            ));
+        }
+        let n = a.rows();
+        let mut h = a.clone();
+        if n < 3 {
+            return Ok(h);
+        }
+        for k in 0..n - 2 {
+            let mut norm2 = 0.0;
+            for i in (k + 1)..n {
+                norm2 += h[(i, k)] * h[(i, k)];
+            }
+            let norm = norm2.sqrt();
+            if norm == 0.0 {
+                continue;
+            }
+            let alpha = if h[(k + 1, k)] > 0.0 { -norm } else { norm };
+            let mut v: Vec<f64> = ((k + 1)..n).map(|i| h[(i, k)]).collect();
+            v[0] -= alpha;
+            let vnorm2: f64 = v.iter().map(|x| x * x).sum();
+            if vnorm2 == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                let mut dot = 0.0;
+                for i in (k + 1)..n {
+                    dot += v[i - k - 1] * h[(i, j)];
+                }
+                let factor = 2.0 * dot / vnorm2;
+                for i in (k + 1)..n {
+                    h[(i, j)] -= factor * v[i - k - 1];
+                }
+            }
+            for i in 0..n {
+                let mut dot = 0.0;
+                for j in (k + 1)..n {
+                    dot += h[(i, j)] * v[j - k - 1];
+                }
+                let factor = 2.0 * dot / vnorm2;
+                for j in (k + 1)..n {
+                    h[(i, j)] -= factor * v[j - k - 1];
+                }
+            }
+        }
+        for i in 2..n {
+            for j in 0..(i - 1) {
+                h[(i, j)] = 0.0;
+            }
+        }
+        Ok(h)
+    }
+
+    /// SplitMix64 stream mapped onto [-1, 1).
+    fn seeded(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        }
+    }
+
+    /// Seeded nonsymmetric test matrices of order `n`: dense, with exact
+    /// zeros scattered in, with some columns already zero below the
+    /// diagonal (so the reduction skips them), and block upper
+    /// triangular like the Theorem-2 Jacobian at `E0`.
+    fn pin_matrices(n: usize, seed: u64) -> Vec<Matrix> {
+        let mut next = seeded(seed);
+        let dense = Matrix::from_fn(n, n, |_, _| next());
+        let sparse = Matrix::from_fn(n, n, |i, j| {
+            let x = next();
+            if (i * 7 + j * 3) % 5 == 0 {
+                0.0
+            } else {
+                x * 1e3
+            }
+        });
+        let skipped = Matrix::from_fn(n, n, |i, j| {
+            let x = next();
+            if i > j && j % 3 != 1 {
+                0.0
+            } else {
+                x
+            }
+        });
+        let half = n / 2;
+        let block = Matrix::from_fn(n, n, |i, j| {
+            let x = next();
+            match (i < half, j < half) {
+                (true, true) if i == j => -0.2,
+                (true, true) | (false, true) => 0.0,
+                (false, false) if i == j => x - 0.05,
+                _ => x * 0.01,
+            }
+        });
+        vec![dense, block, sparse, skipped]
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn eig_bits(eigs: &[Complex]) -> Vec<(u64, u64)> {
+        eigs.iter()
+            .map(|c| (c.re.to_bits(), c.im.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn hessenberg_is_bit_identical_to_the_reference() {
+        let sizes = (0..=9).chain([33, 130, 257]);
+        for (s, n) in sizes.enumerate() {
+            // The largest order checks only the dense and block shapes,
+            // which keeps the unoptimized test build quick.
+            let shapes = if n > 200 { 2 } else { 4 };
+            let matrices = pin_matrices(n, 0x5EED_0000 + s as u64);
+            for (m, a) in matrices.into_iter().take(shapes).enumerate() {
+                let want = hessenberg_reference(&a).unwrap();
+                let got = hessenberg(a.clone()).unwrap();
+                assert_eq!(bits(&got), bits(&want), "H differs: n = {n}, matrix {m}");
+                let want = hessenberg_eigenvalues(want).unwrap();
+                let got = eigenvalues(a).unwrap();
+                assert_eq!(
+                    eig_bits(&got),
+                    eig_bits(&want),
+                    "eigenvalues differ: n = {n}, matrix {m}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hessenberg_rejects_non_square() {
+        assert!(matches!(
+            hessenberg(Matrix::zeros(2, 3)),
+            Err(NumericsError::InvalidArgument(_))
+        ));
+    }
 
     fn sorted_real(eigs: &[Complex]) -> Vec<f64> {
         let mut v: Vec<f64> = eigs.iter().map(|c| c.re).collect();
@@ -383,7 +591,7 @@ mod tests {
     #[test]
     fn diagonal_matrix() {
         let a = Matrix::from_diag(&[3.0, -1.0, 5.0]);
-        let eigs = eigenvalues(&a).unwrap();
+        let eigs = eigenvalues(a).unwrap();
         assert_eq!(eigs.len(), 3);
         let re = sorted_real(&eigs);
         assert!((re[0] + 1.0).abs() < 1e-10);
@@ -396,7 +604,7 @@ mod tests {
     fn upper_triangular_eigs_are_diagonal() {
         let a =
             Matrix::from_rows(&[&[1.0, 5.0, -3.0], &[0.0, 2.0, 9.0], &[0.0, 0.0, -4.0]]).unwrap();
-        let re = sorted_real(&eigenvalues(&a).unwrap());
+        let re = sorted_real(&eigenvalues(a).unwrap());
         assert!((re[0] + 4.0).abs() < 1e-9);
         assert!((re[1] - 1.0).abs() < 1e-9);
         assert!((re[2] - 2.0).abs() < 1e-9);
@@ -406,7 +614,7 @@ mod tests {
     fn rotation_matrix_has_complex_pair() {
         // 90° rotation: eigenvalues ±i.
         let a = Matrix::from_rows(&[&[0.0, -1.0], &[1.0, 0.0]]).unwrap();
-        let eigs = eigenvalues(&a).unwrap();
+        let eigs = eigenvalues(a).unwrap();
         assert_eq!(eigs.len(), 2);
         for e in &eigs {
             assert!(e.re.abs() < 1e-12);
@@ -419,7 +627,7 @@ mod tests {
         // Companion matrix of x^3 - 6x^2 + 11x - 6 = (x-1)(x-2)(x-3).
         let a =
             Matrix::from_rows(&[&[6.0, -11.0, 6.0], &[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0]]).unwrap();
-        let re = sorted_real(&eigenvalues(&a).unwrap());
+        let re = sorted_real(&eigenvalues(a).unwrap());
         assert!((re[0] - 1.0).abs() < 1e-8);
         assert!((re[1] - 2.0).abs() < 1e-8);
         assert!((re[2] - 3.0).abs() < 1e-8);
@@ -430,7 +638,7 @@ mod tests {
         // x^3 - x^2 + x - 1 = (x-1)(x^2+1): roots 1, ±i.
         let a =
             Matrix::from_rows(&[&[1.0, -1.0, 1.0], &[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0]]).unwrap();
-        let eigs = eigenvalues(&a).unwrap();
+        let eigs = eigenvalues(a).unwrap();
         let n_complex = eigs.iter().filter(|c| c.im.abs() > 0.5).count();
         assert_eq!(n_complex, 2);
         let real_eig = eigs.iter().find(|c| c.im.abs() < 1e-6).unwrap();
@@ -446,7 +654,7 @@ mod tests {
             &[0.0, 0.0, 1.0, 4.0],
         ])
         .unwrap();
-        let eigs = eigenvalues(&a).unwrap();
+        let eigs = eigenvalues(a).unwrap();
         assert!(eigs.iter().all(|c| c.im.abs() < 1e-9));
         // Tridiagonal Toeplitz: eigenvalues 4 + 2cos(kπ/5), k = 1..4.
         let mut expect: Vec<f64> = (1..=4)
@@ -463,7 +671,7 @@ mod tests {
     fn trace_and_det_consistency_random_like() {
         // Eigenvalue sums/products must match trace/det.
         let a = Matrix::from_fn(6, 6, |i, j| ((i * 5 + j * 3 + 1) % 7) as f64 - 3.0);
-        let eigs = eigenvalues(&a).unwrap();
+        let eigs = eigenvalues(a.clone()).unwrap();
         let sum_re: f64 = eigs.iter().map(|c| c.re).sum();
         let sum_im: f64 = eigs.iter().map(|c| c.im).sum();
         assert!(
@@ -489,7 +697,7 @@ mod tests {
     #[test]
     fn hessenberg_preserves_eigen_relevant_structure() {
         let a = Matrix::from_fn(5, 5, |i, j| ((i * 3 + j * 7 + 2) % 11) as f64);
-        let h = hessenberg(&a).unwrap();
+        let h = hessenberg(a.clone()).unwrap();
         // Zero below first subdiagonal.
         for i in 2..5 {
             for j in 0..i - 1 {
@@ -503,21 +711,21 @@ mod tests {
     #[test]
     fn hurwitz_classification() {
         let stable = Matrix::from_rows(&[&[-1.0, 0.5], &[0.0, -2.0]]).unwrap();
-        assert!(is_hurwitz(&stable).unwrap());
+        assert!(is_hurwitz(stable).unwrap());
         let unstable = Matrix::from_rows(&[&[0.1, 0.0], &[0.0, -2.0]]).unwrap();
-        assert!(!is_hurwitz(&unstable).unwrap());
+        assert!(!is_hurwitz(unstable).unwrap());
     }
 
     #[test]
     fn spectral_radius_of_scaled_identity() {
         let a = Matrix::identity(4).scaled(-2.5);
-        assert!((spectral_radius(&a).unwrap() - 2.5).abs() < 1e-12);
+        assert!((spectral_radius(a).unwrap() - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn one_by_one_and_empty() {
         let a = Matrix::from_rows(&[&[7.0]]).unwrap();
-        let eigs = eigenvalues(&a).unwrap();
+        let eigs = eigenvalues(a).unwrap();
         assert_eq!(eigs.len(), 1);
         assert_eq!(eigs[0].re, 7.0);
     }
@@ -545,10 +753,10 @@ mod tests {
         a[(2, 2)] = -1.0;
         a[(3, 3)] = -3.0;
         a[(4, 4)] = 5.0;
-        let eigs = eigenvalues(&a).unwrap();
+        let eigs = eigenvalues(a.clone()).unwrap();
         let n_complex = eigs.iter().filter(|c| c.im.abs() > 1e-6).count();
         assert_eq!(n_complex, 2);
-        assert!((spectral_abscissa(&a).unwrap() - 5.0).abs() < 1e-8);
-        assert!((spectral_radius(&a).unwrap() - 5.0).abs() < 1e-8);
+        assert!((spectral_abscissa(a.clone()).unwrap() - 5.0).abs() < 1e-8);
+        assert!((spectral_radius(a).unwrap() - 5.0).abs() < 1e-8);
     }
 }

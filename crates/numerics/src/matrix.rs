@@ -45,11 +45,15 @@ impl Matrix {
     }
 
     /// Creates a `rows × cols` matrix filled with `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
         Matrix {
             rows,
             cols,
-            data: vec![value; rows * cols],
+            data: vec![value; rows.checked_mul(cols).expect("matrix size overflow")],
         }
     }
 
@@ -97,15 +101,19 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// Returns [`NumericsError::ShapeMismatch`] if `data.len() != rows * cols`.
+    /// Returns [`NumericsError::ShapeMismatch`] if `data.len() != rows * cols`
+    /// or if `rows * cols` overflows `usize`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(NumericsError::ShapeMismatch {
-                expected: format!("{} elements", rows * cols),
+        match rows.checked_mul(cols) {
+            Some(len) if len == data.len() => Ok(Matrix { rows, cols, data }),
+            len => Err(NumericsError::ShapeMismatch {
+                expected: match len {
+                    Some(len) => format!("{len} elements"),
+                    None => format!("{rows} × {cols} elements (overflows usize)"),
+                },
                 found: format!("{} elements", data.len()),
-            });
+            }),
         }
-        Ok(Matrix { rows, cols, data })
     }
 
     /// Creates a diagonal matrix from the given diagonal entries.
@@ -500,6 +508,20 @@ mod tests {
     fn from_vec_checks_len() {
         assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
         assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
+    }
+
+    #[test]
+    fn from_vec_rejects_an_overflowing_shape() {
+        // 2^63 × 2 wraps to 0, which an unchecked product would accept
+        // for an empty buffer.
+        let err = Matrix::from_vec(1 << (usize::BITS - 1), 2, Vec::new()).unwrap_err();
+        assert!(matches!(err, NumericsError::ShapeMismatch { .. }));
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix size overflow")]
+    fn filled_panics_on_an_overflowing_shape() {
+        let _ = Matrix::filled(1 << (usize::BITS - 1), 2, 1.0);
     }
 
     #[test]

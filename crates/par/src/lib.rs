@@ -47,12 +47,14 @@
 //!
 //! [`resolve_inner_threads`] resolves the *intra*-replica count:
 //! explicit argument, then [`set_inner_thread_override`], then
-//! `RUMOR_INNER_THREADS`, then the whole [`resolve_threads`] chain. The
-//! split policy is structural: ensembles fan out replicas and never
-//! construct inner pools (outer parallelism keeps the budget), while
-//! single solves (FBSM sweeps, one-off ABM runs) soak the full budget
-//! intra-replica. Because pooled kernels are bit-identical to serial,
-//! the split affects wall-clock only, never results.
+//! `RUMOR_INNER_THREADS`, then 1. Intra-solve parallelism is opt-in:
+//! ensembles fan out replicas and never construct inner pools, and a
+//! single solve (an FBSM sweep) runs its kernels serially unless one of
+//! the first three asks for a pool. On the two-core hosts measured so
+//! far the pooled kernels ran slower than serial at 10k and 71k nodes,
+//! and a 10k-node optimize took 1.2–2.4× longer at two inner threads
+//! than at one. Because pooled kernels are bit-identical to serial, the
+//! count affects wall-clock only, never results.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -87,22 +89,25 @@ pub fn thread_override() -> Option<usize> {
 /// [`std::thread::available_parallelism`] (1 if unavailable). Always at
 /// least 1; malformed or zero environment values are ignored.
 pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    if let Some(t) = explicit {
-        return t.max(1);
-    }
-    if let Some(t) = thread_override() {
-        return t;
-    }
-    if let Ok(raw) = std::env::var("RUMOR_THREADS") {
-        if let Ok(t) = raw.trim().parse::<usize>() {
-            if t >= 1 {
-                return t;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    explicit
+        .map(|t| t.max(1))
+        .or_else(thread_override)
+        .or_else(|| env_count("RUMOR_THREADS"))
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1)
+        })
+}
+
+/// A positive thread count read from the environment variable `var`;
+/// `None` when it is unset, malformed or zero.
+fn env_count(var: &str) -> Option<usize> {
+    parse_count(std::env::var(var).ok().as_deref())
+}
+
+fn parse_count(raw: Option<&str>) -> Option<usize> {
+    raw?.trim().parse::<usize>().ok().filter(|&t| t >= 1)
 }
 
 /// Process-wide intra-replica thread-count override; 0 means "unset".
@@ -129,25 +134,21 @@ pub fn inner_thread_override() -> Option<usize> {
 
 /// Resolves the intra-replica thread count for a *single* solve:
 /// explicit argument, then the [`set_inner_thread_override`] override,
-/// then `RUMOR_INNER_THREADS`, then the whole [`resolve_threads`] chain
-/// (`--threads`/`RUMOR_THREADS`/available parallelism). Single solves
-/// therefore soak the full thread budget by default; ensembles keep the
-/// budget at replica level by never constructing inner pools.
+/// then `RUMOR_INNER_THREADS`, then 1. A single solve therefore runs
+/// serially unless one of those asks for a pool; ensembles keep the
+/// thread budget at replica level by never constructing inner pools.
+/// Always at least 1; malformed or zero environment values are ignored.
 pub fn resolve_inner_threads(explicit: Option<usize>) -> usize {
-    if let Some(t) = explicit {
-        return t.max(1);
-    }
-    if let Some(t) = inner_thread_override() {
-        return t;
-    }
-    if let Ok(raw) = std::env::var("RUMOR_INNER_THREADS") {
-        if let Ok(t) = raw.trim().parse::<usize>() {
-            if t >= 1 {
-                return t;
-            }
-        }
-    }
-    resolve_threads(None)
+    inner_threads_from(
+        explicit,
+        inner_thread_override(),
+        env_count("RUMOR_INNER_THREADS"),
+    )
+}
+
+/// The [`resolve_inner_threads`] precedence over already-read inputs.
+fn inner_threads_from(explicit: Option<usize>, over: Option<usize>, env: Option<usize>) -> usize {
+    explicit.map(|t| t.max(1)).or(over).or(env).unwrap_or(1)
 }
 
 /// Maps `f` over `0..n` with up to `threads` workers, returning results
@@ -324,6 +325,28 @@ mod tests {
         // Without an override the chain bottoms out at >= 1 whatever the
         // environment says.
         assert!(resolve_inner_threads(None) >= 1);
+    }
+
+    #[test]
+    fn inner_threads_default_to_serial() {
+        // Nothing given, no override, RUMOR_INNER_THREADS unset: one
+        // thread, whatever the outer budget or this process's
+        // environment (CI runs a RUMOR_INNER_THREADS=4 leg).
+        assert_eq!(inner_threads_from(None, None, None), 1);
+        // The same precedence as resolve_inner_threads.
+        assert_eq!(inner_threads_from(None, None, Some(4)), 4);
+        assert_eq!(inner_threads_from(None, Some(6), Some(4)), 6);
+        assert_eq!(inner_threads_from(Some(3), Some(6), Some(4)), 3);
+        assert_eq!(inner_threads_from(Some(0), Some(6), Some(4)), 1);
+    }
+
+    #[test]
+    fn env_counts_ignore_malformed_and_zero_values() {
+        assert_eq!(parse_count(None), None);
+        assert_eq!(parse_count(Some(" 4 ")), Some(4));
+        assert_eq!(parse_count(Some("0")), None);
+        assert_eq!(parse_count(Some("-2")), None);
+        assert_eq!(parse_count(Some("four")), None);
     }
 
     #[test]

@@ -365,8 +365,8 @@ fn optimize_kind<M: CompartmentModel>(
         tolerance: 1e-4,
         relaxation: 0.3,
         initial_control: initial,
-        // Same split policy as the paper path: a single solve soaks the
-        // whole intra-replica thread budget.
+        // Same split policy as the paper path: a single solve runs its
+        // kernels serially unless RUMOR_INNER_THREADS asks for a pool.
         inner_threads: None,
         ..Default::default()
     };
@@ -426,12 +426,12 @@ fn optimize_paper(
                 relaxation: 0.3,
                 initial_control: initial,
                 // Split policy: an optimize request (and each point of a
-                // durable optimize_sweep campaign) is a *single* solve,
-                // so the intra-replica kernels soak the whole thread
-                // budget — `None` resolves through RUMOR_INNER_THREADS,
-                // then the --threads/RUMOR_THREADS chain. Ensembles keep
-                // their replica-level parallelism instead and never
-                // construct inner pools.
+                // durable optimize_sweep campaign) is a *single* solve.
+                // `None` resolves through RUMOR_INNER_THREADS, else 1:
+                // the intra-replica kernels run serially unless asked,
+                // since a pool measured slower than serial at these
+                // sizes. Ensembles keep their replica-level parallelism
+                // and never construct inner pools.
                 inner_threads: None,
                 ..Default::default()
             },
