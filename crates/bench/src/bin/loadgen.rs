@@ -4,7 +4,7 @@
 //!
 //! The workload models the paper's operator console under load: one
 //! long throttled campaign, a wall of keep-alive status pollers (each
-//! an established connection for the whole run — the epoll backend's
+//! an established connection for the whole run — the event loop's
 //! reason to exist), and a few streaming consumers following the
 //! campaign's chunked results. The harness then gates on service
 //! health:

@@ -1361,7 +1361,7 @@ fn raw_request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str)
         .set_read_timeout(Some(Duration::from_secs(30)))
         .ok()?;
     let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
+        "{method} {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     );
     stream.write_all(request.as_bytes()).ok()?;

@@ -599,14 +599,6 @@ pub fn abm(args: &Args) -> CliResult {
 /// contract: a rejected configuration is exit 3, a failed bind (or any
 /// other startup I/O failure) is exit 1, usage errors are exit 2.
 pub fn serve(args: &Args) -> CliResult {
-    let io_backend = match args.get("io-backend") {
-        None => rumor_serve::IoBackend::default(),
-        Some(token) => rumor_serve::IoBackend::parse(token).ok_or_else(|| {
-            CliError::usage(format!(
-                "--io-backend {token:?} is not one of: threads, epoll"
-            ))
-        })?,
-    };
     let config = rumor_serve::ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:8080").to_string(),
         // 0 = "not given" (matching the global --threads convention):
@@ -619,18 +611,13 @@ pub fn serve(args: &Args) -> CliResult {
         cache_entries: args.get_usize("cache-entries", 256)?,
         deadline_ms: args.get_u64("deadline-ms", 30_000)?,
         jobs_dir: args.get("jobs-dir").map(str::to_string),
-        io_backend,
         max_connections: args.get_usize("max-connections", 1024)?,
         ..rumor_serve::ServeConfig::default()
     };
     let server = rumor_serve::serve(&config)?;
     println!(
-        "rumor-serve listening on http://{} ({} backend, {} worker(s), queue depth {}, cache {} entries, deadline {} ms)",
+        "rumor-serve listening on http://{} ({} worker(s), queue depth {}, cache {} entries, deadline {} ms)",
         server.local_addr(),
-        match config.io_backend {
-            rumor_serve::IoBackend::Threads => "threads",
-            rumor_serve::IoBackend::Epoll => "epoll",
-        },
         server.workers(),
         config.queue_depth,
         config.cache_entries,

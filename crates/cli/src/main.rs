@@ -5,7 +5,7 @@
 //! rumor simulate  [--edges FILE | --nodes N] [--tf T] [--out FILE] ...
 //! rumor optimize  [--edges FILE | --nodes N] [--tf T] [--c1 C] [--c2 C] ...
 //! rumor abm       [--edges FILE | --nodes N] [--runs R] [--tf T] ...
-//! rumor serve     [--addr A] [--threads N] [--queue-depth D] [--io-backend B] ...
+//! rumor serve     [--addr A] [--threads N] [--queue-depth D] [--max-connections C] ...
 //! ```
 //!
 //! Run `rumor help` for the full option list. Networks come from an edge
@@ -91,20 +91,20 @@ COMMAND OPTIONS:
     abm:      --tf T (default 40)   --i0 F (default 0.05) --runs R (default 8)
               --quorum F (default 0.5, min surviving replica fraction)
     serve:    --addr A (default 127.0.0.1:8080, port 0 = ephemeral)
-              --queue-depth N (default 64; beyond it requests are shed with 503)
+              --queue-depth N (default 64 queued compute requests; beyond
+                              it they are shed with 503)
               --cache-entries N (default 256; 0 disables the result cache)
               --deadline-ms MS (default 30000; late requests answer 504)
               --jobs-dir DIR (enable durable campaign jobs persisted in DIR;
                               a restart resumes interrupted campaigns)
-              --io-backend B (threads, the default, or epoll: one event
-                              loop owns every socket and workers only run
-                              compute; Linux only, rejected elsewhere)
-              --max-connections N (default 1024; epoll backend sheds
-                              connections beyond it with 503 at accept)
+              --max-connections N (default 1024; connections beyond it
+                              are shed with 503 at accept)
               endpoints: GET /healthz /metrics,
                          POST /v1/{simulate,threshold,optimize,ensemble},
                          POST/GET /v1/jobs (with --jobs-dir)
-              runs until SIGTERM/SIGINT, then drains in-flight requests
+              one event loop owns every socket and workers only run
+              compute; Linux only (elsewhere serve exits 3); runs until
+              SIGTERM/SIGINT, then drains in-flight requests
     jobs:     rumor jobs submit  [--spec FILE] [--wait]   submit a campaign
               rumor jobs list                             list known jobs
               rumor jobs status  ID [--wait]              inspect one job
@@ -163,7 +163,6 @@ fn main() -> ExitCode {
         "cache-entries",
         "deadline-ms",
         "jobs-dir",
-        "io-backend",
         "max-connections",
         "spec",
         "log-format",

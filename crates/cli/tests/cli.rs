@@ -116,6 +116,9 @@ fn serve_rejects_unknown_options_with_exit_two() {
     let out = rumor(&["serve", "--listen", "127.0.0.1:0"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("unknown option"));
+    let out = rumor(&["serve", "--addr", "127.0.0.1:0", "--io-backend", "epoll"]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("unknown option"));
 }
 
 #[test]

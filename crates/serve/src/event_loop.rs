@@ -1,15 +1,13 @@
-//! The epoll connection layer: one event-loop thread owns every
-//! socket, workers only run compute.
+//! The connection layer: one event-loop thread owns every socket,
+//! workers only run compute.
 //!
-//! The threads backend pins a worker thread per connection for its
-//! whole lifetime, so a thousand idle keep-alive pollers would need a
-//! thousand threads. Here they cost an epoll registration each: the
-//! loop parses requests incrementally ([`crate::http::RequestParser`]),
-//! answers cheap endpoints inline, and hands expensive compute to a
-//! bounded worker pool — the same pool size, admission bound, and
-//! routing dialect as the threads backend, so every status contract
-//! (`503` shed, `413` body cap, `408` slowloris sweep, `504` deadline)
-//! and the byte-exact cache identity hold unchanged.
+//! A thousand idle keep-alive pollers cost an epoll registration each,
+//! not a thread each: the loop parses requests incrementally
+//! ([`crate::http::RequestParser`]), answers cheap endpoints inline, and
+//! hands expensive compute to a bounded worker pool. The status
+//! contracts (`503` shed, `413` body cap, `408` slowloris sweep, `504`
+//! deadline) are pinned byte for byte by the golden responses under
+//! `crates/serve/tests/golden/`.
 //!
 //! Everything is raw syscalls through the glibc symbols std already
 //! links (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `eventfd`) — the
@@ -25,17 +23,22 @@
 //!   only while output is buffered) so the loop never spins on a
 //!   writable socket with nothing to say.
 //! * Workers receive `(token, request)` over a bounded channel, run
-//!   [`crate::server::run_compute`], and post the outcome back over an
+//!   `server::run_compute` inside the request's
+//!   `serve.request` span, and post the outcome back over an
 //!   unbounded channel + an eventfd write that wakes `epoll_wait`.
 //!   Completions for tokens that died in the meantime are dropped — a
 //!   killed client reclaims its slot immediately, the compute result is
 //!   simply discarded (and still cached).
 //! * A 20 ms tick sweeps slowloris connections (`408` once a partial
 //!   request outlives the I/O timeout; idle keep-alive connections are
-//!   exempt — parking is their whole point) and pumps job streams.
+//!   exempt — parking is their whole point) and pumps job streams. A
+//!   shutdown request writes the wake eventfd rather than wait for it.
+//! * Every response carrying an `X-Trace-Id` joins one server-side
+//!   record: the `serve.request` span (inline answers, rejections, the
+//!   `408` sweep, compute) or, for a `503` shed, the `serve.shed` event.
 
 use crate::http::{self, Parsed, ReadError, RequestParser};
-use crate::metrics::endpoint_index;
+use crate::metrics::{endpoint_index, ENDPOINTS};
 use crate::server::{route_request, run_compute, JobStream, Outcome, Routed, Shared};
 use crate::ServeError;
 use std::collections::HashMap;
@@ -128,8 +131,7 @@ mod sys {
     }
 }
 
-/// Loop tick: bounds slowloris-sweep latency, stream-pump latency, and
-/// shutdown-observation latency.
+/// Loop tick: bounds slowloris-sweep latency and stream-pump latency.
 const TICK: Duration = Duration::from_millis(20);
 
 /// Tokens below this are the listener (0) and the wake eventfd (1).
@@ -139,7 +141,7 @@ const FIRST_CONN_TOKEN: u64 = 2;
 struct ComputeTask {
     token: u64,
     request: http::Request,
-    accepted: Instant,
+    began: Instant,
     trace_id: u64,
 }
 
@@ -175,9 +177,8 @@ struct Conn {
     interest: u32,
     /// Last byte activity, for the slowloris sweep.
     last_activity: Instant,
-    /// When the first byte of the in-progress request arrived — the
-    /// keep-alive analog of the threads backend's accept timestamp, so
-    /// deadlines cover queueing identically.
+    /// When the first byte of the in-progress request arrived: its
+    /// deadline runs from here, covering read and queue time.
     began: Option<Instant>,
     close_after_write: bool,
     req: Option<ReqMeta>,
@@ -232,13 +233,13 @@ enum FlushResult {
     Dead,
 }
 
-/// Starts the epoll backend: one event-loop thread plus the compute
-/// worker pool. Returns every spawned thread for joining.
+/// Starts the event-loop thread plus the compute worker pool. Returns
+/// every spawned thread for joining, and the loop's wake eventfd.
 pub(crate) fn spawn(
     listener: TcpListener,
     shared: &Arc<Shared>,
     shutdown: &Arc<AtomicBool>,
-) -> Result<Vec<JoinHandle<()>>, ServeError> {
+) -> Result<(Vec<JoinHandle<()>>, Arc<File>), ServeError> {
     let epfd = sys::epoll_create().map_err(ServeError::Io)?;
     let wake = Arc::new(sys::new_eventfd().map_err(ServeError::Io)?);
     let (task_tx, task_rx) =
@@ -263,7 +264,7 @@ pub(crate) fn spawn(
 
     let event_loop = EventLoop {
         epfd,
-        wake,
+        wake: Arc::clone(&wake),
         listener,
         shared: Arc::clone(shared),
         shutdown: Arc::clone(shutdown),
@@ -279,7 +280,7 @@ pub(crate) fn spawn(
             .spawn(move || event_loop.run())
             .map_err(ServeError::Io)?,
     );
-    Ok(threads)
+    Ok((threads, wake))
 }
 
 /// A compute worker: dequeue, run, post the outcome, wake the loop.
@@ -299,7 +300,16 @@ fn compute_worker(
             return; // Queue closed and drained: orderly exit.
         };
         shared.metrics.ready_queue_depth.dec();
-        let outcome = run_compute(&task.request, shared, task.accepted, task.trace_id);
+        let outcome = {
+            let mut sp = request_span(task.trace_id);
+            let outcome = run_compute(&task.request, shared, task.began, task.trace_id);
+            if sp.active() {
+                let endpoint = endpoint_index(&task.request.method, &task.request.target);
+                sp.field("endpoint", endpoint_name(endpoint));
+                sp.field("status", u64::from(outcome.status));
+            }
+            outcome
+        };
         if done.send((task.token, outcome)).is_err() {
             return;
         }
@@ -418,8 +428,8 @@ impl EventLoop {
         }
     }
 
-    /// Best-effort `503` past the connection cap — the same bytes the
-    /// threads acceptor sheds with at a full queue.
+    /// Best-effort `503` past the connection cap — the same bytes a
+    /// full compute queue sheds with.
     fn shed_connection(&self, mut stream: TcpStream) {
         self.shared.metrics.rejected_max_connections.inc();
         let trace_id = rumor_obs::next_trace_id();
@@ -554,16 +564,7 @@ impl EventLoop {
                     }
                     return Fate::Keep;
                 }
-                Parsed::Failed(e) => {
-                    self.reject_request(conn, &e);
-                    conn.state = ConnState::Closing;
-                    conn.close_after_write = true;
-                    return match flush_conn(conn) {
-                        FlushResult::Dead => Fate::Close,
-                        FlushResult::Drained => Fate::Close,
-                        FlushResult::Pending => Fate::Keep,
-                    };
-                }
+                Parsed::Failed(e) => return finish(conn, &self.reject_request(&e)),
                 Parsed::Ready(request) => {
                     if let Fate::Close = self.handle_request(token, conn, request) {
                         return Fate::Close;
@@ -577,48 +578,46 @@ impl EventLoop {
         }
     }
 
-    /// The `400/413/501` family for a stream that can never become a
-    /// valid request; mirrors the threads backend's error metrics.
-    fn reject_request(&self, conn: &mut Conn, e: &ReadError) {
+    /// Frames the `400/413/501` answer to a byte stream that can never
+    /// become a valid request.
+    fn reject_request(&self, e: &ReadError) -> Vec<u8> {
         let metrics = &self.shared.metrics;
-        let (status, message) = match e {
-            ReadError::BodyTooLarge { declared, limit } => {
+        let status = match e {
+            ReadError::BodyTooLarge { .. } => {
                 metrics.rejected_body_too_large.inc();
-                (
-                    413,
-                    format!("body of {declared} bytes exceeds the {limit}-byte cap"),
-                )
+                413
             }
-            ReadError::Unsupported(m) => {
+            ReadError::Unsupported(_) => {
                 metrics.rejected_malformed.inc();
-                (501, m.clone())
+                501
             }
-            ReadError::Malformed(m) => {
+            ReadError::Malformed(_) => {
                 metrics.rejected_malformed.inc();
-                (400, m.clone())
+                400
             }
-            // The incremental parser never sees socket errors.
-            ReadError::TimedOut | ReadError::Io(_) => (400, e.to_string()),
         };
         let trace_id = rumor_obs::next_trace_id();
-        let outcome = Outcome::error(status, &message);
-        conn.out
-            .extend_from_slice(&frame_outcome(&outcome, trace_id, false));
+        let mut sp = request_span(trace_id);
+        sp.field("status", u64::from(status));
+        let outcome = Outcome::error(status, &e.to_string());
+        frame_outcome(&outcome, trace_id, false)
     }
 
     /// Routes one complete request.
     fn handle_request(&mut self, token: u64, conn: &mut Conn, request: http::Request) -> Fate {
         let trace_id = rumor_obs::next_trace_id();
-        let keep_alive = !self.draining
-            && request
-                .header("connection")
-                .is_none_or(|v| !v.eq_ignore_ascii_case("close"));
+        let keep_alive = !self.draining && request.keep_alive();
         let endpoint = endpoint_index(&request.method, &request.target);
         let started = Instant::now();
-        let accepted = conn.began.take().unwrap_or(started);
+        let began = conn.began.take().unwrap_or(started);
 
         match route_request(&request, &self.shared) {
             Routed::Done(outcome) => {
+                let mut sp = request_span(trace_id);
+                if sp.active() {
+                    sp.field("endpoint", endpoint_name(endpoint));
+                    sp.field("status", u64::from(outcome.status));
+                }
                 self.enqueue_response(conn, endpoint, started, trace_id, keep_alive, &outcome);
                 match flush_conn(conn) {
                     FlushResult::Dead => Fate::Close,
@@ -630,7 +629,7 @@ impl EventLoop {
                 let task = ComputeTask {
                     token,
                     request,
-                    accepted,
+                    began,
                     trace_id,
                 };
                 match self.task_tx.try_send(task) {
@@ -647,8 +646,6 @@ impl EventLoop {
                         Fate::Keep
                     }
                     Err(TrySendError::Full(_)) => {
-                        // Worker pool saturated: shed exactly like the
-                        // threads acceptor does at a full queue.
                         self.shared.metrics.rejected_queue_full.inc();
                         rumor_obs::event("serve.shed", &[("trace", trace_id.into())]);
                         let outcome = Outcome::overloaded();
@@ -821,15 +818,10 @@ impl EventLoop {
                     // a next request) are exempt.
                     self.shared.metrics.read_timeouts.inc();
                     let trace_id = rumor_obs::next_trace_id();
+                    let mut sp = request_span(trace_id);
+                    sp.field("status", 408u64);
                     let outcome = Outcome::error(408, "timed out reading the request");
-                    conn.out
-                        .extend_from_slice(&frame_outcome(&outcome, trace_id, false));
-                    conn.state = ConnState::Closing;
-                    conn.close_after_write = true;
-                    match flush_conn(&mut conn) {
-                        FlushResult::Pending => Fate::Keep,
-                        _ => Fate::Close,
-                    }
+                    finish(&mut conn, &frame_outcome(&outcome, trace_id, false))
                 }
                 ConnState::Streaming(_) => self.pump_stream(&mut conn),
                 ConnState::Closing if !conn.has_output() => Fate::Close,
@@ -859,17 +851,9 @@ impl EventLoop {
                 // In-flight compute drains; its response closes the
                 // connection (`draining` forces `Connection: close`).
                 ConnState::Computing => Fate::Keep,
-                ConnState::Streaming(_) => {
-                    // End the stream early: the missing summary chunk
-                    // tells the consumer the stream died.
-                    conn.out.extend_from_slice(http::terminal_chunk_bytes());
-                    conn.state = ConnState::Closing;
-                    conn.close_after_write = true;
-                    match flush_conn(&mut conn) {
-                        FlushResult::Pending => Fate::Keep,
-                        _ => Fate::Close,
-                    }
-                }
+                // End the stream early: the missing summary chunk tells
+                // the consumer the stream died.
+                ConnState::Streaming(_) => finish(&mut conn, http::terminal_chunk_bytes()),
                 _ if conn.has_output() => {
                     conn.close_after_write = true;
                     conn.state = ConnState::Closing;
@@ -882,8 +866,20 @@ impl EventLoop {
     }
 }
 
-/// Renders an [`Outcome`] with the trace header appended last — the
-/// identical header order to the threads backend's `respond`.
+/// Opens the `serve.request` span that joins a response's
+/// `X-Trace-Id` to the server-side trace.
+fn request_span(trace_id: u64) -> rumor_obs::Span {
+    let mut sp = rumor_obs::span("serve.request");
+    sp.field("trace", trace_id);
+    sp
+}
+
+/// The `endpoint` span field: the metrics series name, or `other`.
+fn endpoint_name(endpoint: Option<usize>) -> &'static str {
+    endpoint.map_or("other", |idx| ENDPOINTS[idx])
+}
+
+/// Renders an [`Outcome`] with the trace header appended last.
 fn frame_outcome(outcome: &Outcome, trace_id: u64, keep_alive: bool) -> Vec<u8> {
     let trace = trace_id.to_string();
     let mut headers: Vec<(&str, &str)> = Vec::with_capacity(outcome.extra.len() + 1);
@@ -899,6 +895,17 @@ fn frame_outcome(outcome: &Outcome, trace_id: u64, keep_alive: bool) -> Vec<u8> 
         &outcome.body,
         keep_alive,
     )
+}
+
+/// Queues a connection's last bytes; it closes once they are written.
+fn finish(conn: &mut Conn, last: &[u8]) -> Fate {
+    conn.out.extend_from_slice(last);
+    conn.state = ConnState::Closing;
+    conn.close_after_write = true;
+    match flush_conn(conn) {
+        FlushResult::Pending => Fate::Keep,
+        _ => Fate::Close,
+    }
 }
 
 /// Writes as much buffered output as the socket accepts right now.

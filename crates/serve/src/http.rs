@@ -1,25 +1,18 @@
-//! Minimal HTTP/1.1 framing over a [`TcpStream`].
+//! Minimal HTTP/1.1 framing for the event loop.
 //!
-//! Only what the service needs: request-line + header parsing,
-//! `Content-Length` bodies with a hard cap (checked **before** the body
-//! is read, so an oversized upload costs one header parse, not 1 MiB of
-//! buffering), `Expect: 100-continue` handling for curl-style clients,
-//! and response framing in three flavours:
+//! Only what the service needs: an incremental request parser
+//! ([`RequestParser`]) with `Content-Length` bodies under a hard cap
+//! (checked **before** the body is read, so an oversized upload costs
+//! one header parse, not 1 MiB of buffering), `Expect: 100-continue`
+//! detection for curl-style clients, and response framing in two
+//! flavours:
 //!
-//! * one-shot (`Connection: close`) — the threads backend's
-//!   query-per-connection contract, unchanged since PR 4;
-//! * keep-alive (`Connection: keep-alive`) — the epoll backend reuses
-//!   connections across requests, so idle pollers cost an epoll slot,
-//!   not a handshake per poll;
+//! * `Content-Length`-framed ([`response_bytes`]) — `Connection:
+//!   keep-alive` when the client may reuse the connection (so idle
+//!   pollers cost an epoll slot, not a handshake per poll), `close`
+//!   otherwise; every other byte is the same either way;
 //! * chunked (`Transfer-Encoding: chunked`) — job streams emit each
 //!   campaign point as its own chunk the moment it is durable.
-//!
-//! The blocking reader ([`read_request`]) and the incremental
-//! [`RequestParser`] share one head parser, so both backends accept and
-//! reject exactly the same byte streams.
-
-use std::io::{Read, Write};
-use std::net::TcpStream;
 
 /// Maximum bytes of request line + headers.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -31,6 +24,9 @@ pub struct Request {
     pub method: String,
     /// Request target as sent (path only; the service ignores queries).
     pub target: String,
+    /// `true` for an `HTTP/1.0` request line, whose connection closes
+    /// after the response unless the client asks to keep it alive.
+    pub http10: bool,
     /// Headers in arrival order, names lower-cased.
     pub headers: Vec<(String, String)>,
     /// The body (empty unless `Content-Length` was given).
@@ -44,6 +40,22 @@ impl Request {
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// Whether the connection may stay open after this exchange (RFC
+    /// 9112 §9.3): HTTP/1.1 persists unless the client sends
+    /// `Connection: close`, HTTP/1.0 only when it sends `Connection:
+    /// keep-alive`.
+    pub fn keep_alive(&self) -> bool {
+        let connection_has = |token: &str| {
+            self.header("connection")
+                .is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case(token)))
+        };
+        if self.http10 {
+            connection_has("keep-alive")
+        } else {
+            !connection_has("close")
+        }
     }
 }
 
@@ -61,93 +73,18 @@ pub enum ReadError {
     },
     /// Unsupported framing, e.g. chunked transfer (HTTP 501).
     Unsupported(String),
-    /// The socket timed out mid-request (HTTP 408).
-    TimedOut,
-    /// The peer vanished or another I/O failure occurred (no response
-    /// possible).
-    Io(std::io::Error),
 }
 
+/// The message the client receives in the error body.
 impl std::fmt::Display for ReadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReadError::Malformed(m) => write!(f, "malformed request: {m}"),
+            ReadError::Malformed(m) | ReadError::Unsupported(m) => f.write_str(m),
             ReadError::BodyTooLarge { declared, limit } => {
                 write!(f, "body of {declared} bytes exceeds the {limit}-byte cap")
             }
-            ReadError::Unsupported(m) => write!(f, "unsupported request: {m}"),
-            ReadError::TimedOut => write!(f, "timed out reading the request"),
-            ReadError::Io(e) => write!(f, "i/o error reading the request: {e}"),
         }
     }
-}
-
-impl From<std::io::Error> for ReadError {
-    fn from(e: std::io::Error) -> Self {
-        match e.kind() {
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ReadError::TimedOut,
-            _ => ReadError::Io(e),
-        }
-    }
-}
-
-/// Reads and parses one request from the stream. The caller is expected
-/// to have set read/write timeouts on the stream.
-///
-/// # Errors
-///
-/// See [`ReadError`]; every variant except `Io` maps to a well-defined
-/// HTTP status.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, ReadError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    // Accumulate until the blank line that ends the header block.
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(ReadError::Malformed(format!(
-                "header block exceeds {MAX_HEAD_BYTES} bytes"
-            )));
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            if buf.is_empty() {
-                return Err(ReadError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed before a request arrived",
-                )));
-            }
-            return Err(ReadError::Malformed(
-                "connection closed mid-header".to_string(),
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-
-    let mut request = parse_head(&buf[..head_end])?;
-    let declared = declared_body_len(&request, max_body)?;
-
-    let mut body = buf[head_end + 4..].to_vec();
-    if body.len() < declared && request.header("expect").is_some_and(|v| v.contains("100")) {
-        // The client is waiting for permission to send the body.
-        stream.write_all(b"HTTP/1.1 100 Continue\r\n\r\n")?;
-        stream.flush()?;
-    }
-    while body.len() < declared {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(ReadError::Malformed(format!(
-                "connection closed after {} of {declared} body bytes",
-                body.len()
-            )));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(declared);
-    request.body = body;
-    Ok(request)
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -155,9 +92,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Parses a request head (request line + header lines, **without** the
-/// terminating blank line) into a body-less [`Request`]. Shared by the
-/// blocking reader and the incremental [`RequestParser`], so both
-/// backends speak exactly the same dialect.
+/// terminating blank line) into a body-less [`Request`].
 ///
 /// # Errors
 ///
@@ -192,6 +127,7 @@ pub fn parse_head(head: &[u8]) -> Result<Request, ReadError> {
     Ok(Request {
         method: method.to_string(),
         target: target.to_string(),
+        http10: version == "HTTP/1.0",
         headers,
         body: Vec::new(),
     })
@@ -241,7 +177,7 @@ pub enum Parsed {
     Failed(ReadError),
 }
 
-/// Incremental request parser for the event-loop backend: bytes arrive
+/// Incremental request parser for the event loop: bytes arrive
 /// in arbitrary fragments (header split mid-line, body split mid-byte)
 /// and are buffered until a full request is present. One parser lives
 /// per connection and survives across keep-alive requests.
@@ -325,29 +261,9 @@ impl RequestParser {
     }
 }
 
-/// Writes a complete one-shot response (`Connection: close`).
-///
-/// # Errors
-///
-/// Propagates socket write failures (the peer may already be gone; the
-/// caller treats this as best-effort).
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) -> std::io::Result<()> {
-    let bytes = response_bytes(status, reason, content_type, extra_headers, body, false);
-    stream.write_all(&bytes)?;
-    stream.flush()
-}
-
 /// Renders a complete `Content-Length`-framed response into a buffer.
-/// `keep_alive` selects the `Connection:` token; everything else is
-/// byte-identical to the one-shot path, so cache-identity contracts
-/// hold across backends.
+/// `keep_alive` selects the `Connection:` token; every other byte is
+/// the same either way.
 pub fn response_bytes(
     status: u16,
     reason: &str,
@@ -456,6 +372,21 @@ mod tests {
         assert_eq!(r.target, "/healthz");
         assert_eq!(r.header("host"), Some("x"));
         assert!(r.body.is_empty());
+    }
+
+    #[test]
+    fn version_decides_keep_alive() {
+        let parse = |raw: &[u8]| ready(RequestParser::new(1024).feed(raw));
+        let old = parse(b"GET /healthz HTTP/1.0\r\n\r\n");
+        assert!(old.http10);
+        assert!(!old.keep_alive(), "HTTP/1.0 closes by default");
+        let old_alive = parse(b"GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n");
+        assert!(old_alive.keep_alive());
+        let new = parse(b"GET /healthz HTTP/1.1\r\n\r\n");
+        assert!(!new.http10);
+        assert!(new.keep_alive(), "HTTP/1.1 persists by default");
+        let new_close = parse(b"GET /healthz HTTP/1.1\r\nConnection: TE, close\r\n\r\n");
+        assert!(!new_close.keep_alive());
     }
 
     #[test]

@@ -20,11 +20,15 @@
 //!
 //! Production posture on a one-machine budget:
 //!
-//! * **Admission control** — a fixed worker pool behind a *bounded*
-//!   accept queue; overload is shed with `503` + `Retry-After`, never
-//!   queued unboundedly ([`server`]).
+//! * **One event loop** — a single epoll thread owns every socket
+//!   ([`event_loop`]), so an idle keep-alive poller costs a
+//!   registration, not a thread. Serving is Linux-only: elsewhere
+//!   [`ServeConfig::validate`] rejects every configuration.
+//! * **Admission control** — a fixed compute pool behind a *bounded*
+//!   queue, plus a connection cap; overload is shed with `503` +
+//!   `Retry-After`, never queued unboundedly ([`server`]).
 //! * **Deadlines** — per-request wall-clock deadlines measured from
-//!   accept time; late answers become `504`.
+//!   the request's first byte; late answers become `504`.
 //! * **Result caching** — deterministic engines make responses pure
 //!   functions of the canonical request, so an LRU keyed by the
 //!   canonical wire form serves repeats byte-identically ([`cache`],

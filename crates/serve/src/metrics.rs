@@ -52,15 +52,16 @@ struct EndpointSeries {
 /// instance owns its own registry (tests run several per process).
 pub struct Metrics {
     registry: Registry,
-    /// Connections admitted into the queue.
+    /// Connections admitted by the event loop.
     pub admitted: Arc<Counter>,
-    /// Connections shed with `503` because the queue was full.
+    /// Compute requests shed with `503` because the compute queue was
+    /// full.
     pub rejected_queue_full: Arc<Counter>,
     /// Requests rejected with `413` (body cap).
     pub rejected_body_too_large: Arc<Counter>,
     /// Requests rejected with `400`/`501` (malformed / unsupported).
     pub rejected_malformed: Arc<Counter>,
-    /// Connections shed with `503` at the epoll connection cap.
+    /// Connections shed with `503` at the connection cap.
     pub rejected_max_connections: Arc<Counter>,
     /// Requests that exceeded their wall-clock deadline (`504`).
     pub deadline_exceeded: Arc<Counter>,
@@ -78,7 +79,7 @@ pub struct Metrics {
     pub epoll_wakeups: Arc<Counter>,
     /// Connections currently registered with the event loop.
     pub epoll_connections: Arc<Gauge>,
-    /// Compute tasks queued for the worker pool (epoll backend).
+    /// Compute tasks queued for the worker pool.
     pub ready_queue_depth: Arc<Gauge>,
     /// Data chunks written on `/v1/jobs/{id}/stream` responses.
     pub stream_chunks: Arc<Counter>,

@@ -1,76 +1,61 @@
-//! The server proper: listener, bounded accept queue, fixed worker
-//! pool, admission control, request routing, and graceful shutdown.
+//! The server proper: configuration, the shared routing dialect, the
+//! compute path, and the [`Server`] handle with graceful shutdown.
+//!
+//! The connection layer is the epoll event loop in
+//! `crate::event_loop` (Linux only): it owns every socket, answers
+//! cheap endpoints inline, and dispatches the compute endpoints to a
+//! fixed worker pool.
 //!
 //! # Admission control
 //!
-//! Connections flow `accept → bounded queue → worker`. The queue is a
-//! `sync_channel` of depth `queue_depth`; when it is full the acceptor
-//! **sheds load immediately** with `503 Service Unavailable` +
-//! `Retry-After` instead of queuing unboundedly — under overload the
-//! service degrades to fast rejections, never to an ever-growing
-//! backlog or a panic. Each admitted connection carries its accept
-//! timestamp; workers enforce the per-request wall-clock deadline
-//! against it at three checkpoints (post-dequeue, post-parse,
-//! post-compute) and answer `504 Gateway Timeout` once it has passed —
-//! a request cannot burn a worker forever on a response nobody is
-//! waiting for.
+//! Compute requests enter a bounded queue of depth `queue_depth` in
+//! front of the worker pool; when it is full the request is **shed
+//! immediately** with `503 Service Unavailable` + `Retry-After`
+//! instead of queuing unboundedly — under overload the service degrades
+//! to fast rejections, never to an ever-growing backlog or a panic.
+//! Connections beyond `max_connections` are shed the same way at
+//! accept. Each request's deadline is measured from its first byte;
+//! `run_compute` checks it before and after the expensive compute and
+//! answers `504 Gateway Timeout` once it has passed — a request cannot
+//! burn a worker on a response nobody is waiting for.
 //!
 //! # Shutdown
 //!
-//! The listener runs non-blocking with a short poll so it can observe
-//! the shutdown flag without a wake-up connection. On shutdown the
-//! acceptor stops accepting, drops the queue sender, and every worker
-//! drains what was already admitted before exiting — in-flight work is
-//! finished, new work is refused (the OS backlog gets connection
-//! resets once the listener closes).
+//! A shutdown request sets a flag and wakes the event loop through its
+//! eventfd. The loop then stops accepting, ends job streams, closes
+//! idle connections, and lets in-flight compute finish and answer
+//! (`Connection: close`) before the workers exit — in-flight work is
+//! finished, new work is refused.
 
 use crate::api::{
     canonical_key, EnsembleRequest, OptimizeRequest, SimulateRequest, ThresholdRequest,
 };
 use crate::cache::LruCache;
 use crate::handlers::{self, HandlerError};
-use crate::http::{self, ReadError, Request};
+use crate::http::{self, Request};
 use crate::jobs_api::JobSubmitRequest;
 use crate::jobs_exec::CampaignRunner;
 use crate::metrics::{endpoint_index, Metrics};
 use crate::wire::{self, Value};
 use crate::ServeError;
 use rumor_jobs::{JobManager, JobManagerConfig, JobStatus, JobsError};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::fs::File;
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often the acceptor polls for new connections / shutdown. This
-/// bounds idle-connection accept latency (and shutdown latency), so it
-/// is kept small; one wakeup per millisecond is negligible load.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
-
-/// Which connection layer drives the service.
+/// Which connection layer drives the service. There is one: the field
+/// exists so configurations and provenance records can name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoBackend {
-    /// Thread-per-connection: each admitted connection occupies a
-    /// worker for its whole lifetime. The original backend; still the
-    /// default.
-    #[default]
-    Threads,
     /// One epoll event loop owns every socket; workers only run
     /// compute. Idle keep-alive pollers cost an epoll slot, not a
     /// thread. Linux only.
+    #[default]
     Epoll,
-}
-
-impl IoBackend {
-    /// Parses the CLI token (`threads` | `epoll`).
-    pub fn parse(s: &str) -> Option<IoBackend> {
-        match s {
-            "threads" => Some(IoBackend::Threads),
-            "epoll" => Some(IoBackend::Epoll),
-            _ => None,
-        }
-    }
 }
 
 /// Configuration of [`serve`]. `Default` matches the CLI defaults.
@@ -81,7 +66,8 @@ pub struct ServeConfig {
     /// Worker threads; `None` resolves via [`rumor_par::resolve_threads`]
     /// (`--threads` → `RUMOR_THREADS` → available cores).
     pub threads: Option<usize>,
-    /// Accept-queue depth; beyond it connections are shed with `503`.
+    /// Compute-queue depth: compute requests dispatched to busy workers
+    /// wait here; beyond it they are shed with `503`.
     pub queue_depth: usize,
     /// LRU result-cache entries (`0` disables caching).
     pub cache_entries: usize,
@@ -89,7 +75,11 @@ pub struct ServeConfig {
     pub max_body_bytes: usize,
     /// Per-request wall-clock deadline in milliseconds (`504` beyond it).
     pub deadline_ms: u64,
-    /// Socket read/write timeout in milliseconds (`408` on expiry).
+    /// A partial request idle this long (milliseconds) is answered
+    /// `408`. A connection with no request in progress (parked
+    /// keep-alive, or opened and silent) is exempt, and writes have no
+    /// timeout: a client that stops reading holds its connection slot
+    /// until it disconnects or the server shuts down.
     pub io_timeout_ms: u64,
     /// Durable-jobs directory; `None` disables the `/v1/jobs` family
     /// (those endpoints answer `503`). Opening the directory replays
@@ -97,9 +87,8 @@ pub struct ServeConfig {
     pub jobs_dir: Option<String>,
     /// Connection layer; see [`IoBackend`].
     pub io_backend: IoBackend,
-    /// Concurrent-connection cap for the epoll backend; beyond it new
-    /// connections are shed with `503` at accept time. The threads
-    /// backend bounds connections through `queue_depth` instead.
+    /// Concurrent-connection cap; beyond it new connections are shed
+    /// with `503` at accept time.
     pub max_connections: usize,
 }
 
@@ -114,7 +103,7 @@ impl Default for ServeConfig {
             deadline_ms: 30_000,
             io_timeout_ms: 5_000,
             jobs_dir: None,
-            io_backend: IoBackend::Threads,
+            io_backend: IoBackend::Epoll,
             max_connections: 1024,
         }
     }
@@ -168,7 +157,7 @@ impl ServeConfig {
                 "max_connections: must be at least 1".into(),
             ));
         }
-        if self.io_backend == IoBackend::Epoll && !cfg!(target_os = "linux") {
+        if !cfg!(target_os = "linux") {
             return Err(ServeError::InvalidConfig(
                 "io_backend: epoll is only available on Linux".into(),
             ));
@@ -177,20 +166,8 @@ impl ServeConfig {
     }
 }
 
-/// One admitted connection, stamped at accept time so deadlines cover
-/// queueing as well as execution.
-struct Job {
-    stream: TcpStream,
-    accepted: Instant,
-    /// Per-request trace ID, assigned at accept and echoed back to the
-    /// client as `X-Trace-Id` — the join key between a client-observed
-    /// response and the server-side trace spans.
-    trace_id: u64,
-}
-
-/// Everything the connection layers need to route and execute
-/// requests; shared between the threads and epoll backends so both
-/// speak the identical dialect.
+/// Everything the event loop and its compute workers need to route and
+/// execute requests.
 pub(crate) struct Shared {
     pub metrics: Arc<Metrics>,
     pub cache: Arc<Mutex<LruCache>>,
@@ -205,7 +182,7 @@ pub(crate) struct Shared {
 pub struct Server {
     local_addr: SocketAddr,
     metrics: Arc<Metrics>,
-    shutdown: Arc<AtomicBool>,
+    handle: ServerHandle,
     workers: usize,
     threads: Vec<JoinHandle<()>>,
     jobs: Option<Arc<JobManager>>,
@@ -215,12 +192,16 @@ pub struct Server {
 #[derive(Clone)]
 pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
+    /// The event loop's wake eventfd: it sees the flag at once, not at
+    /// its next tick.
+    wake: Arc<File>,
 }
 
 impl ServerHandle {
     /// Requests an orderly shutdown: stop accepting, drain, exit.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        let _ = (&*self.wake).write(&1u64.to_ne_bytes());
     }
 }
 
@@ -242,9 +223,7 @@ impl Server {
 
     /// A handle for requesting shutdown from elsewhere.
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            shutdown: Arc::clone(&self.shutdown),
-        }
+        self.handle.clone()
     }
 
     /// The durable job manager, when `jobs_dir` was configured.
@@ -252,11 +231,11 @@ impl Server {
         self.jobs.clone()
     }
 
-    /// Requests shutdown and joins every thread (acceptor + workers),
+    /// Requests shutdown and joins every thread (event loop + workers),
     /// then parks the job worker: a running campaign transitions back
     /// to `queued` on disk so the next start resumes it.
     pub fn shutdown_and_join(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.handle.shutdown();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
@@ -271,14 +250,16 @@ impl Server {
     /// every thread is joined before this returns.
     pub fn run_until_terminated(self) {
         crate::signal::install_termination_handlers();
-        while !crate::signal::termination_requested() && !self.shutdown.load(Ordering::SeqCst) {
+        while !crate::signal::termination_requested()
+            && !self.handle.shutdown.load(Ordering::SeqCst)
+        {
             std::thread::sleep(Duration::from_millis(50));
         }
         self.shutdown_and_join();
     }
 }
 
-/// Binds the address and starts the acceptor and worker threads.
+/// Binds the address and starts the event loop and worker threads.
 ///
 /// # Errors
 ///
@@ -316,57 +297,28 @@ pub fn serve(config: &ServeConfig) -> Result<Server, ServeError> {
         jobs: jobs.clone(),
     });
 
-    let threads = match config.io_backend {
-        IoBackend::Threads => spawn_threads_backend(listener, &shared, &shutdown, workers)?,
-        #[cfg(target_os = "linux")]
-        IoBackend::Epoll => crate::event_loop::spawn(listener, &shared, &shutdown)?,
-        #[cfg(not(target_os = "linux"))]
-        IoBackend::Epoll => unreachable!("validate() rejects epoll off Linux"),
-    };
+    let (threads, wake) = spawn_event_loop(listener, &shared, &shutdown)?;
 
     Ok(Server {
         local_addr,
         metrics,
-        shutdown,
+        handle: ServerHandle { shutdown, wake },
         workers,
         threads,
         jobs,
     })
 }
 
-/// The original thread-per-connection layer: a polling acceptor feeds
-/// a bounded queue drained by blocking workers.
-fn spawn_threads_backend(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    shutdown: &Arc<AtomicBool>,
-    workers: usize,
-) -> Result<Vec<JoinHandle<()>>, ServeError> {
-    let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(shared.config.queue_depth);
-    let rx = Arc::new(Mutex::new(rx));
-    let mut threads = Vec::with_capacity(workers + 1);
-    for worker_id in 0..workers {
-        let rx = Arc::clone(&rx);
-        let shared = Arc::clone(shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("rumor-serve-worker-{worker_id}"))
-                .spawn(move || worker_loop(&rx, &shared))
-                .map_err(ServeError::Io)?,
-        );
-    }
-    {
-        let shutdown = Arc::clone(shutdown);
-        let metrics = Arc::clone(&shared.metrics);
-        let io_timeout = Duration::from_millis(shared.config.io_timeout_ms);
-        threads.push(
-            std::thread::Builder::new()
-                .name("rumor-serve-acceptor".to_string())
-                .spawn(move || accept_loop(&listener, &tx, &shutdown, &metrics, io_timeout))
-                .map_err(ServeError::Io)?,
-        );
-    }
-    Ok(threads)
+#[cfg(target_os = "linux")]
+use crate::event_loop::spawn as spawn_event_loop;
+
+#[cfg(not(target_os = "linux"))]
+fn spawn_event_loop(
+    _: TcpListener,
+    _: &Arc<Shared>,
+    _: &Arc<AtomicBool>,
+) -> Result<(Vec<JoinHandle<()>>, Arc<File>), ServeError> {
+    unreachable!("validate() rejects every configuration off Linux")
 }
 
 /// Maps a job-store failure at startup onto the service error space.
@@ -381,200 +333,9 @@ fn jobs_open_error(e: JobsError) -> ServeError {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    tx: &SyncSender<Job>,
-    shutdown: &AtomicBool,
-    metrics: &Metrics,
-    io_timeout: Duration,
-) {
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let job = Job {
-                    stream,
-                    accepted: Instant::now(),
-                    trace_id: rumor_obs::next_trace_id(),
-                };
-                match tx.try_send(job) {
-                    Ok(()) => {
-                        metrics.admitted.inc();
-                    }
-                    Err(TrySendError::Full(job)) => {
-                        metrics.rejected_queue_full.inc();
-                        shed(job.stream, job.trace_id, io_timeout);
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                // Transient accept failure (e.g. EMFILE); back off briefly.
-                std::thread::sleep(ACCEPT_POLL);
-            }
-        }
-    }
-    // Dropping `tx` (when this fn returns) closes the queue: workers
-    // drain the remaining jobs and exit on Disconnected.
-}
-
-/// Best-effort `503` on an over-admission connection. Never blocks the
-/// acceptor for long: the write timeout is capped small.
-fn shed(mut stream: TcpStream, trace_id: u64, io_timeout: Duration) {
-    let cap = io_timeout.min(Duration::from_millis(250));
-    let _ = stream.set_write_timeout(Some(cap));
-    let body = br#"{"error":"server is at capacity, retry shortly"}"#;
-    let trace = trace_id.to_string();
-    let _ = http::write_response(
-        &mut stream,
-        503,
-        http::reason(503),
-        "application/json",
-        &[("Retry-After", "1"), ("X-Trace-Id", &trace)],
-        body,
-    );
-    rumor_obs::event("serve.shed", &[("trace", trace_id.into())]);
-    drain_then_close(stream, cap);
-}
-
-/// Closes a connection whose request was never (fully) read without
-/// aborting it: dropping a socket with unread bytes in the receive
-/// buffer makes the kernel answer RST and discard the response we just
-/// buffered. Half-close our side so the client sees EOF after the
-/// response, then drain its remaining bytes (briefly) so the final
-/// close is clean. Best-effort throughout: a client that keeps sending
-/// past the window gets the RST it asked for.
-fn drain_then_close(mut stream: TcpStream, max_wait: Duration) {
-    use std::io::Read;
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(max_wait));
-    let mut sink = [0u8; 4096];
-    for _ in 0..64 {
-        match stream.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
-}
-
-fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
-    loop {
-        // Hold the receiver lock only for the dequeue itself.
-        let job = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
-        };
-        let Ok(job) = job else {
-            return; // Queue closed and drained: orderly exit.
-        };
-        shared.metrics.in_flight.inc();
-        handle_connection(job, shared);
-        shared.metrics.in_flight.dec();
-    }
-}
-
-/// Everything needed to answer one connection.
-fn handle_connection(job: Job, shared: &Shared) {
-    let metrics = &shared.metrics;
-    let config = &shared.config;
-    let Job {
-        mut stream,
-        accepted,
-        trace_id,
-    } = job;
-    let mut sp = rumor_obs::span("serve.request");
-    sp.field("trace", trace_id);
-    let io_timeout = Duration::from_millis(config.io_timeout_ms);
-    let deadline = Duration::from_millis(config.deadline_ms);
-    let _ = stream.set_read_timeout(Some(io_timeout));
-    let _ = stream.set_write_timeout(Some(io_timeout));
-    let _ = stream.set_nodelay(true);
-
-    // Checkpoint 1: the job may have aged out while queued. The request
-    // bytes were never read, so close via `drain_then_close` (a plain
-    // drop would RST and destroy the 504 in flight).
-    if accepted.elapsed() >= deadline {
-        metrics.deadline_exceeded.inc();
-        sp.field("status", 504u64);
-        respond_error(&mut stream, trace_id, 504, "deadline exceeded while queued");
-        drain_then_close(stream, io_timeout.min(Duration::from_millis(250)));
-        return;
-    }
-
-    let request = match http::read_request(&mut stream, config.max_body_bytes) {
-        Ok(request) => request,
-        Err(e) => {
-            // Every error leaves unread bytes possible (413 refuses a
-            // declared body, 400 stops mid-parse), so each reply ends
-            // with the draining close.
-            match e {
-                ReadError::BodyTooLarge { declared, limit } => {
-                    metrics.rejected_body_too_large.inc();
-                    sp.field("status", 413u64);
-                    respond_error(
-                        &mut stream,
-                        trace_id,
-                        413,
-                        &format!("body of {declared} bytes exceeds the {limit}-byte cap"),
-                    );
-                }
-                ReadError::Malformed(m) => {
-                    metrics.rejected_malformed.inc();
-                    sp.field("status", 400u64);
-                    respond_error(&mut stream, trace_id, 400, &m);
-                }
-                ReadError::Unsupported(m) => {
-                    metrics.rejected_malformed.inc();
-                    sp.field("status", 501u64);
-                    respond_error(&mut stream, trace_id, 501, &m);
-                }
-                ReadError::TimedOut => {
-                    metrics.read_timeouts.inc();
-                    sp.field("status", 408u64);
-                    respond_error(&mut stream, trace_id, 408, "timed out reading the request");
-                }
-                ReadError::Io(_) => {} // Peer is gone; nothing to say.
-            }
-            drain_then_close(stream, io_timeout.min(Duration::from_millis(250)));
-            return;
-        }
-    };
-
-    let started = Instant::now();
-    let endpoint = endpoint_index(&request.method, &request.target);
-    let status = match route_request(&request, shared) {
-        Routed::Done(outcome) => {
-            respond_outcome(&mut stream, trace_id, &outcome);
-            outcome.status
-        }
-        Routed::Compute => {
-            let outcome = run_compute(&request, shared, accepted, trace_id);
-            respond_outcome(&mut stream, trace_id, &outcome);
-            outcome.status
-        }
-        Routed::Stream { job_id } => stream_job_blocking(&mut stream, &job_id, shared),
-    };
-    if sp.active() {
-        sp.field(
-            "endpoint",
-            endpoint.map_or("other", |idx| crate::metrics::ENDPOINTS[idx]),
-        );
-        sp.field("status", u64::from(status));
-    }
-    if let Some(idx) = endpoint {
-        metrics.record(idx, status, started.elapsed().as_millis() as u64);
-    }
-}
-
-/// Where a parsed request goes next. Shared by both backends: the
-/// threads backend executes `Compute` inline on its worker thread, the
-/// epoll event loop dispatches it to the compute pool; `Stream`
-/// switches the connection to chunked streaming.
+/// Where a parsed request goes next: answered inline by the event
+/// loop, dispatched to the compute pool, or switched to chunked
+/// streaming.
 pub(crate) enum Routed {
     /// Fully answered; frame and write the outcome.
     Done(Outcome),
@@ -587,9 +348,8 @@ pub(crate) enum Routed {
     },
 }
 
-/// A fully-determined response, backend-agnostic: the threads backend
-/// frames it `Connection: close`, the epoll backend keep-alive; the
-/// status line, headers, and body bytes are identical either way.
+/// A fully-determined response; the event loop frames it keep-alive
+/// or `Connection: close`, with every other byte the same either way.
 pub(crate) struct Outcome {
     pub status: u16,
     pub content_type: &'static str,
@@ -617,8 +377,7 @@ impl Outcome {
     }
 
     /// The capacity-shed response: `503` + `Retry-After`, same bytes
-    /// from the acceptor queue (threads) and the connection cap
-    /// (epoll).
+    /// from the full compute queue and the connection cap.
     pub(crate) fn overloaded() -> Outcome {
         Outcome {
             status: 503,
@@ -630,8 +389,7 @@ impl Outcome {
 }
 
 /// Routes one parsed request. Pure with respect to the connection:
-/// everything socket-shaped stays with the caller, so both backends
-/// share exactly this dialect.
+/// everything socket-shaped stays with the event loop.
 pub(crate) fn route_request(request: &Request, shared: &Shared) -> Routed {
     if endpoint_index(&request.method, &request.target).is_none() {
         let target = request.target.as_str();
@@ -866,13 +624,8 @@ fn status_value(status: &JobStatus) -> Value {
     ])
 }
 
-/// How often a blocking stream re-polls a still-running job. Chunks go
-/// out the moment the poll observes new completed points, so this only
-/// bounds idle latency.
-const STREAM_POLL: Duration = Duration::from_millis(20);
-
-/// Incremental cursor over a job's durable results, shared by both
-/// backends: each poll frames any newly-completed points as chunks
+/// Incremental cursor over a job's durable results: each poll frames
+/// any newly-completed points as chunks
 /// (`one JSON row + \n` per chunk) and, once the job reaches a terminal
 /// state, appends the summary chunk — the same fields as the `results`
 /// body minus the rows — and the terminal chunk.
@@ -941,45 +694,6 @@ impl JobStream {
     }
 }
 
-/// The threads-backend stream driver: writes the chunked head, then
-/// polls the job until it finishes, sleeping between polls. The worker
-/// thread is pinned for the stream's lifetime — the epoll backend
-/// exists so this cost is opt-out.
-fn stream_job_blocking(stream: &mut TcpStream, job_id: &str, shared: &Shared) -> u16 {
-    use std::io::Write;
-    let Some(manager) = &shared.jobs else {
-        unreachable!("jobs_request only streams when the manager exists");
-    };
-    let head = http::stream_head_bytes(200, http::reason(200), "application/json");
-    if stream.write_all(&head).is_err() {
-        return 200;
-    }
-    let mut cursor = JobStream::new(job_id);
-    loop {
-        match cursor.poll(manager) {
-            Ok(poll) => {
-                if !poll.bytes.is_empty() {
-                    shared.metrics.stream_chunks.add(poll.chunks);
-                    if stream.write_all(&poll.bytes).is_err() {
-                        return 200; // Client went away; slot reclaimed.
-                    }
-                }
-                if poll.done {
-                    return 200;
-                }
-            }
-            Err(_) => {
-                // Store failure mid-stream: the head is already out, so
-                // end the chunk stream; the missing summary chunk tells
-                // the consumer the stream died early.
-                let _ = stream.write_all(http::terminal_chunk_bytes());
-                return 200;
-            }
-        }
-        std::thread::sleep(STREAM_POLL);
-    }
-}
-
 fn jobs_error_status(e: JobsError) -> (u16, String) {
     let status = match &e {
         JobsError::UnknownJob(_) => 404,
@@ -991,12 +705,12 @@ fn jobs_error_status(e: JobsError) -> (u16, String) {
 
 /// The `POST /v1/*` path: parse JSON → validate → cache lookup →
 /// compute → cache fill, with deadline checkpoints around the
-/// expensive stages. Pure with respect to the connection — the threads
-/// backend runs it inline, the epoll backend on a compute worker.
+/// expensive stages. Pure with respect to the connection; it runs on a
+/// compute worker.
 pub(crate) fn run_compute(
     request: &Request,
     shared: &Shared,
-    accepted: Instant,
+    began: Instant,
     trace_id: u64,
 ) -> Outcome {
     let metrics = &shared.metrics;
@@ -1051,7 +765,7 @@ pub(crate) fn run_compute(
     metrics.cache_misses.inc();
 
     // Checkpoint 2: don't start an expensive compute we can't finish.
-    if accepted.elapsed() >= deadline {
+    if began.elapsed() >= deadline {
         metrics.deadline_exceeded.inc();
         return Outcome::error(504, "deadline exceeded before compute");
     }
@@ -1094,7 +808,7 @@ pub(crate) fn run_compute(
             metrics.cache_evictions.inc();
         }
     }
-    if accepted.elapsed() >= deadline {
+    if began.elapsed() >= deadline {
         metrics.deadline_exceeded.inc();
         return Outcome::error(504, "deadline exceeded during compute");
     }
@@ -1104,55 +818,4 @@ pub(crate) fn run_compute(
         extra: vec![("X-Cache", "miss".to_string())],
         body: body.to_vec(),
     }
-}
-
-fn respond(
-    stream: &mut TcpStream,
-    trace_id: u64,
-    status: u16,
-    content_type: &str,
-    extra: &[(&str, &str)],
-    body: &[u8],
-) {
-    let trace = trace_id.to_string();
-    let mut headers: Vec<(&str, &str)> = Vec::with_capacity(extra.len() + 1);
-    headers.extend_from_slice(extra);
-    headers.push(("X-Trace-Id", &trace));
-    let _ = http::write_response(
-        stream,
-        status,
-        http::reason(status),
-        content_type,
-        &headers,
-        body,
-    );
-}
-
-/// Frames an [`Outcome`] onto a blocking (threads-backend) connection.
-fn respond_outcome(stream: &mut TcpStream, trace_id: u64, outcome: &Outcome) {
-    let extra: Vec<(&str, &str)> = outcome
-        .extra
-        .iter()
-        .map(|(k, v)| (*k, v.as_str()))
-        .collect();
-    respond(
-        stream,
-        trace_id,
-        outcome.status,
-        outcome.content_type,
-        &extra,
-        &outcome.body,
-    );
-}
-
-fn respond_error(stream: &mut TcpStream, trace_id: u64, status: u16, message: &str) {
-    let body = wire::serialize(&Value::obj([("error", Value::Str(message.to_string()))]));
-    respond(
-        stream,
-        trace_id,
-        status,
-        "application/json",
-        &[],
-        body.as_bytes(),
-    );
 }

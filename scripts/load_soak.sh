@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Load/soak gate for the serving layer.
 #
-# Boots a release-build `rumor serve` on the epoll backend, then drives
-# it with `loadgen`: a wall of concurrent keep-alive status pollers plus
-# streaming consumers following one long throttled campaign. The gate
+# Boots a release-build `rumor serve`, then drives it with `loadgen`: a
+# wall of concurrent keep-alive status pollers plus streaming consumers
+# following one long throttled campaign. The gate
 # fails on any non-shed 5xx, a blown p99 latency bound, or server fd
 # growth across the soak (leaked connection slots).
 #
@@ -45,7 +45,6 @@ cleanup() {
 
 target/release/rumor serve \
     --addr 127.0.0.1:0 \
-    --io-backend epoll \
     --max-connections 2048 \
     --jobs-dir "$JOBS_DIR" \
     >"$SERVER_LOG" 2>&1 &
