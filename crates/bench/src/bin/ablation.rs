@@ -8,6 +8,11 @@
 //!    the rumor system.
 //! 4. **Mean field vs agent-based** — maximum deviation of the ODE from
 //!    ensembles of the microscopic process.
+//! 5. **Budget allocation** — uniform vs hub-only vs `r0`-optimal
+//!    per-class countermeasures at equal population budget.
+//! 6. **Exact vs printed adjoint** — the forward–backward sweep with the
+//!    exact network-coupled adjoint of [`PaperSir`] and with the paper's
+//!    Eq. (16) as printed ([`PaperDiagonal`]).
 //!
 //! Writes `results/ablation_*.csv`.
 //!
@@ -18,6 +23,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rumor_bench::write_csv;
+use rumor_compartments::model::CompartmentModel;
+use rumor_compartments::paper::PaperSir;
+use rumor_control::multi::{
+    optimize_compartments, MultiControlBounds, MultiFbsmOptions, MultiSweepResult,
+};
 use rumor_core::control::ConstantControl;
 use rumor_core::equilibrium::r0;
 use rumor_core::functions::{AcceptanceRate, Infectivity};
@@ -30,6 +40,7 @@ use rumor_net::degree::DegreeClasses;
 use rumor_net::generators::barabasi_albert;
 use rumor_ode::integrator::{Adaptive, FixedStep};
 use rumor_ode::steppers::{Euler, Heun, Rk4, Stepper};
+use rumor_par::InnerPool;
 use rumor_sim::abm::AbmConfig;
 use rumor_sim::ensemble::{max_deviation, mean_field_reference, run_ensemble, Simulator};
 
@@ -291,50 +302,141 @@ fn allocation_ablation() {
     println!("-> {}", path.display());
 }
 
+/// The paper's Eq. (16) as printed: the `φ̇` coupling keeps only the
+/// diagonal term of the network sum,
+///
+/// ```text
+/// dφ_j/dt = −2 c2 ε2² I_j + (ϕ_j/⟨k⟩) (ψ_j − φ_j) λ_j S_j + φ_j ε2
+/// ```
+///
+/// instead of the exact `(ϕ_j/⟨k⟩) Σ_i (ψ_i − φ_i) λ_i S_i` of
+/// [`PaperSir`]. Everything but the adjoint is the paper model's own.
+/// Not a gradient of the Hamiltonian; it exists for ablation 6 only.
+struct PaperDiagonal(PaperSir);
+
+impl CompartmentModel for PaperDiagonal {
+    fn n_classes(&self) -> usize {
+        self.0.n_classes()
+    }
+
+    fn n_compartments(&self) -> usize {
+        self.0.n_compartments()
+    }
+
+    fn n_controls(&self) -> usize {
+        self.0.n_controls()
+    }
+
+    fn n_costates(&self) -> usize {
+        self.0.n_costates()
+    }
+
+    fn compartment_names(&self) -> &'static [&'static str] {
+        self.0.compartment_names()
+    }
+
+    fn control_names(&self) -> &'static [&'static str] {
+        self.0.control_names()
+    }
+
+    fn rhs(&self, y: &[f64], u: &[f64], pool: Option<&InnerPool>, dydt: &mut [f64]) {
+        self.0.rhs(y, u, pool, dydt)
+    }
+
+    fn adjoint_rhs(
+        &self,
+        state: &[f64],
+        p: &[f64],
+        u: &[f64],
+        pool: Option<&InnerPool>,
+        dpdt: &mut [f64],
+    ) {
+        let n = self.0.n_classes();
+        let lambda = self.0.lambda();
+        let theta_w = self.0.theta_weights();
+        let (c1, c2) = self.0.cost_weights();
+        let (eps1, eps2) = (u[0], u[1]);
+        let (s, i) = (&state[..n], &state[n..2 * n]);
+        // Θ through the same partitioned reduction as the exact adjoint.
+        let theta = self.0.theta_flat(state, pool);
+        let (psi, phi) = p.split_at(n);
+        let (dpsi, dphi) = dpdt.split_at_mut(n);
+        let c1e1sq2 = 2.0 * c1 * eps1 * eps1;
+        let c2e2sq2 = 2.0 * c2 * eps2 * eps2;
+        for j in 0..n {
+            dpsi[j] =
+                -c1e1sq2 * s[j] + psi[j] * (lambda[j] * theta + eps1) - phi[j] * lambda[j] * theta;
+            let coupling_j = (psi[j] - phi[j]) * lambda[j] * s[j];
+            dphi[j] = -c2e2sq2 * i[j] + theta_w[j] * coupling_j + phi[j] * eps2;
+        }
+    }
+
+    fn terminal_condition(&self, weight: f64, out: &mut [f64]) {
+        self.0.terminal_condition(weight, out)
+    }
+
+    fn stationary_controls(&self, state: &[f64], p: &[f64], out: &mut [f64]) {
+        self.0.stationary_controls(state, p, out)
+    }
+
+    fn running_cost(&self, state: &[f64], u: &[f64], out: &mut [f64]) {
+        self.0.running_cost(state, u, out)
+    }
+
+    fn terminal_objective(&self, state: &[f64]) -> f64 {
+        self.0.terminal_objective(state)
+    }
+}
+
+/// The ablation-6 instance: a 1,200-node scale-free net, an aggressive
+/// rumor (`λ0 = 0.15`), `ε ≤ 0.7`, `tf = 60`, `c = (5, 10)`.
+fn adjoint_setup() -> (PaperSir, Vec<f64>) {
+    let (_, classes) = scale_free_classes(1_200, 46);
+    let p = params_with(classes, 0.15, Infectivity::paper_default());
+    let model = PaperSir::from_params(&p, 5.0, 10.0).expect("paper model");
+    let y0 = NetworkState::initial_uniform(p.n_classes(), 0.05)
+        .expect("init")
+        .to_flat();
+    (model, y0)
+}
+
+/// Runs the ablation-6 sweep on `model`.
+fn adjoint_sweep<M: CompartmentModel>(model: &M, y0: &[f64]) -> MultiSweepResult {
+    optimize_compartments(
+        model,
+        y0,
+        60.0,
+        &MultiControlBounds::new(vec![0.7, 0.7]).expect("bounds"),
+        &MultiFbsmOptions {
+            n_nodes: 61,
+            max_iterations: 250,
+            tolerance: 1e-4,
+            relaxation: 0.3,
+            ..Default::default()
+        },
+    )
+    .expect("sweep")
+}
+
 /// Exact vs paper-printed (diagonal) adjoint in the forward-backward
 /// sweep: schedules and objective values.
 fn adjoint_ablation() {
-    use rumor_control::costate::AdjointVariant;
-    use rumor_control::fbsm::{optimize, FbsmOptions};
-    use rumor_control::{ControlBounds, CostWeights};
     println!("\n=== ablation 6: exact vs paper-printed adjoint in the FBSM ===");
-    let (_, classes) = scale_free_classes(1_200, 46);
-    let p = params_with(classes, 0.01, Infectivity::paper_default());
-    let p = p
-        .with_acceptance(rumor_core::functions::AcceptanceRate::LinearInDegree { lambda0: 0.15 })
-        .expect("params");
-    let initial = NetworkState::initial_uniform(p.n_classes(), 0.05).expect("init");
-    let bounds = ControlBounds::new(0.7, 0.7).expect("bounds");
-    let weights = CostWeights::paper_default();
+    let (exact, y0) = adjoint_setup();
+    let diagonal = PaperDiagonal(exact.clone());
     println!(
         "{:>16}  {:>8}  {:>10}  {:>10}",
         "adjoint", "iters", "J", "terminal I"
     );
     let mut rows = Vec::new();
-    for (idx, (name, variant)) in [
-        ("exact", AdjointVariant::Exact),
-        ("paper-diagonal", AdjointVariant::PaperDiagonal),
+    for (idx, (name, result)) in [
+        ("exact", adjoint_sweep(&exact, &y0)),
+        ("paper-diagonal", adjoint_sweep(&diagonal, &y0)),
     ]
     .into_iter()
     .enumerate()
     {
-        let result = optimize(
-            &p,
-            &initial,
-            60.0,
-            &bounds,
-            &weights,
-            &FbsmOptions {
-                n_nodes: 61,
-                max_iterations: 250,
-                tolerance: 1e-4,
-                relaxation: 0.3,
-                adjoint: variant,
-                ..Default::default()
-            },
-        )
-        .expect("sweep");
-        let terminal = result.trajectory.last_state().total_infected();
+        let terminal = result.cost.terminal;
         println!(
             "{name:>16}  {:>8}  {:>10.4}  {:>10.4}",
             result.iterations,
@@ -352,4 +454,113 @@ fn adjoint_ablation() {
     println!(" adjoint is the true Hamiltonian gradient, the diagonal one drops the");
     println!(" cross-class feedback and steers to a different schedule)");
     println!("-> {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rumor_compartments::model::{CompartmentAdjoint, CompartmentOde};
+    use rumor_compartments::schedule::ConstantMultiControl;
+    use rumor_ode::system::OdeSystem;
+
+    /// Final costate `p(0)` of the exact and diagonal adjoints, each
+    /// integrated backward over the same forward trajectory.
+    fn costates_at_zero(model: PaperSir, tf: f64) -> (Vec<f64>, Vec<f64>) {
+        let n = model.n_classes();
+        let control = ConstantMultiControl::new(vec![0.1, 0.1]);
+        let mut y0 = vec![0.0; 3 * n];
+        for j in 0..n {
+            y0[j] = 0.9;
+            y0[n + j] = 0.1;
+        }
+        let forward = Adaptive::new()
+            .integrate(&CompartmentOde::new(&model, &control), 0.0, &y0, tf)
+            .unwrap();
+        let diagonal = PaperDiagonal(model.clone());
+        let exact = CompartmentAdjoint::new(&model, &forward, &control);
+        let printed = CompartmentAdjoint::new(&diagonal, &forward, &control);
+        let term = exact.weighted_terminal_condition(1.0);
+        assert_eq!(term, printed.weighted_terminal_condition(1.0));
+        let back = |sys: &dyn OdeSystem| {
+            Adaptive::new()
+                .integrate(sys, tf, &term, 0.0)
+                .unwrap()
+                .last_state()
+                .to_vec()
+        };
+        (back(&exact), back(&printed))
+    }
+
+    #[test]
+    fn diagonal_adjoint_differs_from_exact_on_multi_class_systems() {
+        let model = PaperSir::from_parts(
+            vec![0.05, 0.1, 0.1, 0.15],
+            vec![0.12, 0.2, 0.2, 0.27],
+            0.01,
+            5.0,
+            10.0,
+        )
+        .unwrap();
+        let (exact, printed) = costates_at_zero(model, 8.0);
+        // More than one class: the couplings differ, so the adjoint
+        // trajectories must diverge somewhere.
+        let d = exact
+            .iter()
+            .zip(&printed)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(d > 1e-9, "variants should differ, max diff {d}");
+    }
+
+    #[test]
+    fn diagonal_adjoint_coincides_with_exact_for_a_single_class() {
+        // One degree class: the Σ_i coupling has a single term, so the
+        // printed equation and the exact gradient agree.
+        let model = PaperSir::from_parts(vec![0.4], vec![1.0], 0.01, 5.0, 10.0).unwrap();
+        let (exact, printed) = costates_at_zero(model, 5.0);
+        for (a, b) in exact.iter().zip(&printed) {
+            assert!((a - b).abs() < 1e-9, "single-class variants must agree");
+        }
+    }
+
+    fn fnv1a(values: &[f64]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in values {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The ablation-6 diagonal sweep, frozen as FNV-1a digests of its
+    /// `f64` bits when the diagonal variant moved here from the control
+    /// crate's costate system.
+    #[test]
+    // ~1 s in release, far longer unoptimized; CI runs it through the
+    // release rumor-bench test step.
+    #[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release")]
+    fn diagonal_sweep_is_frozen() {
+        let (exact, y0) = adjoint_setup();
+        assert_eq!(exact.n_classes(), 39);
+        let r = adjoint_sweep(&PaperDiagonal(exact), &y0);
+        assert_eq!(
+            (r.iterations, r.converged, r.relaxation_backoffs),
+            (250, false, 99)
+        );
+        assert!(!r.restored_checkpoint);
+        assert_eq!(r.final_relaxation.to_bits(), 0x3f947ae147ae147b);
+        assert_eq!(fnv1a(&r.change_history), 0x302b68234f70a5fc);
+        assert_eq!(fnv1a(&r.cost_history), 0xf6d474f9632f838d);
+        assert_eq!(fnv1a(r.control.values(0)), 0x9ab4336c7d981d2f);
+        assert_eq!(fnv1a(r.control.values(1)), 0x57149badd8a412da);
+        assert_eq!(r.cost.total().to_bits(), 0x401b2f3087017c01);
+        let parts = [
+            r.cost.terminal,
+            r.cost.channel_costs[0],
+            r.cost.channel_costs[1],
+        ];
+        assert_eq!(fnv1a(&parts), 0x350350eb8f835f59);
+    }
 }

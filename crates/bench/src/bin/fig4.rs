@@ -20,14 +20,15 @@
 //! ```
 
 use rumor_bench::{digg_dataset, fig4_params, write_csv, Scale};
-use rumor_control::fbsm::{optimize, FbsmOptions};
+use rumor_compartments::paper::PaperSir;
 use rumor_control::heuristic;
+use rumor_control::multi::{optimize_compartments, MultiControlBounds, MultiFbsmOptions};
 use rumor_control::{ControlBounds, CostWeights};
 use rumor_core::equilibrium::r0;
 use rumor_core::state::NetworkState;
 
-fn sweep_options() -> FbsmOptions {
-    FbsmOptions {
+fn sweep_options() -> MultiFbsmOptions {
+    MultiFbsmOptions {
         n_nodes: 101,
         max_iterations: 300,
         tolerance: 1e-4,
@@ -42,6 +43,9 @@ fn main() {
     let bounds = ControlBounds::new(0.7, 0.7).expect("bounds");
     let weights = CostWeights::paper_default();
     let initial = NetworkState::initial_uniform(params.n_classes(), 0.05).expect("initial");
+    let model = PaperSir::from_params(&params, weights.c1, weights.c2).expect("paper model");
+    let y0 = initial.to_flat();
+    let sweep_bounds = MultiControlBounds::from(bounds);
     let tf = 100.0;
 
     println!(
@@ -52,7 +56,7 @@ fn main() {
     );
 
     // --- Fig. 4(a): the optimized schedule.
-    let result = optimize(&params, &initial, tf, &bounds, &weights, &sweep_options())
+    let result = optimize_compartments(&model, &y0, tf, &sweep_bounds, &sweep_options())
         .expect("forward-backward sweep");
     println!(
         "sweep: {} iterations (converged: {}), objective J = {:.4}",
@@ -61,8 +65,8 @@ fn main() {
         result.cost.total()
     );
     let grid = result.control.grid().to_vec();
-    let e1 = result.control.eps1_values().to_vec();
-    let e2 = result.control.eps2_values().to_vec();
+    let e1 = result.control.values(0).to_vec();
+    let e2 = result.control.values(1).to_vec();
     let rows: Vec<Vec<f64>> = grid
         .iter()
         .zip(e1.iter().zip(&e2))
@@ -122,9 +126,9 @@ fn main() {
     let mut rows_c: Vec<Vec<f64>> = Vec::new();
     for step in 1..=10 {
         let tf_i = 10.0 * step as f64;
-        let opt =
-            optimize(&params, &initial, tf_i, &bounds, &weights, &sweep_options()).expect("sweep");
-        let target = opt.trajectory.last_state().total_infected().max(1e-6);
+        let opt = optimize_compartments(&model, &y0, tf_i, &sweep_bounds, &sweep_options())
+            .expect("sweep");
+        let target = opt.cost.terminal.max(1e-6);
         let heur = heuristic::tune(&params, &initial, tf_i, &bounds, &weights, target, 101)
             .expect("heuristic tune");
         let (oc, hc) = (opt.cost.running(), heur.cost.running());

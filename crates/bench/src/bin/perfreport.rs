@@ -94,8 +94,12 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rumor_bench::{digg_dataset, fig4_params, Scale};
-use rumor_control::costate::CostateSystem;
-use rumor_control::fbsm::{optimize_monitored, FbsmOptions, SweepResult};
+use rumor_compartments::model::CompartmentAdjoint;
+use rumor_compartments::paper::PaperSir;
+use rumor_compartments::schedule::PairSchedule;
+use rumor_control::multi::{
+    optimize_compartments_monitored, MultiControlBounds, MultiFbsmOptions, MultiSweepResult,
+};
 use rumor_control::{ControlBounds, CostWeights};
 use rumor_core::control::ConstantControl;
 use rumor_core::functions::{AcceptanceRate, Infectivity};
@@ -301,22 +305,25 @@ fn main() {
     let fbsm_params = fig4_params(&ds);
     let bounds = ControlBounds::new(0.7, 0.7).expect("bounds");
     let weights = CostWeights::paper_default();
+    let fbsm_model = PaperSir::from_params(&fbsm_params, weights.c1, weights.c2).expect("model");
+    let sweep_bounds = MultiControlBounds::from(bounds);
     let initial = NetworkState::initial_uniform(fbsm_params.n_classes(), 0.05).expect("initial");
     // Iteration-capped on purpose: the relative control change plateaus
     // just above tight tolerances in this setting, so the cap — not the
     // tolerance — defines a fixed-size workload whose wall time is
-    // comparable across runs. `optimize_monitored` skips the divergence
-    // gate that `optimize` applies to non-converged sweeps. Convergence
+    // comparable across runs. `optimize_compartments_monitored` skips
+    // the divergence gate that `optimize_compartments` applies to
+    // non-converged sweeps. Convergence
     // is then finished off by warm-started continuation rounds (each
-    // restart resets the relaxation, and the default backtracking
-    // under-relaxation carries it past the ~4e-3 plateau), reported
+    // restart resets the relaxation, and backtracking under-relaxation
+    // carries it past the ~4e-3 plateau), reported
     // (with the final residual) separately from the timed sweep so the
     // gate metric keeps its fixed-size meaning; three continuation
     // rounds settle it, pinned in crates/bench/tests/fbsm_small_tier.rs.
     // `inner_threads` is pinned to 1 on every gated sweep so the wall
     // time the perf gate watches stays comparable across hosts with
     // different core counts (and to the single-core baseline).
-    let options = FbsmOptions {
+    let options = MultiFbsmOptions {
         n_nodes: 81,
         max_iterations: 150,
         tolerance: 1e-4,
@@ -326,14 +333,12 @@ fn main() {
     };
     let tf = 40.0;
     let fbsm = fbsm_workload(
-        &fbsm_params,
-        &initial,
+        &fbsm_model,
+        &initial.to_flat(),
         tf,
-        &bounds,
-        &weights,
+        &sweep_bounds,
         &options,
         6,
-        true,
     );
     assert!(
         fbsm.converged_final && fbsm.final_residual_after <= 1e-4,
@@ -554,7 +559,7 @@ fn main() {
     // Same grid as the small-tier sweep; a lower iteration cap keeps
     // the per-PR wall time bounded, with warm-started continuation
     // finishing convergence (final residual reported either way).
-    let full_options = FbsmOptions {
+    let full_options = MultiFbsmOptions {
         n_nodes: 81,
         max_iterations: 60,
         tolerance: 1e-4,
@@ -568,15 +573,14 @@ fn main() {
     // instead of accepting it), which is what carries this problem past
     // the ~4e-3 plateau plain damping stalls at and down to genuine
     // convergence (residual <= 1e-4, pinned in the committed report).
+    let full_model = PaperSir::from_params(&full_params, weights.c1, weights.c2).expect("model");
     let full_fbsm = fbsm_workload(
-        &full_params,
-        &full_initial,
+        &full_model,
+        &full_initial.to_flat(),
         tf,
-        &bounds,
-        &weights,
+        &sweep_bounds,
         &full_options,
         12,
-        true,
     );
     assert!(
         full_fbsm.converged_final && full_fbsm.final_residual_after <= 1e-4,
@@ -737,7 +741,7 @@ impl FbsmBench {
 
 /// Last relative control change of a sweep (infinite when the sweep
 /// recorded no iterations).
-fn residual(sweep: &SweepResult) -> f64 {
+fn residual(sweep: &MultiSweepResult) -> f64 {
     sweep
         .change_history
         .last()
@@ -748,22 +752,19 @@ fn residual(sweep: &SweepResult) -> f64 {
 /// Runs the timed, iteration-capped FBSM sweep, then — if the cap (not
 /// the tolerance) stopped it — up to `max_rounds - 1` warm-started
 /// continuation rounds, each seeded with the previous schedule via
-/// `FbsmOptions::initial_control`. The continuation settles
+/// `MultiFbsmOptions::initial_control`. The continuation settles
 /// convergence without disturbing the fixed-size timed workload the
 /// gate watches; the final residual is reported either way.
-#[allow(clippy::too_many_arguments)]
 fn fbsm_workload(
-    params: &ModelParams,
-    initial: &NetworkState,
+    model: &PaperSir,
+    y0: &[f64],
     tf: f64,
-    bounds: &ControlBounds,
-    weights: &CostWeights,
-    options: &FbsmOptions,
+    bounds: &MultiControlBounds,
+    options: &MultiFbsmOptions,
     max_rounds: usize,
-    backtracking_continuation: bool,
 ) -> FbsmBench {
     let start = Instant::now();
-    let first = optimize_monitored(params, initial, tf, bounds, weights, options).expect("sweep");
+    let first = optimize_compartments_monitored(model, y0, tf, bounds, options).expect("sweep");
     let wall_s = start.elapsed().as_secs_f64();
 
     let mut last = first.clone();
@@ -771,12 +772,11 @@ fn fbsm_workload(
     let mut continuation_iterations = 0usize;
     let cont_start = Instant::now();
     while !last.converged && continuation_rounds + 1 < max_rounds {
-        let warm = FbsmOptions {
+        let warm = MultiFbsmOptions {
             initial_control: Some(last.control.clone()),
-            backtracking: backtracking_continuation,
             ..options.clone()
         };
-        last = optimize_monitored(params, initial, tf, bounds, weights, &warm)
+        last = optimize_compartments_monitored(model, y0, tf, bounds, &warm)
             .expect("continuation sweep");
         continuation_rounds += 1;
         continuation_iterations += last.iterations;
@@ -891,15 +891,16 @@ fn intra_scaling_section(full_params: &ModelParams) -> String {
     .integrate(&serial_model, 0.0, &y, 40.0)
     .expect("forward solve for costate bench");
     let weights = CostWeights::paper_default();
-    let serial_costate = CostateSystem::new(full_params, &forward, &control, weights);
-    let yc = serial_costate.terminal_condition();
+    let port = PaperSir::from_params(full_params, weights.c1, weights.c2).expect("model");
+    let serial_costate = CompartmentAdjoint::new(&port, &forward, PairSchedule(control));
+    let yc = serial_costate.weighted_terminal_condition(1.0);
     let mut dc_serial = vec![0.0; yc.len()];
     serial_costate.rhs(20.0, &yc, &mut dc_serial);
     let _ = writeln!(json, "    \"costate_848\": {{");
     let mut t1_rate = 0.0f64;
     for (pos, &threads) in THREAD_COUNTS.iter().enumerate() {
         let pool = Arc::new(InnerPool::new(threads));
-        let costate = CostateSystem::new(full_params, &forward, &control, weights)
+        let costate = CompartmentAdjoint::new(&port, &forward, PairSchedule(control))
             .with_pool(Some(Arc::clone(&pool)));
         let mut dydt = vec![0.0; yc.len()];
         costate.rhs(20.0, &yc, &mut dydt);

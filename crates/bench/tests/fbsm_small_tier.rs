@@ -2,18 +2,19 @@
 //!
 //! The perfreport Fig. 4 sweep (workload 3) historically reported
 //! `converged: false` at its 150-iteration cap: the relative control
-//! change plateaus around 4e-3 in this setting. With backtracking
-//! under-relaxation as the [`FbsmOptions`] default, warm-started
-//! continuation rounds (each restart resets the relaxation weight,
-//! breaking the plateau cycle) settle convergence in three rounds.
+//! change plateaus around 4e-3 in this setting. With the sweep's
+//! backtracking under-relaxation, warm-started continuation rounds (each
+//! restart resets the relaxation weight, breaking the plateau cycle)
+//! settle convergence in three rounds.
 //! This test replicates the exact bench configuration and pins the
 //! round/iteration counts so a regression in the default (or in the
 //! sweep numerics) shows up as a test failure, not as a silently
 //! non-converging benchmark.
 
 use rumor_bench::{digg_dataset, fig4_params, Scale};
-use rumor_control::fbsm::{optimize_monitored, FbsmOptions};
-use rumor_control::{ControlBounds, CostWeights};
+use rumor_compartments::paper::PaperSir;
+use rumor_control::multi::{optimize_compartments_monitored, MultiControlBounds, MultiFbsmOptions};
+use rumor_control::CostWeights;
 use rumor_core::state::NetworkState;
 
 #[test]
@@ -23,14 +24,15 @@ use rumor_core::state::NetworkState;
 fn small_tier_bench_sweep_converges_under_warm_continuation() {
     let dataset = digg_dataset(Scale::Small);
     let params = fig4_params(&dataset);
-    let bounds = ControlBounds::new(0.7, 0.7).expect("static bounds");
+    let bounds = MultiControlBounds::new(vec![0.7, 0.7]).expect("static bounds");
     let weights = CostWeights::paper_default();
-    let initial =
-        NetworkState::initial_uniform(params.n_classes(), 0.05).expect("static initial state");
+    let model = PaperSir::from_params(&params, weights.c1, weights.c2).expect("paper model");
+    let y0 = NetworkState::initial_uniform(params.n_classes(), 0.05)
+        .expect("static initial state")
+        .to_flat();
     // Byte-for-byte the perfreport workload-3 configuration: everything
-    // not listed here (notably `backtracking`) comes from the default,
-    // which is exactly what this test guards.
-    let options = FbsmOptions {
+    // not listed here comes from the default, which this test guards.
+    let options = MultiFbsmOptions {
         n_nodes: 81,
         max_iterations: 150,
         tolerance: 1e-4,
@@ -38,12 +40,7 @@ fn small_tier_bench_sweep_converges_under_warm_continuation() {
         inner_threads: Some(1),
         ..Default::default()
     };
-    assert!(
-        options.backtracking,
-        "backtracking under-relaxation must stay the FbsmOptions default"
-    );
-
-    let mut sweep = optimize_monitored(&params, &initial, 40.0, &bounds, &weights, &options)
+    let mut sweep = optimize_compartments_monitored(&model, &y0, 40.0, &bounds, &options)
         .expect("small-tier sweep");
     assert!(
         !sweep.converged,
@@ -53,11 +50,11 @@ fn small_tier_bench_sweep_converges_under_warm_continuation() {
 
     let mut rounds = Vec::new();
     while !sweep.converged && rounds.len() < 5 {
-        let warm = FbsmOptions {
+        let warm = MultiFbsmOptions {
             initial_control: Some(sweep.control.clone()),
             ..options.clone()
         };
-        sweep = optimize_monitored(&params, &initial, 40.0, &bounds, &weights, &warm)
+        sweep = optimize_compartments_monitored(&model, &y0, 40.0, &bounds, &warm)
             .expect("continuation sweep");
         rounds.push(sweep.iterations);
     }

@@ -5,7 +5,6 @@ use crate::error::CliError;
 use rumor_compartments::model::CompartmentModel;
 use rumor_compartments::schedule::ConstantMultiControl;
 use rumor_compartments::simulate::{simulate_compartments, CompartmentSimOptions};
-use rumor_control::fbsm::FbsmOptions;
 use rumor_control::multi::{optimize_compartments_monitored, MultiControlBounds, MultiFbsmOptions};
 use rumor_control::watchdog::{optimize_guarded, SweepSource, WatchdogOptions};
 use rumor_control::{ControlBounds, CostWeights};
@@ -118,7 +117,8 @@ fn model_kind(args: &Args) -> Result<CliModelKind, CliError> {
 }
 
 /// Builds the selected compartment model from the shared parameters.
-/// Returns `None` for the paper kind (which runs the legacy engines).
+/// Returns `None` for the paper kind, which simulates through
+/// `rumor-core` and optimizes through the watchdog.
 fn build_compartment_model(
     kind: &CliModelKind,
     params: &ModelParams,
@@ -456,7 +456,7 @@ pub fn optimize(args: &Args) -> CliResult {
         &bounds,
         &weights,
         &WatchdogOptions {
-            fbsm: FbsmOptions {
+            fbsm: MultiFbsmOptions {
                 n_nodes: 101,
                 max_iterations: args.get_usize("max-iters", 300)?,
                 tolerance: 1e-4,
@@ -495,18 +495,15 @@ pub fn optimize(args: &Args) -> CliResult {
         result.cost.total(),
         result.cost.running()
     );
-    println!(
-        "terminal infection: {:.6}",
-        result.trajectory.last_state().total_infected()
-    );
+    println!("terminal infection: {:.6}", result.cost.terminal);
     println!("\n{:>8} {:>10} {:>10}", "t", "eps1", "eps2");
     let grid = result.control.grid();
     for idx in (0..grid.len()).step_by((grid.len() / 10).max(1)) {
         println!(
             "{:>8.1} {:>10.4} {:>10.4}",
             grid[idx],
-            result.control.eps1_values()[idx],
-            result.control.eps2_values()[idx]
+            result.control.values(0)[idx],
+            result.control.values(1)[idx]
         );
     }
     if let Some(path) = args.get("out") {
@@ -516,8 +513,8 @@ pub fn optimize(args: &Args) -> CliResult {
             writeln!(
                 f,
                 "{t},{},{}",
-                result.control.eps1_values()[idx],
-                result.control.eps2_values()[idx]
+                result.control.values(0)[idx],
+                result.control.values(1)[idx]
             )?;
         }
         println!("\nschedule written to {path}");

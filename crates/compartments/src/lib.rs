@@ -2,8 +2,7 @@
 //!
 //! The paper's model is a fixed S/I/R-per-degree-class system, and the
 //! original `rumor-core` types hardwire that shape: `NetworkState` owns
-//! exactly three bands, `RumorModel` assumes a `3n` flat layout, and the
-//! costate sweep knows the two control channels by name. None of the
+//! exactly three bands and `RumorModel` assumes a `3n` flat layout. None of the
 //! scenario extensions named by ROADMAP (competing rumors, tie-strength
 //! variants, hesitation compartments) fit in that mold.
 //!
@@ -25,17 +24,17 @@
 //!   adapters that bind a model plus a [`schedule::MultiControlSchedule`]
 //!   into [`rumor_ode::system::OdeSystem`]s for the forward and backward
 //!   passes.
-//! * [`paper::PaperSir`] — the existing paper model ported onto the
-//!   abstraction, pinned bit-identical against
-//!   [`rumor_core::model::RumorModel`] and the `rumor-control` costate
-//!   (see `tests/paper_identity.rs` here and
-//!   `crates/control/tests/compartment_identity.rs`).
+//! * [`paper::PaperSir`] — the paper model on the abstraction, with its
+//!   exact adjoint; trajectories pinned bit-identical against
+//!   [`rumor_core::model::RumorModel`] (`tests/paper_identity.rs`), sweep
+//!   results pinned in `crates/control/tests/frozen_sweeps.rs`.
 //! * [`simulate`] — grid simulation of any compartment model, the
 //!   counterpart of [`rumor_core::simulate::simulate_grid`].
 //!
 //! The concrete scenario models (competing two-rumor, degree-dependent
-//! tie strength) live in `rumor-models`; the multi-control FBSM that
-//! optimizes over `n_controls ≥ 1` channels lives in `rumor-control`.
+//! tie strength) live in `rumor-models`; the forward–backward sweep that
+//! optimizes any of them over `n_controls ≥ 1` channels lives in
+//! `rumor-control`.
 
 // Deliberate idioms throughout this workspace:
 // * `!(x > 0.0)` rejects NaN alongside non-positive values, which the

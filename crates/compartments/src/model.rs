@@ -11,9 +11,8 @@ use std::sync::Arc;
 /// A propagation model with a model-defined number of compartments per
 /// degree class and `n_controls ≥ 1` countermeasure channels.
 ///
-/// The contract generalizes exactly what `RumorModel`, `CostateSystem`
-/// and the FBSM stationary conditions hardwire for the paper's S/I/R
-/// system:
+/// The contract generalizes exactly what `RumorModel` and the paper's
+/// adjoint and stationary conditions hardwire for its S/I/R system:
 ///
 /// * **State** lives in the compartment-major flat layout of
 ///   [`CompartmentLayout`] (`n_compartments` bands of `n_classes`).
@@ -26,9 +25,8 @@ use std::sync::Arc;
 ///   partitioned `rumor_core::kernels`, which keeps every trajectory
 ///   bit-identical at any thread count.
 /// * **Adjoint** (`n_costates` bands) plus the stationary controls and
-///   the per-channel cost integrands are what the generic multi-control
-///   FBSM in `rumor-control` sweeps over; a model that only simulates
-///   may leave the adjoint methods at their panicking defaults.
+///   the per-channel cost integrands are what the forward–backward sweep
+///   in `rumor-control` iterates on.
 pub trait CompartmentModel {
     /// Number of degree classes.
     fn n_classes(&self) -> usize;
@@ -40,6 +38,16 @@ pub trait CompartmentModel {
     fn n_controls(&self) -> usize;
 
     /// Number of adjoint (costate) bands per class.
+    ///
+    /// Costate band `b` is the Lagrange multiplier of compartment band
+    /// `b`, so the costate covers the first `n_costates` state bands and
+    /// `Σ_b p_b·f_b` over them is the Hamiltonian's coupling term. The
+    /// bands at index `≥ n_costates` must feed neither the derivatives
+    /// of the lower bands nor the objective (`running_cost`,
+    /// `terminal_objective`): then their multipliers vanish identically
+    /// and may be dropped. The paper model's `R` band is such a band. The
+    /// finite-difference gradient check in
+    /// `rumor-control/tests/adjoint_gradient.rs` relies on this contract.
     fn n_costates(&self) -> usize;
 
     /// Compartment band names, in layout order (for serialization and
@@ -218,8 +226,7 @@ impl<M, C> std::fmt::Debug for CompartmentOde<'_, M, C> {
 }
 
 /// The backward adjoint system of a compartment model, bound to a stored
-/// forward trajectory — the generalized counterpart of
-/// `rumor_control::costate::CostateSystem`.
+/// forward trajectory and the schedule that produced it.
 pub struct CompartmentAdjoint<'a, M, C> {
     model: &'a M,
     forward: &'a Solution,

@@ -14,9 +14,11 @@
 //! terminal infection matches a target level, which is how the paper
 //! equalizes effectiveness before comparing costs.
 
-use crate::cost::{evaluate, CostBreakdown};
-use crate::schedule::PiecewiseControl;
+use crate::multi::{evaluate_compartments, MultiCostBreakdown, MultiPiecewiseControl};
 use crate::{ControlBounds, ControlError, CostWeights, Result};
+use rumor_compartments::model::CompartmentModel;
+use rumor_compartments::paper::PaperSir;
+use rumor_compartments::simulate::CompartmentTrajectory;
 use rumor_core::params::ModelParams;
 use rumor_core::state::NetworkState;
 use rumor_ode::integrator::{Adaptive, AdaptiveConfig};
@@ -90,8 +92,7 @@ impl FeedbackRule for SigmoidPolicy {
 }
 
 /// The rumor dynamics under state-feedback countermeasures (the control
-/// depends on the state, so it cannot be expressed as a
-/// [`rumor_core::control::ControlSchedule`]).
+/// depends on the state, so it cannot be expressed as a schedule).
 #[derive(Debug, Clone)]
 struct HeuristicModel<'p, P> {
     params: &'p ModelParams,
@@ -129,17 +130,20 @@ impl<P: FeedbackRule> OdeSystem for HeuristicModel<'_, P> {
 }
 
 /// Outcome of a heuristic run: the realized trajectory, the control
-/// signal it induced, and its cost.
+/// signal it induced, and its cost — in the same forms the sweep
+/// returns, so the watchdog's fallback needs no conversion.
 #[derive(Debug, Clone)]
 pub struct HeuristicRun<P = HeuristicPolicy> {
     /// The policy that produced the run.
     pub policy: P,
-    /// State trajectory on the output grid.
-    pub trajectory: rumor_core::simulate::Trajectory,
-    /// The induced (recorded) control signal.
-    pub control: PiecewiseControl,
-    /// Itemized cost under the same functional as the optimized problem.
-    pub cost: CostBreakdown,
+    /// State trajectory on the output grid (`[S.., I.., R..]` per
+    /// sample, negative round-off clamped to zero).
+    pub trajectory: CompartmentTrajectory,
+    /// The induced (recorded) two-channel control signal `[ε1, ε2]`.
+    pub control: MultiPiecewiseControl,
+    /// Itemized cost under the same functional as the optimized problem,
+    /// evaluated on [`PaperSir`] (`terminal` is `Σ_i I_i(tf)`).
+    pub cost: MultiCostBreakdown,
 }
 
 /// Simulates the feedback policy over `[0, tf]` and evaluates its cost.
@@ -168,6 +172,8 @@ pub fn run<P: FeedbackRule>(
             params.n_classes()
         )));
     }
+    let paper = PaperSir::from_params(params, weights.c1, weights.c2)?;
+    let layout = paper.layout();
     let model = HeuristicModel { params, policy };
     let cfg = AdaptiveConfig {
         rtol: 1e-7,
@@ -183,16 +189,17 @@ pub fn run<P: FeedbackRule>(
     let mut e1 = Vec::with_capacity(n_out);
     let mut e2 = Vec::with_capacity(n_out);
     for &t in &grid {
-        let flat = sol.sample(t)?;
+        let mut flat = sol.sample(t)?;
         let i_mean = flat[n..2 * n].iter().sum::<f64>() / n as f64;
         let (r1, r2) = policy.feedback_rates(i_mean);
         e1.push(r1);
         e2.push(r2);
-        states.push(NetworkState::from_flat(&flat)?);
+        layout.sanitize(&mut flat)?;
+        states.push(flat);
     }
-    let control = PiecewiseControl::from_values(grid.clone(), e1, e2)?;
-    let trajectory = rumor_core::simulate::Trajectory::from_parts(grid, states);
-    let cost = evaluate(&trajectory, &control, weights)?;
+    let control = MultiPiecewiseControl::from_values(grid.clone(), vec![e1, e2])?;
+    let trajectory = CompartmentTrajectory::from_parts(layout, grid, states);
+    let cost = evaluate_compartments(&paper, &trajectory, &control)?;
     Ok(HeuristicRun {
         policy,
         trajectory,
@@ -231,9 +238,8 @@ pub fn tune(
     };
     let terminal = |g: f64| -> Result<f64> {
         Ok(run(params, initial, tf, mk_policy(g), weights, n_out)?
-            .trajectory
-            .last_state()
-            .total_infected())
+            .cost
+            .terminal)
     };
     // Find an upper gain that reaches the target.
     let mut g_hi = 1.0;
@@ -312,14 +318,13 @@ mod tests {
         assert_eq!(hr.trajectory.len(), 41);
         assert_eq!(hr.control.grid().len(), 41);
         assert!(hr.cost.total().is_finite());
+        let infected: f64 = hr.trajectory.band(40, 1).iter().sum();
+        assert_eq!(hr.cost.terminal, infected);
         // The recorded control must match the policy applied to the
         // recorded states.
-        let n = p.n_classes();
-        let _ = n;
-        for (k, st) in hr.trajectory.states().iter().enumerate() {
-            let i_mean = st.total_infected() / p.n_classes() as f64;
-            let (e1, _) = policy.rates(i_mean);
-            assert!((hr.control.eps1_values()[k] - e1).abs() < 1e-9);
+        for (k, i_total) in hr.trajectory.total_series(1).into_iter().enumerate() {
+            let (e1, _) = policy.rates(i_total / p.n_classes() as f64);
+            assert!((hr.control.values(0)[k] - e1).abs() < 1e-9);
         }
     }
 
@@ -354,10 +359,7 @@ mod tests {
             41,
         )
         .unwrap();
-        assert!(
-            strong.trajectory.last_state().total_infected()
-                < weak.trajectory.last_state().total_infected()
-        );
+        assert!(strong.cost.terminal < weak.cost.terminal);
     }
 
     #[test]
@@ -367,7 +369,7 @@ mod tests {
         let w = CostWeights::paper_default();
         let target = 0.05;
         let hr = tune(&p, &init, 40.0, &bounds(), &w, target, 41).unwrap();
-        let terminal = hr.trajectory.last_state().total_infected();
+        let terminal = hr.cost.terminal;
         assert!(
             terminal <= target * 1.05,
             "terminal {terminal} vs target {target}"
@@ -470,10 +472,7 @@ mod sigmoid_tests {
             41,
         )
         .unwrap();
-        assert!(
-            hr.trajectory.last_state().total_infected()
-                < free.trajectory.last_state().total_infected()
-        );
+        assert!(hr.cost.terminal < free.cost.terminal);
     }
 
     #[test]
@@ -488,11 +487,10 @@ mod sigmoid_tests {
             bounds: bounds(),
         };
         let hr = run(&p, &init, 20.0, policy, &w, 21).unwrap();
-        for (k, st) in hr.trajectory.states().iter().enumerate() {
-            let i_mean = st.total_infected() / p.n_classes() as f64;
-            let (e1, e2) = policy.feedback_rates(i_mean);
-            assert!((hr.control.eps1_values()[k] - e1).abs() < 1e-9);
-            assert!((hr.control.eps2_values()[k] - e2).abs() < 1e-9);
+        for (k, i_total) in hr.trajectory.total_series(1).into_iter().enumerate() {
+            let (e1, e2) = policy.feedback_rates(i_total / p.n_classes() as f64);
+            assert!((hr.control.values(0)[k] - e1).abs() < 1e-9);
+            assert!((hr.control.values(1)[k] - e2).abs() < 1e-9);
         }
     }
 }

@@ -19,20 +19,20 @@
 //! ε2(t) = clamp( Σ φ_i I_i / (2 c2 Σ I_i²), 0, ε2max )
 //! ```
 //!
-//! This crate realizes that analysis numerically:
+//! This crate realizes that analysis numerically, for the paper model
+//! ([`rumor_compartments::paper::PaperSir`]) and every other
+//! [`rumor_compartments::model::CompartmentModel`] alike:
 //!
-//! * [`schedule::PiecewiseControl`] — grid-sampled control signals that
-//!   plug into the core model as a
-//!   [`rumor_core::control::ControlSchedule`].
-//! * [`cost`] — evaluation of `J` along simulated trajectories.
-//! * [`costate`] — the adjoint ODE system integrated backward in time.
-//! * [`fbsm`] — the forward–backward sweep method (FBSM) that alternates
-//!   state/co-state integrations until the control converges.
+//! * [`multi`] — the one forward–backward sweep method (FBSM): grid
+//!   schedules ([`multi::MultiPiecewiseControl`]), evaluation of `J`
+//!   along simulated trajectories, the sweep that alternates
+//!   state/costate integrations until the control converges, and its
+//!   deadline-constrained variant.
 //! * [`heuristic`] — the myopic feedback baseline of Fig. 4(c), which
 //!   reacts only to the current infection level.
-//! * [`watchdog`] — guarded execution of the sweep: divergence
-//!   classification, restart backoff with reduced relaxation, and
-//!   graceful degradation to the heuristic controller.
+//! * [`watchdog`] — guarded execution of the sweep on the paper model:
+//!   divergence classification, restart backoff with reduced relaxation,
+//!   and graceful degradation to the heuristic controller.
 //! * [`checkpoint`] — a versioned byte encoding of a schedule, used by
 //!   the durable-jobs layer to warm-start sweep campaigns across
 //!   process restarts.
@@ -40,9 +40,12 @@
 //! Note on Eq. (16): the paper writes the `Θ`-coupling of the adjoint
 //! with per-class terms `ψ_i λ_i S_i`; differentiating the Hamiltonian
 //! exactly gives the *network-coupled* form
-//! `(ϕ_j/⟨k⟩) Σ_i (ψ_i − φ_i) λ_i S_i`. We implement the exact adjoint
-//! (see `costate`), which reproduces the paper's qualitative results;
-//! DESIGN.md records the discrepancy.
+//! `(ϕ_j/⟨k⟩) Σ_i (ψ_i − φ_i) λ_i S_i`. `PaperSir` implements the exact
+//! adjoint, which reproduces the paper's qualitative results and agrees
+//! with finite differences of `J` (`tests/adjoint_gradient.rs`); the
+//! printed diagonal form survives only as ablation 6
+//! (`crates/bench/src/bin/ablation.rs`), and DESIGN.md records the
+//! discrepancy.
 
 // Deliberate idioms throughout this workspace:
 // * `!(x > 0.0)` rejects NaN alongside non-positive values, which the
@@ -54,12 +57,8 @@
 #![allow(clippy::manual_is_multiple_of)]
 
 pub mod checkpoint;
-pub mod cost;
-pub mod costate;
-pub mod fbsm;
 pub mod heuristic;
 pub mod multi;
-pub mod schedule;
 pub mod watchdog;
 
 mod error;

@@ -1,18 +1,22 @@
-//! The forward–backward sweep generalized to `n_controls ≥ 1`
-//! compartment models.
+//! The forward–backward sweep method (FBSM) over any
+//! [`CompartmentModel`].
 //!
-//! This is [`crate::fbsm`] lifted onto the
-//! [`rumor_compartments::model::CompartmentModel`] contract: the state,
-//! adjoint, stationary conditions, and per-channel cost integrands all
-//! come from the model, while the sweep itself — the damped Picard
-//! iteration with best-so-far checkpointing, adaptive relaxation, and
-//! backtracking under-relaxation — is copied step for step from
-//! [`crate::fbsm::optimize_monitored`]. Run on the
-//! [`rumor_compartments::paper::PaperSir`] port with a two-channel
-//! bounds vector, it reproduces the legacy sweep bit for bit (pinned in
-//! `tests/compartment_identity.rs`).
+//! The standard numerical realization of Pontryagin's principle: alternate
+//! (i) a forward integration of the state under the current control,
+//! (ii) a backward integration of the costate from the transversality
+//! condition, and (iii) a control update from the stationarity
+//! conditions, relaxed by a convex combination with the previous iterate,
+//! until the control stops changing. The state, adjoint, stationary
+//! conditions, and per-channel cost integrands all come from the model,
+//! so the one sweep serves the paper's S/I/R system
+//! ([`rumor_compartments::paper::PaperSir`], Eqs. (15)–(19)) as well as the
+//! two-rumor and tie-strength models of `rumor-models`.
+//!
+//! The sweep is a damped Picard iteration with best-so-far checkpointing,
+//! adaptive relaxation, and backtracking under-relaxation; its outputs on
+//! the paper model are pinned bit for bit in `tests/frozen_sweeps.rs`.
+//! [`optimize_to_target`] wraps it in the deadline-constrained outer loop.
 
-use crate::schedule::PiecewiseControl;
 use crate::{ControlError, Result};
 use rumor_compartments::model::{CompartmentAdjoint, CompartmentModel, CompartmentOde};
 use rumor_compartments::schedule::MultiControlSchedule;
@@ -22,10 +26,31 @@ use rumor_compartments::simulate::{
 use rumor_numerics::interp::LinearInterp;
 use rumor_numerics::quadrature::trapezoid_sampled;
 use rumor_ode::integrator::{Adaptive, AdaptiveConfig};
+use rumor_ode::recovery::{Guarded, RecoveryPolicy};
+use rumor_ode::solution::Solution;
+use rumor_ode::system::OdeSystem;
 
 /// A piecewise-linear schedule of `n_controls` channels on a shared time
-/// grid, with constant extrapolation outside it — the `n`-channel
-/// generalization of [`PiecewiseControl`].
+/// grid, with constant extrapolation outside it.
+///
+/// This is the representation the sweep iterates on, and the form in
+/// which optimized countermeasures are returned to callers.
+///
+/// # Example
+///
+/// ```
+/// use rumor_control::multi::MultiPiecewiseControl;
+///
+/// # fn main() -> Result<(), rumor_control::ControlError> {
+/// let pc = MultiPiecewiseControl::from_values(
+///     vec![0.0, 1.0, 2.0],
+///     vec![vec![0.4, 0.2, 0.0], vec![0.0, 0.1, 0.2]],
+/// )?;
+/// assert!((pc.eval(0, 0.5) - 0.3).abs() < 1e-12);
+/// assert!((pc.eval(1, 1.5) - 0.15).abs() < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiPiecewiseControl {
     channels: Vec<LinearInterp>,
@@ -142,35 +167,6 @@ impl MultiPiecewiseControl {
     pub fn eval(&self, c: usize, t: f64) -> f64 {
         self.channels[c].eval(t)
     }
-
-    /// Converts a two-channel legacy schedule (`ε1 → 0`, `ε2 → 1`).
-    pub fn from_pair(pair: &PiecewiseControl) -> Self {
-        Self::from_values(
-            pair.grid().to_vec(),
-            vec![pair.eps1_values().to_vec(), pair.eps2_values().to_vec()],
-        )
-        .expect("a valid PiecewiseControl is a valid two-channel schedule")
-    }
-
-    /// Converts back into the legacy two-channel form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ControlError::InvalidConfig`] unless the schedule has
-    /// exactly two channels.
-    pub fn to_pair(&self) -> Result<PiecewiseControl> {
-        if self.channels.len() != 2 {
-            return Err(ControlError::InvalidConfig(format!(
-                "expected 2 channels for a legacy pair, got {}",
-                self.channels.len()
-            )));
-        }
-        PiecewiseControl::from_values(
-            self.grid().to_vec(),
-            self.values(0).to_vec(),
-            self.values(1).to_vec(),
-        )
-    }
 }
 
 impl MultiControlSchedule for MultiPiecewiseControl {
@@ -185,8 +181,7 @@ impl MultiControlSchedule for MultiPiecewiseControl {
     }
 }
 
-/// Per-channel box bounds `u_c ∈ [0, max[c]]` — the `n`-channel
-/// generalization of [`crate::ControlBounds`].
+/// Per-channel box bounds `u_c ∈ [0, max[c]]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiControlBounds {
     max: Vec<f64>,
@@ -226,9 +221,16 @@ impl MultiControlBounds {
     }
 }
 
-/// Tuning knobs of the generalized sweep — the multi-control subset of
-/// [`crate::fbsm::FbsmOptions`] (no guarded integration or adjoint
-/// ablation here; those remain legacy-sweep features).
+impl From<crate::ControlBounds> for MultiControlBounds {
+    /// The paper's two-channel box `[ε1max, ε2max]` (already validated).
+    fn from(bounds: crate::ControlBounds) -> Self {
+        MultiControlBounds {
+            max: vec![bounds.eps1_max, bounds.eps2_max],
+        }
+    }
+}
+
+/// Tuning knobs of the sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiFbsmOptions {
     /// Number of control-grid nodes on `[0, tf]`.
@@ -237,17 +239,31 @@ pub struct MultiFbsmOptions {
     pub max_iterations: usize,
     /// Convergence threshold on the relative control change.
     pub tolerance: f64,
-    /// Relaxation weight `δ ∈ (0, 1]` of the control update.
+    /// Relaxation weight `δ ∈ (0, 1]` of the control update
+    /// (`u ← δ·u_new + (1−δ)·u_old`).
     pub relaxation: f64,
-    /// Floor below which the adaptive damping never pushes `δ`.
+    /// Floor below which the adaptive damping never pushes `δ`. Without
+    /// a floor the backoff `δ ← δ/2` can shrink `δ` into numerical
+    /// irrelevance, freezing the iteration while still burning the
+    /// budget.
     pub relaxation_floor: f64,
     /// Integrator tolerances for the forward and backward passes.
     pub ode: AdaptiveConfig,
-    /// Weight of the terminal objective (the transversality condition).
+    /// When set, the forward, backward and diagnostic passes run under
+    /// the guarded integrator with this fallback policy instead of the
+    /// plain adaptive driver, so a stiff or transiently non-finite
+    /// segment is rescued instead of aborting the sweep. The watchdog
+    /// enables this on restarts after an integration failure.
+    pub guard_ode: Option<RecoveryPolicy>,
+    /// Weight of the terminal objective (the transversality condition
+    /// becomes `p(tf) = w·∂Φ/∂y`). [`optimize_to_target`] raises this
+    /// until its target is met.
     pub terminal_weight: f64,
     /// Warm start: the initial iterate is this schedule resampled onto
     /// the sweep grid and clamped into the box, instead of the mid-box
-    /// constant guess.
+    /// constant guess. In a parameter sweep, seeding each grid point with
+    /// the previous point's optimum typically cuts the iteration count by
+    /// an integer factor — neighboring problems have neighboring optima.
     pub initial_control: Option<MultiPiecewiseControl>,
     /// Intra-replica thread count for the forward/backward kernels,
     /// resolved through [`rumor_par::resolve_inner_threads`] (`None`
@@ -255,10 +271,6 @@ pub struct MultiFbsmOptions {
     /// `RUMOR_INNER_THREADS` asks for a pool); bit-identical at every
     /// count.
     pub inner_threads: Option<usize>,
-    /// Backtracking under-relaxation (see
-    /// [`crate::fbsm::FbsmOptions::backtracking`]); on by default, like
-    /// the legacy sweep.
-    pub backtracking: bool,
 }
 
 impl Default for MultiFbsmOptions {
@@ -274,21 +286,23 @@ impl Default for MultiFbsmOptions {
                 atol: 1e-9,
                 ..AdaptiveConfig::default()
             },
+            guard_ode: None,
             terminal_weight: 1.0,
             initial_control: None,
             inner_threads: None,
-            backtracking: true,
         }
     }
 }
 
 impl MultiFbsmOptions {
-    /// Validates every field up front.
+    /// Validates every field up front, so a bad configuration surfaces
+    /// as a structured error instead of NaN propagating through a sweep.
     ///
     /// # Errors
     ///
     /// Returns [`ControlError::InvalidConfig`] naming the offending
-    /// field, or a wrapped integrator configuration error.
+    /// field, or a wrapped integrator or recovery-policy configuration
+    /// error.
     pub fn validate(&self) -> Result<()> {
         if self.n_nodes < 2 {
             return Err(ControlError::InvalidConfig(format!(
@@ -326,6 +340,9 @@ impl MultiFbsmOptions {
             )));
         }
         self.ode.validate().map_err(ControlError::Ode)?;
+        if let Some(policy) = &self.guard_ode {
+            policy.validate().map_err(ControlError::Ode)?;
+        }
         Ok(())
     }
 }
@@ -334,7 +351,8 @@ impl MultiFbsmOptions {
 /// objective plus one running-cost integral per control channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiCostBreakdown {
-    /// The model's terminal objective at `tf`.
+    /// The model's terminal objective at `tf` (for the paper model, the
+    /// terminal infection `Σ_i I_i(tf)`).
     pub terminal: f64,
     /// `∫ running_cost_c dt` per channel.
     pub channel_costs: Vec<f64>,
@@ -352,8 +370,9 @@ impl MultiCostBreakdown {
     }
 }
 
-/// Evaluates the objective of `control` along a sampled trajectory —
-/// the generalized counterpart of [`crate::cost::evaluate`].
+/// Evaluates the objective of `control` along a sampled trajectory,
+/// integrating each channel's running cost with the trapezoid rule on
+/// the trajectory's own grid.
 ///
 /// # Errors
 ///
@@ -392,7 +411,7 @@ pub fn evaluate_compartments<M: CompartmentModel>(
     })
 }
 
-/// Outcome of the generalized sweep.
+/// Outcome of a converged (or budget-exhausted) sweep.
 #[derive(Debug, Clone)]
 pub struct MultiSweepResult {
     /// The optimized multi-channel schedule.
@@ -408,7 +427,8 @@ pub struct MultiSweepResult {
     pub converged: bool,
     /// Total diagnostic cost per iteration.
     pub cost_history: Vec<f64>,
-    /// Relative control change per iteration.
+    /// Relative control change per iteration (the watchdog classifies
+    /// divergence from this series).
     pub change_history: Vec<f64>,
     /// How often the adaptive damping halved the relaxation weight.
     pub relaxation_backoffs: usize,
@@ -419,35 +439,75 @@ pub struct MultiSweepResult {
     pub restored_checkpoint: bool,
 }
 
+/// Integrates one forward or backward pass, guarded or plain depending
+/// on `options.guard_ode`.
+fn integrate_pass(
+    options: &MultiFbsmOptions,
+    sys: &impl OdeSystem,
+    t0: f64,
+    y0: &[f64],
+    tf: f64,
+) -> Result<Solution> {
+    match &options.guard_ode {
+        None => Adaptive::with_config(options.ode).integrate(sys, t0, y0, tf),
+        Some(policy) => {
+            Guarded::with_config(options.ode, policy.clone()).integrate(sys, t0, y0, tf)
+        }
+    }
+    .map_err(ControlError::Ode)
+}
+
 /// Simulates `control` on the sweep grid for the diagnostic and final
-/// trajectories. Deliberately serial (no pool), mirroring
-/// `fbsm::trajectory_on_grid`'s `simulate_grid` path, so the generic
-/// sweep on the paper port stays bit-identical to the legacy one.
-fn multi_trajectory_on_grid<M: CompartmentModel>(
+/// trajectories. Deliberately serial (no pool), and guarded like the
+/// sweep's own passes when `options.guard_ode` is set, so those
+/// trajectories survive the same troubled segments.
+fn trajectory_on_grid<M: CompartmentModel>(
     model: &M,
     control: &MultiPiecewiseControl,
     y0: &[f64],
     grid: &[f64],
     options: &MultiFbsmOptions,
 ) -> Result<CompartmentTrajectory> {
-    simulate_compartments_grid(
-        model,
-        control,
-        y0,
-        grid,
-        &CompartmentSimOptions {
-            n_out: grid.len(),
-            ode: options.ode,
-        },
-        None,
-    )
-    .map_err(ControlError::Core)
+    if options.guard_ode.is_none() {
+        return simulate_compartments_grid(
+            model,
+            control,
+            y0,
+            grid,
+            &CompartmentSimOptions {
+                n_out: grid.len(),
+                ode: options.ode,
+            },
+            None,
+        )
+        .map_err(ControlError::Core);
+    }
+    let layout = model.layout();
+    let tf = *grid.last().expect("validated non-empty grid");
+    let sol = integrate_pass(options, &CompartmentOde::new(model, control), 0.0, y0, tf)?;
+    let mut states = Vec::with_capacity(grid.len());
+    for &t in grid {
+        let mut flat = sol.sample(t).map_err(ControlError::Ode)?;
+        layout.sanitize(&mut flat)?;
+        states.push(flat);
+    }
+    Ok(CompartmentTrajectory::from_parts(
+        layout,
+        grid.to_vec(),
+        states,
+    ))
 }
 
-/// Runs the generalized forward–backward sweep, instrumented like
-/// [`crate::fbsm::optimize_monitored`]: mere non-convergence is reported
-/// through `converged = false` plus the histories, with the best-so-far
-/// checkpoint restored.
+/// The sweep itself, instrumented for the watchdog: never errors on mere
+/// non-convergence. The result carries `converged = false` plus the full
+/// change/cost histories and relaxation telemetry instead, and restores
+/// the best-so-far (lowest diagnostic cost) control checkpoint when the
+/// final iterate is not the best one seen.
+///
+/// [`optimize_compartments`] wraps this and converts severe
+/// non-convergence into [`ControlError::SweepDiverged`];
+/// [`crate::watchdog::optimize_guarded`] instead classifies it and
+/// restarts with reduced relaxation.
 ///
 /// # Errors
 ///
@@ -482,14 +542,15 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
         )));
     }
     let n = model.n_classes();
-    let mut sweep_span = rumor_obs::span("control.multi_fbsm_sweep");
+    let mut sweep_span = rumor_obs::span("control.fbsm_sweep");
 
     let grid: Vec<f64> = (0..options.n_nodes)
         .map(|i| tf * i as f64 / (options.n_nodes - 1) as f64)
         .collect();
     let mut control = match &options.initial_control {
-        // Warm start: resample the prior schedule onto this grid and
-        // clamp into the current box so the iterate is always feasible.
+        // Warm start: resample the prior schedule onto this grid
+        // (constant extrapolation covers a longer horizon) and clamp into
+        // the current box so the iterate is always feasible.
         Some(prior) => {
             if prior.n_channels() != n_controls {
                 return Err(ControlError::InvalidConfig(format!(
@@ -504,7 +565,8 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
             warm.clamp_to(bounds.max());
             warm
         }
-        // Cold start from mid-box controls.
+        // Cold start from mid-box controls: a feasible, non-degenerate
+        // guess.
         None => {
             let levels: Vec<f64> = bounds.max().iter().map(|&b| b / 2.0).collect();
             MultiPiecewiseControl::constant(tf, options.n_nodes, &levels)?
@@ -517,11 +579,20 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
     let mut iterations = 0;
     let mut last_change = f64::INFINITY;
     let mut relaxation_backoffs = 0;
+    // Best-so-far checkpoint: the control with the lowest diagnostic cost
+    // seen during the sweep, restored if the iteration stops without
+    // converging on something better.
     let mut best: Option<(f64, MultiPiecewiseControl)> = None;
+    // Adaptive damping: when the control update oscillates (the change
+    // grows between iterations), halve the relaxation weight; when it
+    // contracts, cautiously restore it toward the configured value.
     let mut delta = options.relaxation;
 
-    // Intra-replica pool, under the same dispatchability condition as the
-    // legacy sweep; bit-identical with and without it.
+    // Intra-replica pool for the forward/backward kernels, per the
+    // resolved inner-thread budget. Skipped when the class count fits a
+    // single kernel partition — the pool could never dispatch. The
+    // partitioned kernels are bit-identical with and without the pool,
+    // so the resolved count can never change the optimum.
     let inner_threads = rumor_par::resolve_inner_threads(options.inner_threads);
     let pool = if inner_threads > 1 && rumor_core::kernels::partition_count(n) > 1 {
         Some(std::sync::Arc::new(rumor_par::InnerPool::new(
@@ -536,16 +607,12 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
         iterations = iter;
         // (i) Forward pass.
         let sys = CompartmentOde::new(model, &control).with_pool(pool.clone());
-        let forward = Adaptive::with_config(options.ode)
-            .integrate(&sys, 0.0, y0, tf)
-            .map_err(ControlError::Ode)?;
+        let forward = integrate_pass(options, &sys, 0.0, y0, tf)?;
 
         // (ii) Backward pass.
         let adjoint = CompartmentAdjoint::new(model, &forward, &control).with_pool(pool.clone());
         let terminal = adjoint.weighted_terminal_condition(options.terminal_weight);
-        let backward = Adaptive::with_config(options.ode)
-            .integrate(&adjoint, tf, &terminal, 0.0)
-            .map_err(ControlError::Ode)?;
+        let backward = integrate_pass(options, &adjoint, tf, &terminal, 0.0)?;
 
         // (iii) Control update on the grid.
         let mut new_values: Vec<Vec<f64>> = vec![Vec::with_capacity(grid.len()); n_controls];
@@ -557,8 +624,10 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
                 new_values[c].push(u.clamp(0.0, bounds.max()[c]));
             }
         }
-        // Relaxed update + convergence metric, channel by channel in
-        // index order (the legacy sweep's eps1-then-eps2 sequence).
+        // Relaxed update at weight `d`, plus the convergence metric —
+        // node-wise change scaled by each channel's bound (a pure
+        // relative metric explodes on near-zero values), channel by
+        // channel in index order.
         let relax = |d: f64| {
             let relaxed: Vec<Vec<f64>> = (0..n_controls)
                 .map(|c| {
@@ -581,22 +650,16 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
         let (mut relaxed, mut change) = relax(delta);
 
         if change > last_change {
-            if options.backtracking {
-                // Backtracking under-relaxation: retry this update at a
-                // halved weight — the stationary controls are already in
-                // hand, no re-integration.
-                while change > last_change && delta > options.relaxation_floor {
-                    delta = (delta * 0.5).max(options.relaxation_floor);
-                    relaxation_backoffs += 1;
-                    (relaxed, change) = relax(delta);
-                }
-            } else {
-                // Historical accept-then-damp.
-                let lowered = (delta * 0.5).max(options.relaxation_floor);
-                if lowered < delta {
-                    relaxation_backoffs += 1;
-                }
-                delta = lowered;
+            // Backtracking under-relaxation: when the relaxed update
+            // grows the change (damped-Picard oscillation), retry this
+            // update at a halved weight before accepting it. The
+            // stationary controls are already in hand, so each retry is
+            // just the convex combination again, no re-integration. Stops
+            // at the floor so damping can never fake convergence.
+            while change > last_change && delta > options.relaxation_floor {
+                delta = (delta * 0.5).max(options.relaxation_floor);
+                relaxation_backoffs += 1;
+                (relaxed, change) = relax(delta);
             }
         } else {
             delta = (delta * 1.05).min(options.relaxation);
@@ -608,7 +671,7 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
         control = next;
 
         // Diagnostic cost of the current iterate.
-        let traj = multi_trajectory_on_grid(model, &control, y0, &grid, options)?;
+        let traj = trajectory_on_grid(model, &control, y0, &grid, options)?;
         let total = evaluate_compartments(model, &traj, &control)?.total();
         cost_history.push(total);
         if total.is_finite() && best.as_ref().is_none_or(|(b, _)| total < *b) {
@@ -621,7 +684,8 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
         }
     }
 
-    // A non-converged sweep hands back its best checkpoint.
+    // A non-converged sweep hands back its best checkpoint, not whatever
+    // iterate the budget happened to end on.
     let mut restored_checkpoint = false;
     if !converged {
         if let Some((best_cost, best_control)) = best {
@@ -633,11 +697,13 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
         }
     }
 
-    // Per-iteration residual replay for trace consumers.
+    // Per-iteration convergence residuals for trace consumers, replayed
+    // from the recorded histories once the loop is done — the hot loop
+    // itself does no per-iteration trace work.
     if rumor_obs::format() != rumor_obs::LogFormat::Off {
         for (i, (&change, &cost)) in change_history.iter().zip(&cost_history).enumerate() {
             rumor_obs::event(
-                "control.multi_fbsm_iter",
+                "control.fbsm_iter",
                 &[
                     ("iter", (i + 1).into()),
                     ("change", change.into()),
@@ -651,10 +717,10 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
         sweep_span.field("converged", converged);
         sweep_span.field("backoffs", relaxation_backoffs);
     }
-    rumor_obs::add("control.multi_fbsm_sweeps", 1);
-    rumor_obs::add("control.multi_fbsm_iterations", iterations as u64);
+    rumor_obs::add("control.fbsm_sweeps", 1);
+    rumor_obs::add("control.fbsm_iterations", iterations as u64);
 
-    let trajectory = multi_trajectory_on_grid(model, &control, y0, &grid, options)?;
+    let trajectory = trajectory_on_grid(model, &control, y0, &grid, options)?;
     let cost = evaluate_compartments(model, &trajectory, &control)?;
     Ok(MultiSweepResult {
         control,
@@ -670,14 +736,45 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
     })
 }
 
-/// Runs the generalized sweep and converts severe non-convergence (last
-/// change above 100× tolerance) into [`ControlError::SweepDiverged`],
-/// mirroring [`crate::fbsm::optimize`].
+/// Runs the sweep and converts severe non-convergence into an error.
+///
+/// # Example
+///
+/// ```
+/// use rumor_compartments::paper::PaperSir;
+/// use rumor_control::multi::{optimize_compartments, MultiControlBounds, MultiFbsmOptions};
+/// use rumor_core::functions::AcceptanceRate;
+/// use rumor_core::params::ModelParams;
+/// use rumor_core::state::NetworkState;
+/// use rumor_net::degree::DegreeClasses;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let classes = DegreeClasses::from_degrees(&[1, 2, 2, 3])?;
+/// let params = ModelParams::builder(classes)
+///     .alpha(0.002)
+///     .acceptance(AcceptanceRate::LinearInDegree { lambda0: 0.02 })
+///     .build()?;
+/// let model = PaperSir::from_params(&params, 5.0, 10.0)?;
+/// let initial = NetworkState::initial_uniform(params.n_classes(), 0.1)?;
+/// let result = optimize_compartments(
+///     &model,
+///     &initial.to_flat(),
+///     10.0,
+///     &MultiControlBounds::new(vec![0.5, 0.5])?,
+///     &MultiFbsmOptions { n_nodes: 21, max_iterations: 60, tolerance: 1e-3, ..Default::default() },
+/// )?;
+/// assert!(result.cost.total().is_finite());
+/// assert_eq!(result.control.grid().len(), 21);
+/// # Ok(())
+/// # }
+/// ```
 ///
 /// # Errors
 ///
 /// As [`optimize_compartments_monitored`], plus
-/// [`ControlError::SweepDiverged`].
+/// [`ControlError::SweepDiverged`] if the iteration budget is exhausted
+/// while the control is still changing by more than 100× the tolerance
+/// (mild non-convergence returns `converged = false` instead).
 pub fn optimize_compartments<M: CompartmentModel>(
     model: &M,
     y0: &[f64],
@@ -702,175 +799,55 @@ pub fn optimize_compartments<M: CompartmentModel>(
     Ok(result)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rumor_compartments::paper::PaperSir;
-
-    fn model() -> PaperSir {
-        PaperSir::from_parts(
-            vec![0.02, 0.02, 0.04, 0.04, 0.06, 0.12],
-            vec![0.04, 0.04, 0.08, 0.08, 0.12, 0.24],
-            0.002,
-            5.0,
-            10.0,
-        )
-        .unwrap()
+/// Deadline-constrained optimization (the paper's literal problem
+/// statement: the rumor must be extinct — terminal objective at or below
+/// `target` — at the end of the expected time period, with lowest cost).
+///
+/// Realized as an outer penalty loop: the terminal weight `w` in
+/// `J_w = w·Φ(y(tf)) + ∫ …` is raised geometrically until the sweep's
+/// terminal objective meets `target`, then the *running* cost of that
+/// schedule is reported. Returns the final sweep result together with
+/// the weight that achieved the target.
+///
+/// # Errors
+///
+/// * [`ControlError::InvalidConfig`] for a non-positive target.
+/// * [`ControlError::TargetUnreachable`] if the target is not met even
+///   with a very large terminal weight (the box bounds are then the
+///   binding constraint).
+/// * Propagated sweep failures.
+pub fn optimize_to_target<M: CompartmentModel>(
+    model: &M,
+    y0: &[f64],
+    tf: f64,
+    bounds: &MultiControlBounds,
+    target: f64,
+    options: &MultiFbsmOptions,
+) -> Result<(MultiSweepResult, f64)> {
+    if !(target > 0.0) {
+        return Err(ControlError::InvalidConfig(format!(
+            "terminal infection target must be positive, got {target}"
+        )));
     }
-
-    fn y0() -> Vec<f64> {
-        let mut y = vec![0.0; 18];
-        for j in 0..6 {
-            y[j] = 0.9;
-            y[6 + j] = 0.1;
-        }
-        y
-    }
-
-    #[test]
-    fn schedule_round_trips_with_the_pair_form() {
-        let pair = PiecewiseControl::from_values(
-            vec![0.0, 1.0, 3.0],
-            vec![0.4, 0.2, 0.0],
-            vec![0.0, 0.1, 0.2],
-        )
-        .unwrap();
-        let multi = MultiPiecewiseControl::from_pair(&pair);
-        assert_eq!(multi.n_channels(), 2);
-        assert_eq!(multi.to_pair().unwrap(), pair);
-        assert!((multi.eval(0, 0.5) - 0.3).abs() < 1e-12);
-        let mut out = [0.0; 2];
-        multi.eval_into(2.0, &mut out);
-        assert!((out[0] - 0.1).abs() < 1e-12);
-        assert!((out[1] - 0.15).abs() < 1e-12);
-    }
-
-    #[test]
-    fn schedule_validation() {
-        assert!(MultiPiecewiseControl::from_values(vec![0.0, 1.0], vec![]).is_err());
-        assert!(MultiPiecewiseControl::from_values(vec![0.0, 1.0], vec![vec![0.1, -0.2]]).is_err());
-        assert!(MultiPiecewiseControl::constant(0.0, 5, &[0.1]).is_err());
-        assert!(MultiPiecewiseControl::constant(1.0, 1, &[0.1]).is_err());
-        let three = MultiPiecewiseControl::constant(1.0, 3, &[0.1, 0.2, 0.3]).unwrap();
-        assert!(three.to_pair().is_err());
-        let mut c = MultiPiecewiseControl::constant(1.0, 3, &[0.5, 0.5]).unwrap();
-        assert!(c.set_values(vec![vec![0.1; 3]]).is_err());
-        assert!(c.set_values(vec![vec![0.1; 2], vec![0.1; 2]]).is_err());
-        c.set_values(vec![vec![0.9; 3], vec![0.1; 3]]).unwrap();
-        c.clamp_to(&[0.6, 0.2]);
-        assert_eq!(c.values(0), &[0.6; 3]);
-        assert_eq!(c.values(1), &[0.1; 3]);
-    }
-
-    #[test]
-    fn bounds_validation() {
-        assert!(MultiControlBounds::new(vec![]).is_err());
-        assert!(MultiControlBounds::new(vec![0.5, 0.0]).is_err());
-        assert!(MultiControlBounds::new(vec![f64::NAN]).is_err());
-        let b = MultiControlBounds::new(vec![0.5, 0.6]).unwrap();
-        assert_eq!(b.n_channels(), 2);
-    }
-
-    #[test]
-    fn options_validation() {
-        assert!(MultiFbsmOptions::default().validate().is_ok());
-        for bad in [
-            MultiFbsmOptions {
-                n_nodes: 1,
-                ..Default::default()
-            },
-            MultiFbsmOptions {
-                max_iterations: 0,
-                ..Default::default()
-            },
-            MultiFbsmOptions {
-                tolerance: 0.0,
-                ..Default::default()
-            },
-            MultiFbsmOptions {
-                relaxation: 1.5,
-                ..Default::default()
-            },
-            MultiFbsmOptions {
-                relaxation_floor: 0.9,
-                relaxation: 0.4,
-                ..Default::default()
-            },
-            MultiFbsmOptions {
-                terminal_weight: -1.0,
-                ..Default::default()
-            },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn sweep_converges_on_the_paper_port() {
-        let m = model();
-        let bounds = MultiControlBounds::new(vec![0.6, 0.6]).unwrap();
-        let options = MultiFbsmOptions {
-            n_nodes: 51,
-            max_iterations: 80,
-            tolerance: 1e-4,
-            relaxation: 0.5,
-            ode: AdaptiveConfig {
-                rtol: 1e-6,
-                atol: 1e-8,
-                ..Default::default()
-            },
-            ..Default::default()
+    let mut weight = options.terminal_weight.max(1.0);
+    let mut best: Option<(MultiSweepResult, f64)> = None;
+    const MAX_ESCALATIONS: usize = 24;
+    for _ in 0..MAX_ESCALATIONS {
+        let opts = MultiFbsmOptions {
+            terminal_weight: weight,
+            ..options.clone()
         };
-        let result = optimize_compartments(&m, &y0(), 20.0, &bounds, &options).unwrap();
-        assert!(result.converged, "generic sweep did not converge");
-        assert!(result.iterations > 1);
-        assert!(result.cost.total().is_finite());
-        for c in 0..2 {
-            assert!(result
-                .control
-                .values(c)
-                .iter()
-                .all(|&v| (0.0..=0.6).contains(&v)));
+        let result = optimize_compartments(model, y0, tf, bounds, &opts)?;
+        let met = result.cost.terminal <= target;
+        best = Some((result, weight));
+        if met {
+            return Ok(best.expect("just set"));
         }
-        // Optimized control beats the uncontrolled baseline.
-        let no_control = MultiPiecewiseControl::constant(20.0, 51, &[0.0, 0.0]).unwrap();
-        let grid: Vec<f64> = (0..51).map(|i| 20.0 * i as f64 / 50.0).collect();
-        let base_traj = multi_trajectory_on_grid(&m, &no_control, &y0(), &grid, &options).unwrap();
-        let base_cost = evaluate_compartments(&m, &base_traj, &no_control).unwrap();
-        assert!(result.cost.total() < base_cost.total());
+        weight *= 4.0;
     }
-
-    #[test]
-    fn warm_start_resamples_and_clamps() {
-        let m = model();
-        let bounds = MultiControlBounds::new(vec![0.3, 0.3]).unwrap();
-        let prior = MultiPiecewiseControl::constant(10.0, 5, &[0.9, 0.05]).unwrap();
-        let options = MultiFbsmOptions {
-            n_nodes: 21,
-            max_iterations: 1,
-            tolerance: 1e-12,
-            relaxation: 0.5,
-            initial_control: Some(prior),
-            ..Default::default()
-        };
-        let result = optimize_compartments_monitored(&m, &y0(), 20.0, &bounds, &options).unwrap();
-        assert_eq!(result.iterations, 1);
-        assert!(!result.converged);
-    }
-
-    #[test]
-    fn rejects_mismatched_shapes() {
-        let m = model();
-        let bounds3 = MultiControlBounds::new(vec![0.5, 0.5, 0.5]).unwrap();
-        let options = MultiFbsmOptions::default();
-        assert!(optimize_compartments_monitored(&m, &y0(), 20.0, &bounds3, &options).is_err());
-        let bounds = MultiControlBounds::new(vec![0.5, 0.5]).unwrap();
-        assert!(optimize_compartments_monitored(&m, &[0.1; 4], 20.0, &bounds, &options).is_err());
-        assert!(optimize_compartments_monitored(&m, &y0(), -1.0, &bounds, &options).is_err());
-        let wrong_warm = MultiFbsmOptions {
-            initial_control: Some(MultiPiecewiseControl::constant(10.0, 5, &[0.1]).unwrap()),
-            ..Default::default()
-        };
-        assert!(optimize_compartments_monitored(&m, &y0(), 20.0, &bounds, &wrong_warm).is_err());
-    }
+    let (result, _) = best.expect("at least one sweep ran");
+    Err(ControlError::TargetUnreachable {
+        target,
+        best: result.cost.terminal,
+    })
 }

@@ -5,12 +5,13 @@
 //! optimized-countermeasure pipeline: near `r0 ≈ 1` the forward and
 //! backward passes become stiff, and an aggressive relaxation weight can
 //! make the control update oscillate or blow up. A plain
-//! [`optimize`](crate::fbsm::optimize) call turns any of that into a
-//! hard error, which is the wrong behavior for a sweep over thousands of
-//! parameter sets. [`optimize_guarded`] instead:
+//! [`optimize_compartments`](crate::multi::optimize_compartments) call
+//! turns any of that into a hard error, which is the wrong behavior for a
+//! sweep over thousands of parameter sets. [`optimize_guarded`], which
+//! runs the paper model ([`PaperSir`]), instead:
 //!
 //! 1. runs the instrumented sweep
-//!    ([`optimize_monitored`]), which
+//!    ([`optimize_compartments_monitored`]), which
 //!    checkpoints the best-so-far control internally;
 //! 2. on failure, **classifies** the divergence — [`DivergenceKind::Oscillation`],
 //!    [`DivergenceKind::BlowUp`], or [`DivergenceKind::Stall`] — from the
@@ -24,9 +25,12 @@
 //!    panic, and an error only for caller bugs (invalid configuration,
 //!    dimension mismatches) or when even the heuristic cannot run.
 
-use crate::fbsm::{optimize_monitored, FbsmOptions, SweepResult};
 use crate::heuristic::{self, HeuristicPolicy};
+use crate::multi::{
+    optimize_compartments_monitored, MultiControlBounds, MultiFbsmOptions, MultiSweepResult,
+};
 use crate::{ControlBounds, ControlError, CostWeights, Result};
+use rumor_compartments::paper::PaperSir;
 use rumor_core::params::ModelParams;
 use rumor_core::state::NetworkState;
 use rumor_ode::recovery::RecoveryPolicy;
@@ -89,7 +93,7 @@ pub fn classify_divergence(changes: &[f64], costs: &[f64]) -> DivergenceKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchdogOptions {
     /// The sweep configuration of the first attempt.
-    pub fbsm: FbsmOptions,
+    pub fbsm: MultiFbsmOptions,
     /// Restarts allowed after the initial attempt.
     pub max_restarts: usize,
     /// Factor applied to the relaxation weight on each restart
@@ -106,7 +110,7 @@ pub struct WatchdogOptions {
 impl Default for WatchdogOptions {
     fn default() -> Self {
         WatchdogOptions {
-            fbsm: FbsmOptions::default(),
+            fbsm: MultiFbsmOptions::default(),
             max_restarts: 3,
             relaxation_shrink: 0.5,
             guard_ode_on_retry: true,
@@ -121,7 +125,7 @@ impl WatchdogOptions {
     /// # Errors
     ///
     /// Returns [`ControlError::InvalidConfig`] naming the offending
-    /// field (including nested [`FbsmOptions`] problems).
+    /// field (including nested [`MultiFbsmOptions`] problems).
     pub fn validate(&self) -> Result<()> {
         self.fbsm.validate()?;
         if !(self.relaxation_shrink > 0.0 && self.relaxation_shrink < 1.0) {
@@ -170,7 +174,7 @@ pub enum SweepSource {
 #[derive(Debug, Clone)]
 pub struct GuardedSweep {
     /// The schedule, trajectory, and cost actually returned.
-    pub result: SweepResult,
+    pub result: MultiSweepResult,
     /// Which solver produced it.
     pub source: SweepSource,
     /// One entry per failed attempt, in order.
@@ -221,9 +225,11 @@ fn as_ode_error(e: &ControlError) -> Option<&OdeError> {
     }
 }
 
-/// Runs the forward–backward sweep under the watchdog.
+/// Runs the forward–backward sweep on the paper model under the
+/// watchdog.
 ///
-/// Unlike [`optimize`](crate::fbsm::optimize), this never fails because
+/// Unlike [`optimize_compartments`](crate::multi::optimize_compartments),
+/// this never fails because
 /// of divergence: it restarts with reduced relaxation (engaging the
 /// guarded ODE fallback chain after a blow-up) and, once the restart
 /// budget is exhausted, returns the best non-converged checkpoint or the
@@ -245,20 +251,23 @@ pub fn optimize_guarded(
     options: &WatchdogOptions,
 ) -> Result<GuardedSweep> {
     options.validate()?;
+    let model = PaperSir::from_params(params, weights.c1, weights.c2)?;
+    let multi_bounds = MultiControlBounds::from(*bounds);
+    let y0 = initial.to_flat();
     let mut wd_span = rumor_obs::span("control.watchdog");
     let mut restarts = Vec::new();
-    let mut best: Option<SweepResult> = None;
+    let mut best: Option<MultiSweepResult> = None;
     let mut relaxation = options.fbsm.relaxation;
     let mut guard_ode = options.fbsm.guard_ode.clone();
 
     for attempt in 0..=options.max_restarts {
-        let opts = FbsmOptions {
+        let opts = MultiFbsmOptions {
             relaxation,
             relaxation_floor: options.fbsm.relaxation_floor.min(relaxation),
             guard_ode: guard_ode.clone(),
             ..options.fbsm.clone()
         };
-        match optimize_monitored(params, initial, tf, bounds, weights, &opts) {
+        match optimize_compartments_monitored(&model, &y0, tf, &multi_bounds, &opts) {
             Ok(result) if result.converged => {
                 if wd_span.active() {
                     wd_span.field("restarts", restarts.len());
@@ -350,9 +359,8 @@ pub fn optimize_guarded(
         weights,
         options.fbsm.n_nodes,
     )?;
-    let final_relaxation = relaxation;
     Ok(GuardedSweep {
-        result: SweepResult {
+        result: MultiSweepResult {
             control: fallback.control,
             trajectory: fallback.trajectory,
             cost: fallback.cost,
@@ -361,7 +369,7 @@ pub fn optimize_guarded(
             cost_history: Vec::new(),
             change_history: Vec::new(),
             relaxation_backoffs: 0,
-            final_relaxation,
+            final_relaxation: relaxation,
             restored_checkpoint: false,
         },
         source: SweepSource::HeuristicFallback,
@@ -387,8 +395,8 @@ mod tests {
             .unwrap()
     }
 
-    fn quick_fbsm() -> FbsmOptions {
-        FbsmOptions {
+    fn quick_fbsm() -> MultiFbsmOptions {
+        MultiFbsmOptions {
             n_nodes: 51,
             max_iterations: 80,
             tolerance: 1e-4,
@@ -460,7 +468,7 @@ mod tests {
         let bounds = ControlBounds::new(0.6, 0.6).unwrap();
         let w = CostWeights::paper_default();
         let opts = WatchdogOptions {
-            fbsm: FbsmOptions {
+            fbsm: MultiFbsmOptions {
                 max_iterations: 1,
                 tolerance: 1e-14,
                 ..quick_fbsm()
@@ -490,7 +498,7 @@ mod tests {
         let bounds = ControlBounds::new(0.6, 0.6).unwrap();
         let w = CostWeights::paper_default();
         let opts = WatchdogOptions {
-            fbsm: FbsmOptions {
+            fbsm: MultiFbsmOptions {
                 ode: AdaptiveConfig {
                     max_steps: 2,
                     ..Default::default()
@@ -525,7 +533,7 @@ mod tests {
         let bounds = ControlBounds::new(0.6, 0.6).unwrap();
         let w = CostWeights::paper_default();
         let opts = WatchdogOptions {
-            fbsm: FbsmOptions {
+            fbsm: MultiFbsmOptions {
                 ode: AdaptiveConfig {
                     max_steps: 40,
                     ..Default::default()
@@ -573,7 +581,7 @@ mod tests {
                 ..Default::default()
             },
             WatchdogOptions {
-                fbsm: FbsmOptions {
+                fbsm: MultiFbsmOptions {
                     relaxation_floor: 0.0,
                     ..Default::default()
                 },

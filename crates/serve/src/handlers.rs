@@ -15,12 +15,10 @@ use crate::wire::Value;
 use rumor_compartments::model::CompartmentModel;
 use rumor_compartments::schedule::ConstantMultiControl;
 use rumor_compartments::simulate::{simulate_compartments, CompartmentSimOptions};
-use rumor_control::checkpoint::{
-    decode_multi_schedule, decode_schedule, encode_multi_schedule, encode_schedule,
+use rumor_control::checkpoint::{decode_multi_schedule, encode_multi_schedule};
+use rumor_control::multi::{
+    optimize_compartments_monitored, MultiControlBounds, MultiFbsmOptions, MultiPiecewiseControl,
 };
-use rumor_control::fbsm::FbsmOptions;
-use rumor_control::multi::{optimize_compartments_monitored, MultiControlBounds, MultiFbsmOptions};
-use rumor_control::schedule::PiecewiseControl;
 use rumor_control::watchdog::{optimize_guarded, SweepSource, WatchdogOptions};
 use rumor_control::{ControlBounds, CostWeights};
 use rumor_core::control::ConstantControl;
@@ -312,13 +310,11 @@ pub fn optimize(req: &OptimizeRequest) -> Result<Value> {
 
 /// [`optimize`] with an optional warm-start checkpoint (a neighbouring
 /// sweep point's encoded schedule), also returning the optimized
-/// schedule re-encoded so a campaign can thread it into the next point.
-/// The byte codec is kind-dependent — RCP1 for the paper model's pair
-/// schedule, RCP2 for the multi-control kinds — which keeps the
-/// durable-jobs runner codec-agnostic. Corrupt or wrong-kind warm bytes
-/// degrade to a cold start instead of poisoning the point: the warm
-/// start is an accelerant, not an input the answer is allowed to depend
-/// on for validity.
+/// schedule re-encoded (RCP2, for every kind) so a campaign can thread it
+/// into the next point. Legacy RCP1 bytes from older paper-model journals
+/// still decode. Corrupt or wrong-kind warm bytes degrade to a cold start
+/// instead of poisoning the point: the warm start is an accelerant, not
+/// an input the answer is allowed to depend on for validity.
 pub fn optimize_with_warm_bytes(
     req: &OptimizeRequest,
     warm: Option<&[u8]>,
@@ -327,9 +323,8 @@ pub fn optimize_with_warm_bytes(
     let params = build_params(dataset.classes().clone(), &req.model)?;
     match &req.model.kind {
         ModelKind::Paper => {
-            let initial = warm.and_then(|bytes| decode_schedule(bytes).ok());
-            let (value, control) = optimize_paper(&params, req, initial)?;
-            Ok((value, encode_schedule(&control)))
+            let (value, control) = optimize_paper(&params, req, warm_schedule(warm, 2))?;
+            Ok((value, encode_multi_schedule(&control)))
         }
         ModelKind::TwoRumor {
             lambda20,
@@ -356,9 +351,7 @@ fn optimize_kind<M: CompartmentModel>(
     warm: Option<&[u8]>,
 ) -> Result<(Value, Vec<u8>)> {
     let bounds = MultiControlBounds::new(vec![req.eps_max; model.n_controls()])?;
-    let initial = warm
-        .and_then(|bytes| decode_multi_schedule(bytes).ok())
-        .filter(|c| c.n_channels() == model.n_controls());
+    let initial = warm_schedule(warm, model.n_controls());
     let options = MultiFbsmOptions {
         n_nodes: 101,
         max_iterations: req.max_iters,
@@ -403,12 +396,19 @@ fn optimize_kind<M: CompartmentModel>(
     Ok((value, encode_multi_schedule(&result.control)))
 }
 
-/// The guarded legacy sweep for the paper kind.
+/// Decodes warm-start bytes into a schedule with `n_channels` channels;
+/// anything else (absent, corrupt, another kind's shape) is a cold start.
+fn warm_schedule(warm: Option<&[u8]>, n_channels: usize) -> Option<MultiPiecewiseControl> {
+    warm.and_then(|bytes| decode_multi_schedule(bytes).ok())
+        .filter(|c| c.n_channels() == n_channels)
+}
+
+/// The watchdog-guarded sweep for the paper kind.
 fn optimize_paper(
     params: &ModelParams,
     req: &OptimizeRequest,
-    initial: Option<PiecewiseControl>,
-) -> Result<(Value, PiecewiseControl)> {
+    initial: Option<MultiPiecewiseControl>,
+) -> Result<(Value, MultiPiecewiseControl)> {
     let weights = CostWeights::new(req.c1, req.c2)?;
     let bounds = ControlBounds::new(req.eps_max, req.eps_max)?;
     let initial_state = NetworkState::initial_uniform(params.n_classes(), req.i0)?;
@@ -419,7 +419,7 @@ fn optimize_paper(
         &bounds,
         &weights,
         &WatchdogOptions {
-            fbsm: FbsmOptions {
+            fbsm: MultiFbsmOptions {
                 n_nodes: 101,
                 max_iterations: req.max_iters,
                 tolerance: 1e-4,
@@ -461,16 +461,13 @@ fn optimize_paper(
                 ("total", Value::Num(result.cost.total())),
             ]),
         ),
-        (
-            "terminal_infected",
-            Value::Num(result.trajectory.last_state().total_infected()),
-        ),
+        ("terminal_infected", Value::Num(result.cost.terminal)),
         (
             "schedule",
             Value::obj([
                 ("t", Value::num_arr(result.control.grid())),
-                ("eps1", Value::num_arr(result.control.eps1_values())),
-                ("eps2", Value::num_arr(result.control.eps2_values())),
+                ("eps1", Value::num_arr(result.control.values(0))),
+                ("eps2", Value::num_arr(result.control.values(1))),
             ]),
         ),
     ]);
@@ -567,5 +564,48 @@ mod tests {
         let out = ensemble(&req, 1).unwrap();
         assert_eq!(out.get("runs").unwrap().as_f64(), Some(2.0));
         assert!(!out.get("times").unwrap().as_arr().unwrap().is_empty());
+    }
+
+    #[test]
+    fn paper_kind_reads_legacy_rcp1_warm_bytes_like_rcp2() {
+        // A setting whose sweeps converge in a few dozen iterations.
+        let at = |lambda0: f64| {
+            let body = format!(
+                r#"{{"network": {{"nodes": 300, "k_max": 50, "mean_degree": 8, "seed": 104}},
+                    "model": {{"lambda0": {lambda0}}}, "tf": 50, "eps_max": 0.08}}"#
+            );
+            OptimizeRequest::from_value(&parse(&body).unwrap()).unwrap()
+        };
+        let (_, rcp2) = optimize_with_warm_bytes(&at(0.021), None).unwrap();
+        assert_eq!(&rcp2[..4], b"RCP2");
+        // The same schedule in the RCP1 layout older journals hold:
+        // magic, node count, then grid, eps1 and eps2 series.
+        let prior = decode_multi_schedule(&rcp2).unwrap();
+        let mut rcp1 = b"RCP1".to_vec();
+        rcp1.extend_from_slice(&(prior.grid().len() as u32).to_le_bytes());
+        for series in [prior.grid(), prior.values(0), prior.values(1)] {
+            for x in series {
+                rcp1.extend_from_slice(&x.to_le_bytes());
+            }
+        }
+        let next = at(0.0215);
+        let (from_rcp1, out1) = optimize_with_warm_bytes(&next, Some(&rcp1)).unwrap();
+        let (from_rcp2, out2) = optimize_with_warm_bytes(&next, Some(&rcp2)).unwrap();
+        assert_eq!(
+            crate::wire::serialize(&from_rcp1),
+            crate::wire::serialize(&from_rcp2)
+        );
+        assert_eq!(out1, out2);
+        // And the warm start was taken, not dropped as corrupt: it
+        // converges in fewer iterations than a cold start.
+        let (cold, _) = optimize_with_warm_bytes(&next, None).unwrap();
+        let iterations = |v: &Value| v.get("iterations").unwrap().as_f64().unwrap();
+        assert_eq!(from_rcp1.get("converged"), Some(&Value::Bool(true)));
+        assert!(
+            iterations(&from_rcp1) < iterations(&cold),
+            "warm {} vs cold {}",
+            iterations(&from_rcp1),
+            iterations(&cold)
+        );
     }
 }

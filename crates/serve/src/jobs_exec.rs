@@ -94,11 +94,10 @@ impl CampaignRunner {
             Ok(r) => r,
             Err(e) => return PointOutcome::Permanent(format!("point {index}: {e}")),
         };
-        // The warm bytes pass through opaquely: the handler picks the
-        // codec for the request's model kind (RCP1 pair schedules for
-        // the paper model, RCP2 for the multi-control kinds) and
-        // degrades corrupt bytes to a cold start, so this runner never
-        // learns a schedule format.
+        // The warm bytes pass through opaquely: the handler decodes them
+        // (RCP2, or an older journal's RCP1) for the request's model kind
+        // and degrades corrupt or mismatched bytes to a cold start, so
+        // this runner never learns a schedule format.
         match handlers::optimize_with_warm_bytes(&point, warm) {
             Ok((out, schedule_bytes)) => PointOutcome::Ok {
                 payload: result_payload(vec![
@@ -178,7 +177,7 @@ impl PointRunner for CampaignRunner {
 mod tests {
     use super::*;
     use crate::wire::parse;
-    use rumor_control::checkpoint::{decode_multi_schedule, decode_schedule};
+    use rumor_control::checkpoint::decode_multi_schedule;
 
     fn small_sweep(kind: &str, points: u64) -> JobSpec {
         let body = format!(
@@ -256,7 +255,10 @@ mod tests {
             panic!("cold point failed");
         };
         let warm = warm.expect("optimize points must emit warm bytes");
-        decode_schedule(&warm).expect("warm bytes must be a valid schedule checkpoint");
+        // The paper kind persists RCP2 like every other kind.
+        assert_eq!(&warm[..4], b"RCP2");
+        let schedule = decode_multi_schedule(&warm).expect("valid schedule checkpoint");
+        assert_eq!(schedule.n_channels(), 2);
         let PointOutcome::Ok { payload, .. } = runner.run_point(&spec, 1, 0, Some(&warm)) else {
             panic!("warm point failed");
         };
@@ -298,11 +300,11 @@ mod tests {
         let text = String::from_utf8(payload).unwrap();
         assert!(text.contains("\"kind\":\"two_rumor\""), "{text}");
         let warm = warm.expect("optimize points must emit warm bytes");
-        // Multi-control kinds persist RCP2, not the pair codec — and the
-        // bytes round-trip exactly, which is the resume contract.
+        // Multi-control kinds persist RCP2, and the bytes round-trip
+        // exactly, which is the resume contract.
+        assert_eq!(&warm[..4], b"RCP2");
         let schedule = decode_multi_schedule(&warm).expect("RCP2 warm bytes");
         assert_eq!(schedule.n_channels(), 2);
-        assert!(decode_schedule(&warm).is_err(), "must not be RCP1");
         assert!(matches!(
             runner.run_point(&spec, 1, 0, Some(&warm)),
             PointOutcome::Ok { .. }

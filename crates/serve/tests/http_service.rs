@@ -11,7 +11,7 @@
 
 #![cfg(target_os = "linux")]
 
-use rumor_serve::api::SimulateRequest;
+use rumor_serve::api::{OptimizeRequest, SimulateRequest};
 use rumor_serve::{handlers, serve, wire, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -274,13 +274,17 @@ fn wait_for_finish(server: &Server, id: &str, timeout: Duration) -> String {
 /// masked as `<trace>`. The two simulate files hold only the head, with
 /// `Content-Length` masked as `<len>`: their bodies are checked against
 /// an in-process compute instead, so the goldens do not freeze engine
-/// numerics.
-const GOLDEN_FILES: [&str; 9] = [
+/// numerics. The two `optimize_paper_*.json` files are the exception:
+/// paper-kind optimize bodies, checked by
+/// `paper_optimize_bodies_are_reproduced_byte_for_byte`.
+const GOLDEN_FILES: [&str; 11] = [
     "body_too_large.http",
     "healthz.http",
     "malformed_json.http",
     "method_not_allowed.http",
     "not_found.http",
+    "optimize_paper_converged.json",
+    "optimize_paper_degraded.json",
     "overloaded.http",
     "simulate_cold.head",
     "simulate_hit.head",
@@ -344,7 +348,7 @@ fn every_golden_response_is_reproduced_byte_for_byte() {
             .filter(|name| !name.starts_with('.'))
             .collect();
     on_disk.sort();
-    assert_eq!(on_disk, GOLDEN_FILES, "every golden file is checked below");
+    assert_eq!(on_disk, GOLDEN_FILES, "every golden file is checked");
 
     let server = start(ServeConfig {
         io_timeout_ms: 200,
@@ -413,6 +417,31 @@ fn every_golden_response_is_reproduced_byte_for_byte() {
     );
     held.clear();
     server.shutdown_and_join();
+}
+
+/// The paper-kind optimize bodies, captured when the paper model still
+/// had its own dedicated sweep and frozen since: the generic sweep that
+/// replaced it must answer byte for byte. One request converges (27
+/// iterations); the same request at `max_iters: 3` fails four watchdog
+/// attempts and returns the best checkpoint, flagged degraded.
+#[test]
+fn paper_optimize_bodies_are_reproduced_byte_for_byte() {
+    let converged = r#"{"network":{"nodes":300,"k_max":50,"mean_degree":8,"seed":104},"model":{"lambda0":0.021,"kind":"paper"},"tf":50,"eps_max":0.08}"#;
+    let degraded = r#"{"network":{"nodes":300,"k_max":50,"mean_degree":8,"seed":104},"model":{"lambda0":0.021,"kind":"paper"},"tf":50,"eps_max":0.08,"max_iters":3}"#;
+    for (name, body) in [
+        ("optimize_paper_converged.json", converged),
+        ("optimize_paper_degraded.json", degraded),
+    ] {
+        let req = OptimizeRequest::from_value(&wire::parse(body).expect("valid body"))
+            .expect("valid request");
+        let computed = wire::serialize(&handlers::optimize(&req).expect("optimize"));
+        let expected = golden(name);
+        assert!(
+            computed.as_bytes() == expected.as_slice(),
+            "{name} differs from its golden bytes\n got: {computed}\nwant: {}",
+            String::from_utf8_lossy(&expected)
+        );
+    }
 }
 
 #[test]

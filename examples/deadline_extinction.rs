@@ -7,7 +7,7 @@
 //! cargo run --release --example deadline_extinction
 //! ```
 
-use rumor_repro::control::fbsm::{optimize_to_target, FbsmOptions};
+use rumor_repro::control::multi::optimize_to_target;
 use rumor_repro::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,10 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .acceptance(AcceptanceRate::LinearInDegree { lambda0: 0.15 })
         .infectivity(Infectivity::paper_default())
         .build()?;
-    let initial = NetworkState::initial_uniform(params.n_classes(), 0.05)?;
-    let bounds = ControlBounds::new(0.7, 0.7)?;
     let weights = CostWeights::paper_default();
-    let opts = FbsmOptions {
+    let model = PaperSir::from_params(&params, weights.c1, weights.c2)?;
+    let y0 = NetworkState::initial_uniform(params.n_classes(), 0.05)?.to_flat();
+    let bounds = MultiControlBounds::new(vec![0.7, 0.7])?;
+    let opts = MultiFbsmOptions {
         n_nodes: 61,
         max_iterations: 200,
         tolerance: 1e-4,
@@ -44,11 +45,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "tf", "terminal I", "running cost", "weight"
     );
     for tf in [20.0, 40.0, 60.0, 80.0] {
-        match optimize_to_target(&params, &initial, tf, &bounds, &weights, target, &opts) {
+        match optimize_to_target(&model, &y0, tf, &bounds, target, &opts) {
             Ok((result, weight)) => {
                 println!(
                     "{tf:>6} {:>14.6} {:>14.4} {:>12.1}",
-                    result.trajectory.last_state().total_infected(),
+                    result.cost.terminal,
                     result.cost.running(),
                     weight
                 );

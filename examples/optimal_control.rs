@@ -6,7 +6,7 @@
 //! cargo run --release --example optimal_control
 //! ```
 
-use rumor_repro::control::{fbsm, heuristic};
+use rumor_repro::control::heuristic;
 use rumor_repro::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,15 +27,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bounds = ControlBounds::new(0.7, 0.7)?;
     let weights = CostWeights::paper_default(); // c1 = 5, c2 = 10
     let initial = NetworkState::initial_uniform(params.n_classes(), 0.05)?;
+    let model = PaperSir::from_params(&params, weights.c1, weights.c2)?;
 
     println!("running forward-backward sweep (tf = {tf}, c1 = 5, c2 = 10)...");
-    let result = fbsm::optimize(
-        &params,
-        &initial,
+    let result = optimize_compartments(
+        &model,
+        &initial.to_flat(),
         tf,
-        &bounds,
-        &weights,
-        &FbsmOptions {
+        &MultiControlBounds::from(bounds),
+        &MultiFbsmOptions {
             n_nodes: 101,
             max_iterations: 300,
             relaxation: 0.3,
@@ -57,13 +57,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{:6.1}   {:7.4}   {:7.4}",
             result.control.grid()[idx],
-            result.control.eps1_values()[idx],
-            result.control.eps2_values()[idx]
+            result.control.values(0)[idx],
+            result.control.values(1)[idx]
         );
     }
     // The qualitative Fig. 4a checks.
-    let e1 = result.control.eps1_values();
-    let e2 = result.control.eps2_values();
+    let e1 = result.control.values(0);
+    let e2 = result.control.values(1);
     let mid = e1.len() / 2;
     assert!(
         e1[mid] > e2[mid],
@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Heuristic comparison at equal terminal infection (Fig. 4c).
-    let target = result.trajectory.last_state().total_infected().max(1e-6);
+    let target = result.cost.terminal.max(1e-6);
     println!("\ntuning myopic heuristic to the same terminal infection ({target:.3e})...");
     let heur = heuristic::tune(&params, &initial, tf, &bounds, &weights, target, 101)?;
     println!(

@@ -10,6 +10,7 @@
 //! | Re-export | Subsystem |
 //! |---|---|
 //! | [`core`] | the heterogeneous SIR rumor model, threshold `r0`, equilibria, stability |
+//! | [`compartments`] | the compartment-model contract, with the paper model as one instance |
 //! | [`control`] | Pontryagin-optimized countermeasures (FBSM) and the heuristic baseline |
 //! | [`net`] | CSR graphs, scale-free generators, degree classes, metrics |
 //! | [`datasets`] | the calibrated Digg2009-equivalent dataset and edge-list I/O |
@@ -62,6 +63,7 @@
 //! `rumor-bench` crate for the harness that regenerates every table and
 //! figure of the paper.
 
+pub use rumor_compartments as compartments;
 pub use rumor_control as control;
 pub use rumor_core as core;
 pub use rumor_datasets as datasets;
@@ -75,8 +77,11 @@ pub use rumor_sim as sim;
 
 /// A convenience prelude importing the most commonly used items.
 pub mod prelude {
-    pub use rumor_control::fbsm::{optimize, FbsmOptions, SweepResult};
-    pub use rumor_control::schedule::PiecewiseControl;
+    pub use rumor_compartments::paper::PaperSir;
+    pub use rumor_control::multi::{
+        evaluate_compartments, optimize_compartments, MultiControlBounds, MultiFbsmOptions,
+        MultiPiecewiseControl, MultiSweepResult,
+    };
     pub use rumor_control::watchdog::{optimize_guarded, GuardedSweep, WatchdogOptions};
     pub use rumor_control::{ControlBounds, CostWeights};
     pub use rumor_core::control::{ConstantControl, ControlSchedule};

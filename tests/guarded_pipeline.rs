@@ -60,7 +60,7 @@ fn starved_watchdog_degrades_instead_of_erroring() {
     let bounds = ControlBounds::new(0.7, 0.7).unwrap();
     let weights = CostWeights::new(5.0, 10.0).unwrap();
     let options = WatchdogOptions {
-        fbsm: FbsmOptions {
+        fbsm: MultiFbsmOptions {
             n_nodes: 41,
             max_iterations: 2,
             tolerance: 1e-8,
@@ -79,7 +79,7 @@ fn starved_watchdog_degrades_instead_of_erroring() {
     assert!(sweep
         .result
         .control
-        .eps1_values()
+        .values(0)
         .iter()
         .all(|&v| (0.0..=0.7).contains(&v)));
 }
