@@ -11,7 +11,7 @@
 
 #![cfg(target_os = "linux")]
 
-use rumor_serve::api::{OptimizeRequest, SimulateRequest};
+use rumor_serve::api::{EnsembleRequest, OptimizeRequest, SimulateRequest};
 use rumor_serve::{handlers, serve, wire, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -274,11 +274,14 @@ fn wait_for_finish(server: &Server, id: &str, timeout: Duration) -> String {
 /// masked as `<trace>`. The two simulate files hold only the head, with
 /// `Content-Length` masked as `<len>`: their bodies are checked against
 /// an in-process compute instead, so the goldens do not freeze engine
-/// numerics. The two `optimize_paper_*.json` files are the exception:
-/// paper-kind optimize bodies, checked by
-/// `paper_optimize_bodies_are_reproduced_byte_for_byte`.
-const GOLDEN_FILES: [&str; 11] = [
+/// numerics. The `*.json` files are the exception: whole response
+/// bodies, computed in-process and checked byte for byte — the two
+/// paper-kind optimize bodies by
+/// `paper_optimize_bodies_are_reproduced_byte_for_byte`, the simulate
+/// and ensemble bodies by `simulate_and_ensemble_bodies_are_reproduced_byte_for_byte`.
+const GOLDEN_FILES: [&str; 16] = [
     "body_too_large.http",
+    "ensemble_small.json",
     "healthz.http",
     "malformed_json.http",
     "method_not_allowed.http",
@@ -288,6 +291,10 @@ const GOLDEN_FILES: [&str; 11] = [
     "overloaded.http",
     "simulate_cold.head",
     "simulate_hit.head",
+    "simulate_paper.json",
+    "simulate_paper_blocking.json",
+    "simulate_tie_strength.json",
+    "simulate_two_rumor.json",
     "slowloris.http",
 ];
 
@@ -435,13 +442,52 @@ fn paper_optimize_bodies_are_reproduced_byte_for_byte() {
         let req = OptimizeRequest::from_value(&wire::parse(body).expect("valid body"))
             .expect("valid request");
         let computed = wire::serialize(&handlers::optimize(&req).expect("optimize"));
-        let expected = golden(name);
-        assert!(
-            computed.as_bytes() == expected.as_slice(),
-            "{name} differs from its golden bytes\n got: {computed}\nwant: {}",
-            String::from_utf8_lossy(&expected)
-        );
+        assert_golden_body(&computed, name);
     }
+}
+
+/// Checks an in-process response body against its golden file.
+fn assert_golden_body(computed: &str, name: &str) {
+    let expected = golden(name);
+    assert!(
+        computed.as_bytes() == expected.as_slice(),
+        "{name} differs from its golden bytes\n got: {computed}\nwant: {}",
+        String::from_utf8_lossy(&expected)
+    );
+}
+
+/// The simulate bodies of every model kind and a small ensemble body,
+/// captured when the paper kind still had its own simulator: one path now
+/// serves every kind, and it must answer byte for byte. The ensemble's
+/// `max_deviation_vs_ode` comes from the mean-field reference, which runs
+/// on that same path.
+#[test]
+fn simulate_and_ensemble_bodies_are_reproduced_byte_for_byte() {
+    let net = r#""network":{"nodes":300,"k_max":50,"mean_degree":8,"seed":104}"#;
+    let simulate = |model: &str, extra: &str| {
+        format!(
+            r#"{{{net},"model":{{"lambda0":0.021,"kind":"{model}"}},"tf":50,"n_out":41{extra}}}"#
+        )
+    };
+    for (name, body) in [
+        ("simulate_paper.json", simulate("paper", "")),
+        (
+            "simulate_paper_blocking.json",
+            simulate("paper", r#","eps1":0.05,"eps2":0.3"#),
+        ),
+        ("simulate_tie_strength.json", simulate("tie_strength", "")),
+        ("simulate_two_rumor.json", simulate("two_rumor", "")),
+    ] {
+        let req = SimulateRequest::from_value(&wire::parse(&body).expect("valid body"))
+            .expect("valid request");
+        let computed = wire::serialize(&handlers::simulate(&req).expect("simulate"));
+        assert_golden_body(&computed, name);
+    }
+    let body = r#"{"network":{"nodes":200,"k_max":20,"mean_degree":4},"tf":3,"runs":2}"#;
+    let req = EnsembleRequest::from_value(&wire::parse(body).expect("valid body"))
+        .expect("valid request");
+    let computed = wire::serialize(&handlers::ensemble(&req, 1).expect("ensemble"));
+    assert_golden_body(&computed, "ensemble_small.json");
 }
 
 #[test]
