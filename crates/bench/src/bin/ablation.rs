@@ -25,6 +25,8 @@ use rand::SeedableRng;
 use rumor_bench::write_csv;
 use rumor_compartments::model::CompartmentModel;
 use rumor_compartments::paper::PaperSir;
+use rumor_compartments::schedule::ConstantMultiControl;
+use rumor_compartments::simulate::{simulate_compartments, CompartmentSimOptions};
 use rumor_control::multi::{
     optimize_compartments, MultiControlBounds, MultiFbsmOptions, MultiSweepResult,
 };
@@ -33,7 +35,6 @@ use rumor_core::equilibrium::r0;
 use rumor_core::functions::{AcceptanceRate, Infectivity};
 use rumor_core::model::RumorModel;
 use rumor_core::params::ModelParams;
-use rumor_core::simulate::{simulate, SimulateOptions};
 use rumor_core::state::NetworkState;
 use rumor_models::homogeneous::HomogeneousSir;
 use rumor_net::degree::DegreeClasses;
@@ -60,6 +61,21 @@ fn params_with(classes: DegreeClasses, lambda0: f64, infectivity: Infectivity) -
         .expect("params")
 }
 
+/// Mean infected density per class at `t = 120` from 10% initially
+/// infected in every class, under constant countermeasures.
+fn final_mean_infected(p: &ModelParams, eps1: f64, eps2: f64) -> f64 {
+    let model = PaperSir::from_params(p, 5.0, 10.0).expect("paper model");
+    let traj = simulate_compartments(
+        &model,
+        ConstantMultiControl::new(vec![eps1, eps2]),
+        &model.layout().initial_uniform(0.1).expect("init"),
+        120.0,
+        &CompartmentSimOptions::default(),
+    )
+    .expect("simulation");
+    traj.total_series(1).last().expect("non-empty") / p.n_classes() as f64
+}
+
 fn main() {
     heterogeneity_ablation();
     infectivity_ablation();
@@ -81,16 +97,7 @@ fn heterogeneity_ablation() {
     let mut rows = Vec::new();
     for lambda0 in [0.002, 0.005, 0.01, 0.02, 0.05] {
         let het = params_with(classes.clone(), lambda0, Infectivity::paper_default());
-        let init = NetworkState::initial_uniform(het.n_classes(), 0.1).expect("init");
-        let traj = simulate(
-            &het,
-            ConstantControl::new(eps1, eps2),
-            &init,
-            120.0,
-            &SimulateOptions::default(),
-        )
-        .expect("het simulation");
-        let het_final = traj.last_state().total_infected() / het.n_classes() as f64;
+        let het_final = final_mean_infected(&het, eps1, eps2);
 
         // Homogeneous surrogate with the matched coupling strength.
         let beta = het.lambda_phi_sum() / het.mean_degree();
@@ -126,16 +133,7 @@ fn infectivity_ablation() {
     let mut rows = Vec::new();
     for (idx, (name, fam)) in families.into_iter().enumerate() {
         let p = params_with(classes.clone(), 0.01, fam);
-        let init = NetworkState::initial_uniform(p.n_classes(), 0.1).expect("init");
-        let traj = simulate(
-            &p,
-            ConstantControl::new(eps1, eps2),
-            &init,
-            120.0,
-            &SimulateOptions::default(),
-        )
-        .expect("simulation");
-        let final_i = traj.last_state().total_infected() / p.n_classes() as f64;
+        let final_i = final_mean_infected(&p, eps1, eps2);
         let threshold = r0(&p, eps1, eps2).expect("r0");
         println!("{name:>12}  {threshold:>10.3}  {final_i:>12.5}");
         rows.push(vec![idx as f64, threshold, final_i]);

@@ -15,10 +15,11 @@
 use rumor_bench::{
     digg_dataset, fig2_regime, random_initial_conditions, spread_classes, write_csv, Scale,
 };
-use rumor_core::control::ConstantControl;
+use rumor_compartments::model::CompartmentModel;
+use rumor_compartments::paper::PaperSir;
+use rumor_compartments::schedule::ConstantMultiControl;
+use rumor_compartments::simulate::{simulate_compartments, CompartmentSimOptions};
 use rumor_core::equilibrium::zero_equilibrium;
-use rumor_core::simulate::{simulate, SimulateOptions};
-use rumor_core::state::NetworkState;
 
 fn main() {
     let dataset = digg_dataset(Scale::from_env());
@@ -31,8 +32,10 @@ fn main() {
     );
 
     let e0 = zero_equilibrium(params, eps1, eps2).expect("E0");
+    let model = PaperSir::from_params(params, 5.0, 10.0).expect("paper model");
+    let control = ConstantMultiControl::new(vec![eps1, eps2]);
     let tf = 600.0;
-    let opts = SimulateOptions {
+    let opts = CompartmentSimOptions {
         n_out: 121,
         ..Default::default()
     };
@@ -42,9 +45,9 @@ fn main() {
     let mut dist_rows: Vec<Vec<f64>> = Vec::new();
     let mut all_final = Vec::new();
     for (run, init) in initials.iter().enumerate() {
-        let traj = simulate(params, ConstantControl::new(eps1, eps2), init, tf, &opts)
+        let traj = simulate_compartments(&model, &control, &init.to_flat(), tf, &opts)
             .expect("fig2a simulation");
-        let dist = traj.dist_series(&e0).expect("dist series");
+        let dist = traj.dist_series(&e0.to_flat()).expect("dist series");
         if run == 0 {
             dist_rows = traj.times().iter().map(|&t| vec![t]).collect();
         }
@@ -76,22 +79,19 @@ fn main() {
     assert!(worst < 1e-3, "extinction must reach E0");
 
     // --- Fig. 2(b,c,d): per-class S/I/R curves from one initial condition.
-    let init = NetworkState::initial_uniform(params.n_classes(), 0.1).expect("init");
-    let traj = simulate(params, ConstantControl::new(eps1, eps2), &init, tf, &opts)
-        .expect("fig2bcd simulation");
+    let init = model.layout().initial_uniform(0.1).expect("init");
+    let traj =
+        simulate_compartments(&model, &control, &init, tf, &opts).expect("fig2bcd simulation");
     let picks = spread_classes(params.n_classes(), 17);
     let mut rows: Vec<Vec<f64>> = traj.times().iter().map(|&t| vec![t]).collect();
     let mut headers = vec!["t".to_string()];
     for &class in &picks {
-        let (s, i, r) = traj.class_series(class).expect("class series");
         let k = params.classes().degree(class);
         headers.push(format!("S_k{k}"));
         headers.push(format!("I_k{k}"));
         headers.push(format!("R_k{k}"));
-        for (row, ((sv, iv), rv)) in rows.iter_mut().zip(s.iter().zip(&i).zip(&r)) {
-            row.push(*sv);
-            row.push(*iv);
-            row.push(*rv);
+        for (idx, row) in rows.iter_mut().enumerate() {
+            row.extend((0..3).map(|c| traj.band(idx, c)[class]));
         }
     }
     let path = write_csv("fig2bcd.csv", &headers.join(","), &rows);
@@ -102,7 +102,8 @@ fn main() {
     );
 
     // Shape summary against the paper: S -> alpha/eps1, I -> 0, R -> 1 - alpha/eps1.
-    let last = traj.last_state();
+    let last = traj.len() - 1;
+    let (s, i, r) = (traj.band(last, 0), traj.band(last, 1), traj.band(last, 2));
     let s_target = params.alpha() / eps1;
     println!(
         "terminal state vs E0 targets (paper: S -> {:.3}, I -> 0, R -> {:.3}):",
@@ -113,10 +114,8 @@ fn main() {
         let k = params.classes().degree(class);
         println!(
             "  k = {k:4}: S = {:.4}, I = {:.2e}, R = {:.4}",
-            last.s()[class],
-            last.i()[class],
-            last.r()[class]
+            s[class], i[class], r[class]
         );
     }
-    assert!(last.i().iter().all(|&x| x < 1e-3), "all classes extinguish");
+    assert!(i.iter().all(|&x| x < 1e-3), "all classes extinguish");
 }

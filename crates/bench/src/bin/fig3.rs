@@ -13,10 +13,11 @@
 //! ```
 
 use rumor_bench::{digg_dataset, fig3_regime, random_initial_conditions, write_csv, Scale};
-use rumor_core::control::ConstantControl;
+use rumor_compartments::model::CompartmentModel;
+use rumor_compartments::paper::PaperSir;
+use rumor_compartments::schedule::ConstantMultiControl;
+use rumor_compartments::simulate::{simulate_compartments, CompartmentSimOptions};
 use rumor_core::equilibrium::positive_equilibrium;
-use rumor_core::simulate::{simulate, SimulateOptions};
-use rumor_core::state::NetworkState;
 
 fn main() {
     let dataset = digg_dataset(Scale::from_env());
@@ -33,8 +34,10 @@ fn main() {
         "endemic equilibrium: mean I+ per class = {:.4} (paper Fig. 3c: ~0.1-0.45)",
         eplus.total_infected() / params.n_classes() as f64
     );
+    let model = PaperSir::from_params(params, 5.0, 10.0).expect("paper model");
+    let control = ConstantMultiControl::new(vec![eps1, eps2]);
     let tf = 3000.0;
-    let opts = SimulateOptions {
+    let opts = CompartmentSimOptions {
         n_out: 151,
         ..Default::default()
     };
@@ -44,9 +47,9 @@ fn main() {
     let mut dist_rows: Vec<Vec<f64>> = Vec::new();
     let mut all_final = Vec::new();
     for (run, init) in initials.iter().enumerate() {
-        let traj = simulate(params, ConstantControl::new(eps1, eps2), init, tf, &opts)
+        let traj = simulate_compartments(&model, &control, &init.to_flat(), tf, &opts)
             .expect("fig3a simulation");
-        let dist = traj.dist_series(&eplus).expect("dist series");
+        let dist = traj.dist_series(&eplus.to_flat()).expect("dist series");
         if run == 0 {
             dist_rows = traj.times().iter().map(|&t| vec![t]).collect();
         }
@@ -78,22 +81,19 @@ fn main() {
     assert!(worst < 5e-3, "persistence must reach E+");
 
     // --- Fig. 3(b,c,d): the 20 lowest-degree classes, one initial condition.
-    let init = NetworkState::initial_uniform(params.n_classes(), 0.1).expect("init");
-    let traj = simulate(params, ConstantControl::new(eps1, eps2), &init, tf, &opts)
-        .expect("fig3bcd simulation");
+    let init = model.layout().initial_uniform(0.1).expect("init");
+    let traj =
+        simulate_compartments(&model, &control, &init, tf, &opts).expect("fig3bcd simulation");
     let picks: Vec<usize> = (0..params.n_classes().min(20)).collect();
     let mut rows: Vec<Vec<f64>> = traj.times().iter().map(|&t| vec![t]).collect();
     let mut headers = vec!["t".to_string()];
     for &class in &picks {
-        let (s, i, r) = traj.class_series(class).expect("class series");
         let k = params.classes().degree(class);
         headers.push(format!("S_k{k}"));
         headers.push(format!("I_k{k}"));
         headers.push(format!("R_k{k}"));
-        for (row, ((sv, iv), rv)) in rows.iter_mut().zip(s.iter().zip(&i).zip(&r)) {
-            row.push(*sv);
-            row.push(*iv);
-            row.push(*rv);
+        for (idx, row) in rows.iter_mut().enumerate() {
+            row.extend((0..3).map(|c| traj.band(idx, c)[class]));
         }
     }
     let path = write_csv("fig3bcd.csv", &headers.join(","), &rows);
@@ -103,20 +103,21 @@ fn main() {
     );
 
     // Shape summary: infection persists and matches E+ per class.
-    let last = traj.last_state();
+    let last = traj.len() - 1;
+    let (s, i) = (traj.band(last, 0), traj.band(last, 1));
     println!("terminal state vs endemic equilibrium (first 5 classes):");
     for &class in picks.iter().take(5) {
         let k = params.classes().degree(class);
         println!(
             "  k = {k:3}: I(tf) = {:.4} vs I+ = {:.4}; S(tf) = {:.4} vs S+ = {:.4}",
-            last.i()[class],
+            i[class],
             eplus.i()[class],
-            last.s()[class],
+            s[class],
             eplus.s()[class]
         );
     }
     assert!(
-        last.total_infected() > 0.5,
+        i.iter().sum::<f64>() > 0.5,
         "the rumor must persist at a stable endemic level"
     );
 }

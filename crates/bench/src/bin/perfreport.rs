@@ -96,7 +96,7 @@ use rand::SeedableRng;
 use rumor_bench::{digg_dataset, fig4_params, Scale};
 use rumor_compartments::model::CompartmentAdjoint;
 use rumor_compartments::paper::PaperSir;
-use rumor_compartments::schedule::PairSchedule;
+use rumor_compartments::schedule::ConstantMultiControl;
 use rumor_control::multi::{
     optimize_compartments_monitored, MultiControlBounds, MultiFbsmOptions, MultiSweepResult,
 };
@@ -882,7 +882,7 @@ fn intra_scaling_section(full_params: &ModelParams) -> String {
     let _ = writeln!(json, "    }},");
 
     // -- 848-class costate (adjoint) RHS over a real forward solve. ---
-    let control = ConstantControl::new(0.2, 0.05);
+    let control = ConstantMultiControl::new(vec![0.2, 0.05]);
     let forward = Adaptive::with_config(AdaptiveConfig {
         rtol: 1e-6,
         atol: 1e-8,
@@ -892,7 +892,7 @@ fn intra_scaling_section(full_params: &ModelParams) -> String {
     .expect("forward solve for costate bench");
     let weights = CostWeights::paper_default();
     let port = PaperSir::from_params(full_params, weights.c1, weights.c2).expect("model");
-    let serial_costate = CompartmentAdjoint::new(&port, &forward, PairSchedule(control));
+    let serial_costate = CompartmentAdjoint::new(&port, &forward, &control);
     let yc = serial_costate.weighted_terminal_condition(1.0);
     let mut dc_serial = vec![0.0; yc.len()];
     serial_costate.rhs(20.0, &yc, &mut dc_serial);
@@ -900,8 +900,8 @@ fn intra_scaling_section(full_params: &ModelParams) -> String {
     let mut t1_rate = 0.0f64;
     for (pos, &threads) in THREAD_COUNTS.iter().enumerate() {
         let pool = Arc::new(InnerPool::new(threads));
-        let costate = CompartmentAdjoint::new(&port, &forward, PairSchedule(control))
-            .with_pool(Some(Arc::clone(&pool)));
+        let costate =
+            CompartmentAdjoint::new(&port, &forward, &control).with_pool(Some(Arc::clone(&pool)));
         let mut dydt = vec![0.0; yc.len()];
         costate.rhs(20.0, &yc, &mut dydt);
         let identical = dydt

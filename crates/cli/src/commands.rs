@@ -3,6 +3,7 @@
 use crate::args::Args;
 use crate::error::CliError;
 use rumor_compartments::model::CompartmentModel;
+use rumor_compartments::paper::PaperSir;
 use rumor_compartments::schedule::ConstantMultiControl;
 use rumor_compartments::simulate::{simulate_compartments, CompartmentSimOptions};
 use rumor_control::multi::{optimize_compartments_monitored, MultiControlBounds, MultiFbsmOptions};
@@ -13,7 +14,6 @@ use rumor_core::equilibrium::{positive_equilibrium, r0, zero_equilibrium};
 use rumor_core::functions::{AcceptanceRate, Infectivity};
 use rumor_core::params::ModelParams;
 use rumor_core::sensitivity::{critical_countermeasure_scale, r0_sensitivity};
-use rumor_core::simulate::{simulate as run_simulation, SimulateOptions};
 use rumor_core::stability::theorem2_consistency;
 use rumor_core::state::NetworkState;
 use rumor_datasets::digg::{DiggConfig, DiggDataset};
@@ -117,50 +117,34 @@ fn model_kind(args: &Args) -> Result<CliModelKind, CliError> {
 }
 
 /// Builds the selected compartment model from the shared parameters.
-/// Returns `None` for the paper kind, which simulates through
-/// `rumor-core` and optimizes through the watchdog.
 fn build_compartment_model(
     kind: &CliModelKind,
     params: &ModelParams,
     c1: f64,
     c2: f64,
-) -> Result<Option<CompartmentKindModel>, CliError> {
+) -> Result<CompartmentKindModel, CliError> {
     Ok(match kind {
-        CliModelKind::Paper => None,
+        CliModelKind::Paper => CompartmentKindModel::Paper(PaperSir::from_params(params, c1, c2)?),
         CliModelKind::TwoRumor {
             lambda20,
             gamma1,
             gamma2,
             mu,
-        } => Some(CompartmentKindModel::TwoRumor(
-            rumor_models::two_rumor::TwoRumorModel::from_params(
-                params, *lambda20, *gamma1, *gamma2, *mu, c1, c2,
-            )?,
-        )),
-        CliModelKind::TieStrength { beta } => Some(CompartmentKindModel::TieStrength(
+        } => CompartmentKindModel::TwoRumor(rumor_models::two_rumor::TwoRumorModel::from_params(
+            params, *lambda20, *gamma1, *gamma2, *mu, c1, c2,
+        )?),
+        CliModelKind::TieStrength { beta } => CompartmentKindModel::TieStrength(
             rumor_models::tie_strength::tie_strength_model(params, *beta, c1, c2)?,
-        )),
+        ),
     })
 }
 
-/// The two selectable compartment models, monomorphized per arm so the
-/// generic simulate/optimize paths below stay `dyn`-free.
+/// The selectable models, monomorphized per arm so the generic
+/// simulate/optimize paths below stay `dyn`-free.
 enum CompartmentKindModel {
+    Paper(PaperSir),
     TwoRumor(rumor_models::two_rumor::TwoRumorModel),
-    TieStrength(rumor_compartments::paper::PaperSir),
-}
-
-/// Uniform initial condition on a compartment model: every class starts
-/// with `1 − i0` susceptible and `i0` in compartment 1 (the rumor
-/// spreaders), mirroring `NetworkState::initial_uniform`.
-fn uniform_compartment_initial<M: CompartmentModel>(model: &M, i0: f64) -> Vec<f64> {
-    let n = model.n_classes();
-    let mut y = vec![0.0; model.state_dim()];
-    for j in 0..n {
-        y[j] = 1.0 - i0;
-        y[n + j] = i0;
-    }
-    y
+    TieStrength(PaperSir),
 }
 
 /// `rumor analyze`: dataset statistics, threshold, equilibria, stability.
@@ -238,31 +222,51 @@ threshold sensitivities:"
     Ok(())
 }
 
-/// Simulate path for the compartment-model kinds (`--model two_rumor` /
-/// `tie_strength`): the constant `--eps1/--eps2` map onto the model's
-/// two control channels in order.
-fn simulate_compartment_kind<M: CompartmentModel>(args: &Args, model: &M) -> CliResult {
+/// Simulates one model: the constant `--eps1/--eps2` map onto the model's
+/// two control channels in order. `paper` carries the paper kind's
+/// parameters: its report leads with the threshold `r0` and labels the
+/// means `S/I/R`; the other kinds name their compartments.
+fn simulate_model<M: CompartmentModel>(
+    args: &Args,
+    model: &M,
+    paper: Option<&ModelParams>,
+) -> CliResult {
     let (eps1, eps2) = (args.get_f64("eps1", 0.2)?, args.get_f64("eps2", 0.05)?);
     let tf = args.get_f64("tf", 150.0)?;
     let i0 = args.get_f64("i0", 0.1)?;
     let traj = simulate_compartments(
         model,
         ConstantMultiControl::new(vec![eps1, eps2]),
-        &uniform_compartment_initial(model, i0),
+        &model.layout().initial_uniform(i0)?,
         tf,
         &CompartmentSimOptions::default(),
-        None,
     )?;
     let names = model.compartment_names();
-    println!(
-        "simulated {} classes x {} compartments ({}) over (0, {tf}]",
-        model.n_classes(),
-        model.n_compartments(),
-        names.join("/")
-    );
+    let labels: Vec<String> = match paper {
+        Some(params) => {
+            println!(
+                "r0 = {:.4}; simulated {} classes over (0, {tf}]",
+                r0(params, eps1, eps2)?,
+                model.n_classes()
+            );
+            names
+                .iter()
+                .map(|name| format!("mean {}", name.to_uppercase()))
+                .collect()
+        }
+        None => {
+            println!(
+                "simulated {} classes x {} compartments ({}) over (0, {tf}]",
+                model.n_classes(),
+                model.n_compartments(),
+                names.join("/")
+            );
+            names.iter().map(|name| format!("mean {name}")).collect()
+        }
+    };
     print!("\n{:>10}", "t");
-    for name in names {
-        print!(" {:>12}", format!("mean {name}"));
+    for label in &labels {
+        print!(" {label:>12}");
     }
     println!();
     let n = model.n_classes() as f64;
@@ -290,72 +294,25 @@ fn simulate_compartment_kind<M: CompartmentModel>(args: &Args, model: &M) -> Cli
 }
 
 /// `rumor simulate`: integrate the dynamics, print milestones, optional
-/// CSV. `--model` selects the engine: the paper model runs the legacy
-/// path below, the other kinds run their compartment models.
+/// CSV. `--model` selects the model; every kind runs through
+/// `rumor-compartments`.
 pub fn simulate(args: &Args) -> CliResult {
     let net = load_network(args, false)?;
     let params = model_params(args, net.classes)?;
     // Cost weights only enter the FBSM objective; the paper defaults
     // keep model construction valid here.
     match build_compartment_model(&model_kind(args)?, &params, 5.0, 10.0)? {
-        None => {}
-        Some(CompartmentKindModel::TwoRumor(m)) => return simulate_compartment_kind(args, &m),
-        Some(CompartmentKindModel::TieStrength(m)) => return simulate_compartment_kind(args, &m),
+        CompartmentKindModel::Paper(m) => simulate_model(args, &m, Some(&params)),
+        CompartmentKindModel::TwoRumor(m) => simulate_model(args, &m, None),
+        CompartmentKindModel::TieStrength(m) => simulate_model(args, &m, None),
     }
-    let (eps1, eps2) = (args.get_f64("eps1", 0.2)?, args.get_f64("eps2", 0.05)?);
-    let tf = args.get_f64("tf", 150.0)?;
-    let i0 = args.get_f64("i0", 0.1)?;
-
-    let initial = NetworkState::initial_uniform(params.n_classes(), i0)?;
-    let traj = run_simulation(
-        &params,
-        ConstantControl::new(eps1, eps2),
-        &initial,
-        tf,
-        &SimulateOptions::default(),
-    )?;
-    let threshold = r0(&params, eps1, eps2)?;
-    println!(
-        "r0 = {threshold:.4}; simulated {} classes over (0, {tf}]",
-        params.n_classes()
-    );
-    println!(
-        "\n{:>10} {:>12} {:>12} {:>12}",
-        "t", "mean S", "mean I", "mean R"
-    );
-    let n = params.n_classes() as f64;
-    for idx in (0..traj.len()).step_by((traj.len() / 10).max(1)) {
-        let st = &traj.states()[idx];
-        println!(
-            "{:>10.2} {:>12.6} {:>12.6} {:>12.6}",
-            traj.times()[idx],
-            st.total_susceptible() / n,
-            st.total_infected() / n,
-            st.total_recovered() / n
-        );
-    }
-    if let Some(path) = args.get("out") {
-        let mut f = std::fs::File::create(path)?;
-        writeln!(f, "t,mean_s,mean_i,mean_r")?;
-        for (t, st) in traj.times().iter().zip(traj.states()) {
-            writeln!(
-                f,
-                "{t},{},{},{}",
-                st.total_susceptible() / n,
-                st.total_infected() / n,
-                st.total_recovered() / n
-            )?;
-        }
-        println!("\ntrajectory written to {path}");
-    }
-    Ok(())
 }
 
 /// Optimize path for the compartment-model kinds: the multi-control
 /// forward–backward sweep, with `--epsmax` bounding every channel.
 fn optimize_compartment_kind<M: CompartmentModel>(args: &Args, model: &M) -> CliResult {
     let tf = args.get_f64("tf", 100.0)?;
-    let i0 = args.get_f64("i0", 0.05)?;
+    let y0 = model.layout().initial_uniform(args.get_f64("i0", 0.05)?)?;
     let epsmax = args.get_f64("epsmax", 0.7)?;
     let bounds = MultiControlBounds::new(vec![epsmax; model.n_controls()])?;
     println!(
@@ -365,7 +322,7 @@ fn optimize_compartment_kind<M: CompartmentModel>(args: &Args, model: &M) -> Cli
     );
     let result = optimize_compartments_monitored(
         model,
-        &uniform_compartment_initial(model, i0),
+        &y0,
         tf,
         &bounds,
         &MultiFbsmOptions {
@@ -431,11 +388,16 @@ pub fn optimize(args: &Args) -> CliResult {
     let net = load_network(args, false)?;
     let params = model_params(args, net.classes)?;
     let (c1, c2) = (args.get_f64("c1", 5.0)?, args.get_f64("c2", 10.0)?);
-    match build_compartment_model(&model_kind(args)?, &params, c1, c2)? {
-        None => {}
-        Some(CompartmentKindModel::TwoRumor(m)) => return optimize_compartment_kind(args, &m),
-        Some(CompartmentKindModel::TieStrength(m)) => return optimize_compartment_kind(args, &m),
+    let kind = model_kind(args)?;
+    if !matches!(kind, CliModelKind::Paper) {
+        return match build_compartment_model(&kind, &params, c1, c2)? {
+            CompartmentKindModel::TwoRumor(m) => optimize_compartment_kind(args, &m),
+            CompartmentKindModel::Paper(m) | CompartmentKindModel::TieStrength(m) => {
+                optimize_compartment_kind(args, &m)
+            }
+        };
     }
+    // The paper kind runs the watchdog, which validates its own weights.
     let tf = args.get_f64("tf", 100.0)?;
     let i0 = args.get_f64("i0", 0.05)?;
     let weights = CostWeights::new(c1, c2)?;

@@ -57,6 +57,37 @@ impl CompartmentLayout {
         self.n_classes * self.n_compartments
     }
 
+    /// The uniform initial condition shared by every model: each class
+    /// starts with `1 − i0` in band 0 (susceptible) and `i0` in band 1 (the
+    /// rumor spreaders), every other band empty. On the 3-band layout this
+    /// is `NetworkState::initial_uniform(n, i0).to_flat()`, under the same
+    /// rule.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidParameter`] if `i0 ∉ (0, 1]` or the
+    /// layout has fewer than two bands.
+    pub fn initial_uniform(&self, i0: f64) -> Result<Vec<f64>> {
+        if self.n_compartments < 2 {
+            return Err(CoreError::InvalidParameter {
+                name: "n_compartments",
+                message: "a uniform initial condition needs a susceptible and a spreader band"
+                    .into(),
+            });
+        }
+        if !(i0 > 0.0 && i0 <= 1.0) {
+            return Err(CoreError::InvalidParameter {
+                name: "i0",
+                message: format!("initial infection must lie in (0, 1], got {i0}"),
+            });
+        }
+        let n = self.n_classes;
+        let mut y = vec![0.0; self.flat_dim()];
+        y[..n].fill(1.0 - i0);
+        y[n..2 * n].fill(i0);
+        Ok(y)
+    }
+
     /// Band `c` of a flat state.
     ///
     /// # Panics
@@ -147,8 +178,8 @@ impl CompartmentLayout {
     /// Validates a flat state in place: length must match, values must be
     /// finite, and tiny negatives are clamped to zero with exactly the
     /// `x.max(0.0)` rule of
-    /// [`rumor_core::state::NetworkState::from_flat`] — so sanitized
-    /// samples are bit-identical to the legacy path on the 3-band layout.
+    /// [`rumor_core::state::NetworkState::from_flat`] — so a sanitized
+    /// 3-band sample holds the same bits as that state's bands.
     ///
     /// # Errors
     ///
@@ -221,6 +252,23 @@ mod tests {
         assert!(l.unpack(&[0.1; 3]).is_err());
         assert!(l.unpack(&[]).is_err());
         assert!(l.unpack(&[0.1, 0.2, 0.3, f64::INFINITY]).is_err());
+    }
+
+    #[test]
+    fn initial_uniform_fills_the_first_two_bands() {
+        let l = CompartmentLayout::new(2, 4).unwrap();
+        assert_eq!(
+            l.initial_uniform(0.25).unwrap(),
+            vec![0.75, 0.75, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0]
+        );
+        assert_eq!(l.initial_uniform(1.0).unwrap()[..2], [0.0, 0.0]);
+        for bad in [0.0, -0.2, 1.5, f64::NAN] {
+            assert!(l.initial_uniform(bad).is_err(), "i0 = {bad}");
+        }
+        assert!(CompartmentLayout::new(2, 1)
+            .unwrap()
+            .initial_uniform(0.1)
+            .is_err());
     }
 
     #[test]

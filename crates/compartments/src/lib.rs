@@ -25,11 +25,13 @@
 //!   into [`rumor_ode::system::OdeSystem`]s for the forward and backward
 //!   passes.
 //! * [`paper::PaperSir`] — the paper model on the abstraction, with its
-//!   exact adjoint; trajectories pinned bit-identical against
-//!   [`rumor_core::model::RumorModel`] (`tests/paper_identity.rs`), sweep
-//!   results pinned in `crates/control/tests/frozen_sweeps.rs`.
-//! * [`simulate`] — grid simulation of any compartment model, the
-//!   counterpart of [`rumor_core::simulate::simulate_grid`].
+//!   exact adjoint; its forward RHS is the one
+//!   [`rumor_core::model::RumorModel`] calls
+//!   ([`rumor_core::model::flat_rhs`]), trajectories stay pinned
+//!   bit-identical in `tests/paper_identity.rs`, sweep results in
+//!   `crates/control/tests/frozen_sweeps.rs`.
+//! * [`simulate`] — the one simulator: grid runs of any compartment
+//!   model under a control schedule, the paper model included.
 //!
 //! The concrete scenario models (competing two-rumor, degree-dependent
 //! tie strength) live in `rumor-models`; the forward–backward sweep that

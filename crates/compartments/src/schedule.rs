@@ -72,27 +72,9 @@ impl MultiControlSchedule for ConstantMultiControl {
     }
 }
 
-/// Adapts a two-channel [`rumor_core::control::ControlSchedule`] into the
-/// generalized form with `u = [ε1, ε2]` — the bridge that lets legacy
-/// schedules (constant, piecewise, heuristic) drive ported models.
-#[derive(Debug, Clone, Copy)]
-pub struct PairSchedule<C>(pub C);
-
-impl<C: rumor_core::control::ControlSchedule> MultiControlSchedule for PairSchedule<C> {
-    fn n_controls(&self) -> usize {
-        2
-    }
-
-    fn eval_into(&self, t: f64, out: &mut [f64]) {
-        out[0] = self.0.eps1(t);
-        out[1] = self.0.eps2(t);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rumor_core::control::ConstantControl;
 
     #[test]
     fn constant_levels_everywhere() {
@@ -104,23 +86,16 @@ mod tests {
             assert_eq!(u, [0.3, 0.1, 0.0]);
         }
         assert_eq!(ConstantMultiControl::none(2).levels(), &[0.0, 0.0]);
+        // The blanket `&C` impl forwards.
+        fn channels<C: MultiControlSchedule>(c: C) -> usize {
+            c.n_controls()
+        }
+        assert_eq!(channels(&c), 3);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_level_rejected() {
         let _ = ConstantMultiControl::new(vec![0.1, -0.2]);
-    }
-
-    #[test]
-    fn pair_schedule_bridges_legacy_controls() {
-        let c = PairSchedule(ConstantControl::new(0.2, 0.05));
-        assert_eq!(c.n_controls(), 2);
-        let mut u = [0.0; 2];
-        c.eval_into(3.0, &mut u);
-        assert_eq!(u, [0.2, 0.05]);
-        // The blanket &C impl forwards.
-        let by_ref = &c;
-        assert_eq!(by_ref.n_controls(), 2);
     }
 }

@@ -1,16 +1,17 @@
-//! Grid simulation of compartment models — the generalized counterpart
-//! of [`rumor_core::simulate`].
+//! Grid simulation of compartment models — the one simulator of the
+//! workspace. The paper model runs through it as
+//! [`crate::paper::PaperSir`], beside the scenario models of
+//! `rumor-models`.
 
 use crate::layout::CompartmentLayout;
 use crate::model::{CompartmentModel, CompartmentOde};
 use crate::schedule::MultiControlSchedule;
 use crate::{CoreError, Result};
 use rumor_ode::integrator::{Adaptive, AdaptiveConfig};
-use rumor_par::InnerPool;
-use std::sync::Arc;
 
-/// Output grid and integrator tolerances, mirroring the defaults of
-/// [`rumor_core::simulate::SimulateOptions`].
+/// Output grid and integrator tolerances. The defaults (201 samples,
+/// `rtol = 1e-8`, `atol = 1e-10`) are the ones behind every simulated
+/// figure and the `/v1/simulate` endpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompartmentSimOptions {
     /// Number of uniformly spaced output samples (including both ends).
@@ -47,8 +48,8 @@ impl CompartmentTrajectory {
     ///
     /// # Panics
     ///
-    /// Panics on mismatched lengths or an empty grid, mirroring
-    /// `Trajectory::from_parts`.
+    /// Panics on mismatched lengths, an empty grid, or a state whose
+    /// length differs from the layout's flat dimension.
     pub fn from_parts(layout: CompartmentLayout, times: Vec<f64>, states: Vec<Vec<f64>>) -> Self {
         assert_eq!(times.len(), states.len(), "times/states length mismatch");
         assert!(!times.is_empty(), "trajectory cannot be empty");
@@ -107,12 +108,40 @@ impl CompartmentTrajectory {
             .map(|s| self.layout.band(s, c).iter().sum())
             .collect()
     }
+
+    /// Per-sample infinity-norm distance to the flat state `target` over
+    /// every compartment — the `Dist0(t)` / `Dist+(t)` series of Figs. 2(a)
+    /// and 3(a) for `target = E0.to_flat()` or `E+.to_flat()`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::DimensionMismatch`] if `target` does not match
+    /// the layout's flat dimension.
+    pub fn dist_series(&self, target: &[f64]) -> Result<Vec<f64>> {
+        if target.len() != self.layout.flat_dim() {
+            return Err(CoreError::DimensionMismatch {
+                expected: self.layout.flat_dim(),
+                found: target.len(),
+            });
+        }
+        Ok(self
+            .states
+            .iter()
+            .map(|s| {
+                s.iter()
+                    .zip(target)
+                    .fold(0.0_f64, |d, (a, b)| d.max((a - b).abs()))
+            })
+            .collect())
+    }
 }
 
 /// Simulates a compartment model on an explicit output grid
 /// (`grid[0] == 0`, non-decreasing). Samples are sanitized through
-/// [`CompartmentLayout::sanitize`], which mirrors the clamping of
-/// `NetworkState::from_flat`.
+/// [`CompartmentLayout::sanitize`], which clamps with the rule of
+/// `NetworkState::from_flat`. Single solves run serially: a caller that
+/// wants an inner pool binds [`CompartmentOde::with_pool`] itself, with
+/// the same bits.
 ///
 /// # Errors
 ///
@@ -124,7 +153,6 @@ pub fn simulate_compartments_grid<M: CompartmentModel, C: MultiControlSchedule>(
     y0: &[f64],
     grid: &[f64],
     options: &CompartmentSimOptions,
-    pool: Option<Arc<InnerPool>>,
 ) -> Result<CompartmentTrajectory> {
     if grid.len() < 2 || grid[0] != 0.0 || grid.windows(2).any(|w| w[1] < w[0]) {
         return Err(CoreError::InvalidParameter {
@@ -140,7 +168,7 @@ pub fn simulate_compartments_grid<M: CompartmentModel, C: MultiControlSchedule>(
     }
     let layout = model.layout();
     let tf = *grid.last().expect("non-empty grid");
-    let sys = CompartmentOde::new(model, control).with_pool(pool);
+    let sys = CompartmentOde::new(model, control);
     let sol = Adaptive::with_config(options.ode).integrate(&sys, 0.0, y0, tf)?;
     let mut states = Vec::with_capacity(grid.len());
     for &t in grid {
@@ -168,7 +196,6 @@ pub fn simulate_compartments<M: CompartmentModel, C: MultiControlSchedule>(
     y0: &[f64],
     tf: f64,
     options: &CompartmentSimOptions,
-    pool: Option<Arc<InnerPool>>,
 ) -> Result<CompartmentTrajectory> {
     if !(tf > 0.0) || !tf.is_finite() {
         return Err(CoreError::InvalidParameter {
@@ -185,7 +212,7 @@ pub fn simulate_compartments<M: CompartmentModel, C: MultiControlSchedule>(
     let grid: Vec<f64> = (0..options.n_out)
         .map(|i| tf * i as f64 / (options.n_out - 1) as f64)
         .collect();
-    simulate_compartments_grid(model, control, y0, &grid, options, pool)
+    simulate_compartments_grid(model, control, y0, &grid, options)
 }
 
 #[cfg(test)]
@@ -214,11 +241,11 @@ mod tests {
                 n_out: 21,
                 ..Default::default()
             },
-            None,
         )
         .unwrap();
         assert_eq!(traj.len(), 21);
         assert_eq!(traj.times()[0], 0.0);
+        assert_eq!(traj.times()[20], 10.0);
         assert!(!traj.is_empty());
         let last = traj.last_state();
         for j in 0..3 {
@@ -231,15 +258,43 @@ mod tests {
     }
 
     #[test]
+    fn dist_series_is_the_sup_norm_distance_per_sample() {
+        let m = model();
+        let traj = simulate_compartments(
+            &m,
+            ConstantMultiControl::new(vec![0.05, 0.02]),
+            &y0(),
+            10.0,
+            &CompartmentSimOptions {
+                n_out: 5,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let dist = traj.dist_series(&y0()).unwrap();
+        assert_eq!(dist.len(), 5);
+        assert_eq!(dist[0], 0.0);
+        let last = traj.last_state();
+        let expect = last
+            .iter()
+            .zip(y0())
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert_eq!(dist[4], expect);
+        assert!(dist[4] > 0.0);
+        assert!(traj.dist_series(&[0.0; 3]).is_err());
+    }
+
+    #[test]
     fn grid_validation() {
         let m = model();
         let c = ConstantMultiControl::none(2);
         let opts = CompartmentSimOptions::default();
-        assert!(simulate_compartments_grid(&m, &c, &y0(), &[0.0], &opts, None).is_err());
-        assert!(simulate_compartments_grid(&m, &c, &y0(), &[1.0, 2.0], &opts, None).is_err());
-        assert!(simulate_compartments_grid(&m, &c, &y0(), &[0.0, 2.0, 1.0], &opts, None).is_err());
-        assert!(simulate_compartments_grid(&m, &c, &[0.1; 4], &[0.0, 1.0], &opts, None).is_err());
-        assert!(simulate_compartments(&m, &c, &y0(), 0.0, &opts, None).is_err());
+        assert!(simulate_compartments_grid(&m, &c, &y0(), &[0.0], &opts).is_err());
+        assert!(simulate_compartments_grid(&m, &c, &y0(), &[1.0, 2.0], &opts).is_err());
+        assert!(simulate_compartments_grid(&m, &c, &y0(), &[0.0, 2.0, 1.0], &opts).is_err());
+        assert!(simulate_compartments_grid(&m, &c, &[0.1; 4], &[0.0, 1.0], &opts).is_err());
+        assert!(simulate_compartments(&m, &c, &y0(), 0.0, &opts).is_err());
         assert!(simulate_compartments(
             &m,
             &c,
@@ -248,8 +303,7 @@ mod tests {
             &CompartmentSimOptions {
                 n_out: 1,
                 ..Default::default()
-            },
-            None
+            }
         )
         .is_err());
     }

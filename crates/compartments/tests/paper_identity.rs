@@ -1,14 +1,14 @@
-//! The port's bit-identity contract against the legacy `RumorModel`.
+//! The port's bit-identity contract against `RumorModel`.
 //!
-//! Same discipline as the PR 7 kernel/arena identity suites: the
-//! generalized abstraction earns its keep only if the paper model on top
-//! of it reproduces the original implementation bit for bit — RHS
-//! evaluations, Θ reductions, and whole adaptive trajectories, serial
-//! and pooled.
+//! Same discipline as the kernel/arena identity suites: the paper model
+//! on the generalized abstraction must reproduce `RumorModel` bit for
+//! bit — RHS evaluations, Θ reductions, and whole adaptive trajectories,
+//! serial and pooled. Both now call the same `rumor_core::model::flat_rhs`,
+//! so this suite guards that they keep doing so.
 
 use rumor_compartments::model::{CompartmentModel, CompartmentOde};
 use rumor_compartments::paper::PaperSir;
-use rumor_compartments::schedule::PairSchedule;
+use rumor_compartments::schedule::ConstantMultiControl;
 use rumor_core::control::ConstantControl;
 use rumor_core::functions::{AcceptanceRate, Infectivity};
 use rumor_core::model::RumorModel;
@@ -105,10 +105,9 @@ fn adaptive_trajectories_are_bit_identical() {
     for &n in &[7usize, 264] {
         let p = params_for(n);
         let n = p.n_classes();
-        let ctl = ConstantControl::new(0.12, 0.05);
-        let legacy = RumorModel::new(&p, ctl);
+        let legacy = RumorModel::new(&p, ConstantControl::new(0.12, 0.05));
         let port = PaperSir::from_params(&p, 5.0, 10.0).unwrap();
-        let sys = CompartmentOde::new(&port, PairSchedule(ctl));
+        let sys = CompartmentOde::new(&port, ConstantMultiControl::new(vec![0.12, 0.05]));
         assert_eq!(sys.dim(), legacy.dim());
         let mut y0 = vec![0.0; 3 * n];
         for j in 0..n {
@@ -132,19 +131,19 @@ fn pooled_trajectory_matches_serial_port() {
     let p = params_for(300);
     let n = p.n_classes();
     let port = PaperSir::from_params(&p, 5.0, 10.0).unwrap();
-    let ctl = ConstantControl::new(0.1, 0.1);
+    let ctl = ConstantMultiControl::new(vec![0.1, 0.1]);
     let mut y0 = vec![0.0; 3 * n];
     for j in 0..n {
         y0[j] = 0.85;
         y0[n + j] = 0.15;
     }
-    let serial_sys = CompartmentOde::new(&port, PairSchedule(ctl));
+    let serial_sys = CompartmentOde::new(&port, &ctl);
     let serial = Adaptive::new()
         .integrate(&serial_sys, 0.0, &y0, 10.0)
         .unwrap();
     for threads in [2usize, 4] {
         let pool = Arc::new(InnerPool::new(threads));
-        let sys = CompartmentOde::new(&port, PairSchedule(ctl)).with_pool(Some(pool));
+        let sys = CompartmentOde::new(&port, &ctl).with_pool(Some(pool));
         let sol = Adaptive::new().integrate(&sys, 0.0, &y0, 10.0).unwrap();
         assert_eq!(sol.len(), serial.len());
         for (ya, yb) in sol.flat_states().iter().zip(serial.flat_states()) {

@@ -478,7 +478,6 @@ fn trajectory_on_grid<M: CompartmentModel>(
                 n_out: grid.len(),
                 ode: options.ode,
             },
-            None,
         )
         .map_err(ControlError::Core);
     }

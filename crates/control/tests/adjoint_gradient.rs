@@ -117,7 +117,6 @@ fn objective<M: CompartmentModel>(model: &M, h: f64) -> f64 {
             n_out: N_OUT,
             ode: ode(),
         },
-        None,
     )
     .unwrap();
     evaluate_compartments(model, &traj, &control)

@@ -99,7 +99,7 @@ proptest! {
         let traj = simulate_compartments(&m, &control, &y0, 10.0, &CompartmentSimOptions {
             n_out: 21,
             ..Default::default()
-        }, None)
+        })
         .unwrap();
         let cost = evaluate_compartments(&m, &traj, &control).unwrap();
         prop_assert!(cost.channel_costs.iter().all(|&v| v >= 0.0));

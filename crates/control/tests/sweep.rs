@@ -78,7 +78,6 @@ fn constant_cost(m: &PaperSir, y: &[f64], tf: f64, levels: &[f64]) -> MultiCostB
             n_out: 51,
             ..Default::default()
         },
-        None,
     )
     .unwrap();
     let control = MultiPiecewiseControl::constant(tf, 2, levels).unwrap();

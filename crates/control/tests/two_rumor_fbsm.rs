@@ -98,7 +98,6 @@ fn multi_control_sweep_converges_on_the_small_tier() {
             n_out: grid.len(),
             ode: small_options().ode,
         },
-        None,
     )
     .unwrap();
     let idle_cost = evaluate_compartments(&m, &idle_traj, &idle).unwrap();

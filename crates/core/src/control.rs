@@ -80,36 +80,6 @@ impl ControlSchedule for ConstantControl {
     }
 }
 
-/// A schedule defined by two closures — handy for tests and for
-/// hand-crafted time profiles.
-pub struct FnControl<F1, F2> {
-    f1: F1,
-    f2: F2,
-}
-
-impl<F1: Fn(f64) -> f64, F2: Fn(f64) -> f64> FnControl<F1, F2> {
-    /// Wraps `(ε1(t), ε2(t))` closures as a schedule.
-    pub fn new(f1: F1, f2: F2) -> Self {
-        FnControl { f1, f2 }
-    }
-}
-
-impl<F1: Fn(f64) -> f64, F2: Fn(f64) -> f64> ControlSchedule for FnControl<F1, F2> {
-    fn eps1(&self, t: f64) -> f64 {
-        (self.f1)(t)
-    }
-
-    fn eps2(&self, t: f64) -> f64 {
-        (self.f2)(t)
-    }
-}
-
-impl<F1, F2> std::fmt::Debug for FnControl<F1, F2> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FnControl").finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,14 +104,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_rate_panics() {
         let _ = ConstantControl::new(-0.1, 0.0);
-    }
-
-    #[test]
-    fn fn_control_evaluates_closures() {
-        let c = FnControl::new(|t: f64| t * 2.0, |t: f64| 1.0 - t);
-        assert_eq!(c.eps1(0.5), 1.0);
-        assert_eq!(c.eps2(0.25), 0.75);
-        assert!(!format!("{c:?}").is_empty());
     }
 
     #[test]

@@ -30,12 +30,14 @@
 //! * [`state`] — the per-class state vector with `Θ`, norms and the
 //!   `Dist0`/`Dist+` distances used in Figs. 2–3.
 //! * [`model`] — the ODE system (implements
-//!   [`rumor_ode::system::OdeSystem`]) under any [`control::ControlSchedule`].
+//!   [`rumor_ode::system::OdeSystem`]) under any [`control::ControlSchedule`],
+//!   and the one forward RHS of Eq. (1) it shares with the compartment
+//!   port. Trajectories on output grids come from
+//!   `rumor_compartments::simulate`.
 //! * [`equilibrium`] — the threshold `r0`, the rumor-free equilibrium
 //!   `E0` and the endemic equilibrium `E+` (Theorem 1).
 //! * [`stability`] — Jacobian eigenvalue analysis at `E0` (Theorem 2) and
 //!   numeric Lyapunov verification (Theorems 3–4).
-//! * [`simulate`] — high-level trajectory runs on output grids.
 //! * [`targeted`] — per-degree-class countermeasure rates (the
 //!   hub-prioritized "blocking at influential users" strategy) with the
 //!   generalized threshold.
@@ -80,7 +82,6 @@ pub mod kernels;
 pub mod model;
 pub mod params;
 pub mod sensitivity;
-pub mod simulate;
 pub mod stability;
 pub mod state;
 pub mod targeted;

@@ -114,22 +114,66 @@ impl<'p, C: ControlSchedule> RumorModel<'p, C> {
         &self.control
     }
 
-    /// Computes `Θ` from a flat state slice (layout `[S.., I.., R..]`):
-    /// a single dot product against the precomputed
-    /// [`ModelParams::theta_weights`] table, evaluated with the
-    /// partitioned [`crate::kernels::dot_partitioned`] reduction
-    /// (bit-identical to [`crate::kernels::dot_partitioned_scalar`] and
-    /// to the pooled form at every thread count; equal to
-    /// [`crate::kernels::dot`] whenever the class count fits one
-    /// [`crate::kernels::PART_CHUNK`] partition).
+    /// Computes `Θ` from a flat state slice (layout `[S.., I.., R..]`)
+    /// through [`flat_theta`].
     pub fn theta_flat(&self, y: &[f64]) -> f64 {
-        let n = self.params.n_classes();
-        let w = self.params.theta_weights();
-        let i = &y[n..2 * n];
-        match &self.pool {
-            Some(pool) => crate::kernels::dot_pooled(pool, w, i),
-            None => crate::kernels::dot_partitioned(w, i),
-        }
+        flat_theta(self.params.theta_weights(), y, self.pool.as_deref())
+    }
+}
+
+/// `Θ` of a flat `[S.., I.., R..]` state: a single dot product of the
+/// infected band against the fused `ϕ_i/⟨k⟩` table `theta_w` (one entry
+/// per class, see [`ModelParams::theta_weights`]), evaluated with the
+/// partitioned [`crate::kernels::dot_partitioned`] reduction — or its
+/// pooled form, bit-identical at every thread count. It equals
+/// [`crate::kernels::dot`] whenever the class count fits one
+/// [`crate::kernels::PART_CHUNK`] partition.
+#[inline]
+pub fn flat_theta(theta_w: &[f64], y: &[f64], pool: Option<&InnerPool>) -> f64 {
+    let n = theta_w.len();
+    let i = &y[n..2 * n];
+    match pool {
+        Some(pool) => crate::kernels::dot_pooled(pool, theta_w, i),
+        None => crate::kernels::dot_partitioned(theta_w, i),
+    }
+}
+
+/// The right-hand side of Eq. (1) on a flat `[S.., I.., R..]` state under
+/// countermeasures `(eps1, eps2)`: `Θ` through [`flat_theta`], the
+/// convention's recycle term, then the element-wise
+/// [`crate::kernels::sir_rhs`] (pooled when a pool is given, with the same
+/// bits). This is the one forward RHS of the paper model: both
+/// [`RumorModel`] and the compartment-model port `PaperSir` call it.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn flat_rhs(
+    lambda: &[f64],
+    theta_w: &[f64],
+    alpha: f64,
+    convention: MassConvention,
+    eps1: f64,
+    eps2: f64,
+    y: &[f64],
+    pool: Option<&InnerPool>,
+    dydt: &mut [f64],
+) {
+    let n = lambda.len();
+    let theta = flat_theta(theta_w, y, pool);
+    let recycle = match convention {
+        MassConvention::Conserving => alpha,
+        MassConvention::AsPrinted => 0.0,
+    };
+    let (s, rest) = y.split_at(n);
+    let inf = &rest[..n];
+    let (ds, rest) = dydt.split_at_mut(n);
+    let (di, dr) = rest.split_at_mut(n);
+    match pool {
+        Some(pool) => crate::kernels::sir_rhs_pooled(
+            pool, s, inf, lambda, theta, alpha, eps1, eps2, recycle, ds, di, dr,
+        ),
+        None => crate::kernels::sir_rhs(
+            s, inf, lambda, theta, alpha, eps1, eps2, recycle, ds, di, dr,
+        ),
     }
 }
 
@@ -139,55 +183,24 @@ impl<C: ControlSchedule> OdeSystem for RumorModel<'_, C> {
     }
 
     fn rhs(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
-        let n = self.params.n_classes();
-        let alpha = self.params.alpha();
-        let eps1 = self.control.eps1(t);
-        let eps2 = self.control.eps2(t);
-        let theta = self.theta_flat(y);
-        let recycle = match self.convention {
-            MassConvention::Conserving => alpha,
-            MassConvention::AsPrinted => 0.0,
-        };
-        let (s, rest) = y.split_at(n);
-        let inf = &rest[..n];
-        let (ds, rest) = dydt.split_at_mut(n);
-        let (di, dr) = rest.split_at_mut(n);
-        match &self.pool {
-            Some(pool) => crate::kernels::sir_rhs_pooled(
-                pool,
-                s,
-                inf,
-                self.params.lambda(),
-                theta,
-                alpha,
-                eps1,
-                eps2,
-                recycle,
-                ds,
-                di,
-                dr,
-            ),
-            None => crate::kernels::sir_rhs(
-                s,
-                inf,
-                self.params.lambda(),
-                theta,
-                alpha,
-                eps1,
-                eps2,
-                recycle,
-                ds,
-                di,
-                dr,
-            ),
-        }
+        flat_rhs(
+            self.params.lambda(),
+            self.params.theta_weights(),
+            self.params.alpha(),
+            self.convention,
+            self.control.eps1(t),
+            self.control.eps2(t),
+            y,
+            self.pool.as_deref(),
+            dydt,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{ConstantControl, FnControl};
+    use crate::control::ConstantControl;
     use crate::params::test_support::tiny_params;
     use crate::state::NetworkState;
     use rumor_ode::integrator::{Adaptive, FixedStep};
@@ -284,11 +297,24 @@ mod tests {
         assert!(d[3] < d[4] && d[4] < d[5], "dI/dt must grow with degree");
     }
 
+    /// `ε1(t) = 0.1 t`, `ε2 = 0`.
+    struct Ramp;
+
+    impl ControlSchedule for Ramp {
+        fn eps1(&self, t: f64) -> f64 {
+            0.1 * t
+        }
+
+        fn eps2(&self, _t: f64) -> f64 {
+            0.0
+        }
+    }
+
     #[test]
     fn time_varying_control_is_applied() {
         let p = tiny_params();
         // ε1 ramps with time; compare derivative at two instants.
-        let m = RumorModel::new(&p, FnControl::new(|t: f64| 0.1 * t, |_| 0.0));
+        let m = RumorModel::new(&p, Ramp);
         let y = NetworkState::initial_uniform(3, 0.1).unwrap().to_flat();
         let mut d0 = vec![0.0; 9];
         let mut d1 = vec![0.0; 9];

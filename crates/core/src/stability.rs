@@ -194,20 +194,20 @@ pub fn lyapunov_vplus(
     Ok(0.5 * quad / mean_k + theta - theta_plus - theta_plus * (theta / theta_plus).ln())
 }
 
-/// Samples a Lyapunov function along a trajectory and reports the series
-/// together with whether it is non-increasing up to `slack` (absolute
-/// tolerance for integration noise).
+/// Samples a Lyapunov function along the sampled states of a trajectory
+/// and reports the series together with whether it is non-increasing up
+/// to `slack` (absolute tolerance for integration noise).
 ///
 /// # Errors
 ///
 /// Propagates evaluation failures from `v`.
 pub fn lyapunov_descent_check(
-    trajectory: &crate::simulate::Trajectory,
+    states: &[NetworkState],
     mut v: impl FnMut(&NetworkState) -> Result<f64>,
     slack: f64,
 ) -> Result<(Vec<f64>, bool)> {
-    let mut series = Vec::with_capacity(trajectory.len());
-    for state in trajectory.states() {
+    let mut series = Vec::with_capacity(states.len());
+    for state in states {
         series.push(v(state)?);
     }
     let monotone = series.windows(2).all(|w| w[1] <= w[0] + slack);
@@ -248,6 +248,7 @@ mod tests {
     use crate::equilibrium::{positive_equilibrium, zero_equilibrium};
     use crate::functions::{AcceptanceRate, Infectivity};
     use rumor_net::degree::DegreeClasses;
+    use rumor_ode::integrator::AdaptiveConfig;
 
     fn params(alpha: f64, lambda0: f64) -> ModelParams {
         let classes = DegreeClasses::from_degrees(&[1, 1, 2, 2, 3, 6]).unwrap();
@@ -257,6 +258,32 @@ mod tests {
             .infectivity(Infectivity::paper_default())
             .build()
             .unwrap()
+    }
+
+    /// Integrates from the uniform initial condition `i0` under constant
+    /// countermeasures and samples `n_out` uniform points on `[0, tf]`.
+    fn sampled_states(
+        p: &ModelParams,
+        (eps1, eps2): (f64, f64),
+        i0: f64,
+        tf: f64,
+        n_out: usize,
+    ) -> Vec<NetworkState> {
+        let model = RumorModel::new(p, ConstantControl::new(eps1, eps2));
+        let init = NetworkState::initial_uniform(p.n_classes(), i0).unwrap();
+        let sol = Adaptive::with_config(AdaptiveConfig {
+            rtol: 1e-8,
+            atol: 1e-10,
+            ..AdaptiveConfig::default()
+        })
+        .integrate(&model, 0.0, &init.to_flat(), tf)
+        .unwrap();
+        (0..n_out)
+            .map(|k| {
+                let t = tf * k as f64 / (n_out - 1) as f64;
+                NetworkState::from_flat(&sol.sample(t).unwrap()).unwrap()
+            })
+            .collect()
     }
 
     #[test]
@@ -402,17 +429,9 @@ mod tests {
         let p = params(0.01, 0.001);
         let (eps1, eps2) = (0.2, 0.05);
         assert!(crate::equilibrium::r0(&p, eps1, eps2).unwrap() < 1.0);
-        let init = NetworkState::initial_uniform(p.n_classes(), 0.3).unwrap();
-        let traj = crate::simulate::simulate(
-            &p,
-            crate::control::ConstantControl::new(eps1, eps2),
-            &init,
-            100.0,
-            &crate::simulate::SimulateOptions::default(),
-        )
-        .unwrap();
+        let states = sampled_states(&p, (eps1, eps2), 0.3, 100.0, 201);
         let (series, monotone) =
-            lyapunov_descent_check(&traj, |st| lyapunov_v0(&p, st, eps2), 1e-9).unwrap();
+            lyapunov_descent_check(&states, |st| lyapunov_v0(&p, st, eps2), 1e-9).unwrap();
         assert!(monotone, "V0 must be non-increasing below threshold");
         assert!(series[0] > *series.last().unwrap());
         assert!(*series.last().unwrap() >= 0.0);
@@ -424,20 +443,9 @@ mod tests {
         let (eps1, eps2) = (0.05, 0.02);
         assert!(crate::equilibrium::r0(&p, eps1, eps2).unwrap() > 1.0);
         let eplus = positive_equilibrium(&p, eps1, eps2).unwrap();
-        let init = NetworkState::initial_uniform(p.n_classes(), 0.05).unwrap();
-        let traj = crate::simulate::simulate(
-            &p,
-            crate::control::ConstantControl::new(eps1, eps2),
-            &init,
-            500.0,
-            &crate::simulate::SimulateOptions {
-                n_out: 101,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let states = sampled_states(&p, (eps1, eps2), 0.05, 500.0, 101);
         let (series, monotone) =
-            lyapunov_descent_check(&traj, |st| lyapunov_vplus(&p, st, &eplus), 1e-7).unwrap();
+            lyapunov_descent_check(&states, |st| lyapunov_vplus(&p, st, &eplus), 1e-7).unwrap();
         assert!(monotone, "V+ must be non-increasing above threshold");
         // V+ is non-negative and vanishes at E+.
         assert!(series.iter().all(|&v| v >= -1e-12));

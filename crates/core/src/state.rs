@@ -120,16 +120,6 @@ impl NetworkState {
         self.i.iter().sum()
     }
 
-    /// Total susceptible density `Σ_i S_i`.
-    pub fn total_susceptible(&self) -> f64 {
-        self.s.iter().sum()
-    }
-
-    /// Total recovered density `Σ_i R_i`.
-    pub fn total_recovered(&self) -> f64 {
-        self.r.iter().sum()
-    }
-
     /// The average rumor infectivity
     /// `Θ = (1/⟨k⟩) Σ_i ϕ(k_i) I_i` (paper Eq. (2) context).
     ///
@@ -234,8 +224,6 @@ mod tests {
         assert!(st.i().iter().all(|&x| (x - 0.1).abs() < 1e-15));
         assert!(st.r().iter().all(|&x| x == 0.0));
         assert!((st.total_infected() - 0.3).abs() < 1e-12);
-        assert!((st.total_susceptible() - 2.7).abs() < 1e-12);
-        assert_eq!(st.total_recovered(), 0.0);
     }
 
     #[test]

@@ -565,15 +565,13 @@ mod tests {
             ..Default::default()
         };
         let free =
-            simulate_compartments(&m, ConstantMultiControl::none(2), &y0(6), 30.0, &opts, None)
-                .unwrap();
+            simulate_compartments(&m, ConstantMultiControl::none(2), &y0(6), 30.0, &opts).unwrap();
         let seeded = simulate_compartments(
             &m,
             ConstantMultiControl::new(vec![0.3, 0.0]),
             &y0(6),
             30.0,
             &opts,
-            None,
         )
         .unwrap();
         let free_i1: f64 = free.total_series(1).last().copied().unwrap();

@@ -13,6 +13,7 @@ use crate::api::{
 };
 use crate::wire::Value;
 use rumor_compartments::model::CompartmentModel;
+use rumor_compartments::paper::PaperSir;
 use rumor_compartments::schedule::ConstantMultiControl;
 use rumor_compartments::simulate::{simulate_compartments, CompartmentSimOptions};
 use rumor_control::checkpoint::{decode_multi_schedule, encode_multi_schedule};
@@ -21,12 +22,10 @@ use rumor_control::multi::{
 };
 use rumor_control::watchdog::{optimize_guarded, SweepSource, WatchdogOptions};
 use rumor_control::{ControlBounds, CostWeights};
-use rumor_core::control::ConstantControl;
-use rumor_core::equilibrium::{positive_equilibrium, zero_equilibrium};
+use rumor_core::equilibrium::{positive_equilibrium, r0, zero_equilibrium};
 use rumor_core::functions::{AcceptanceRate, Infectivity};
 use rumor_core::params::ModelParams;
 use rumor_core::sensitivity::{critical_countermeasure_scale, r0_sensitivity};
-use rumor_core::simulate::{simulate as run_simulation, SimulateOptions};
 use rumor_core::stability::theorem2_consistency;
 use rumor_core::state::NetworkState;
 use rumor_datasets::digg::{DiggConfig, DiggDataset};
@@ -148,42 +147,31 @@ fn build_params(classes: DegreeClasses, model: &ModelSpec) -> Result<ModelParams
         .build()?)
 }
 
-/// Uniform initial condition on a compartment model: every class starts
-/// with `1 − i0` susceptible and `i0` in compartment 1 (the rumor
-/// spreaders), mirroring [`NetworkState::initial_uniform`].
-fn uniform_initial<M: CompartmentModel>(model: &M, i0: f64) -> Vec<f64> {
-    let n = model.n_classes();
-    let mut y = vec![0.0; model.state_dim()];
-    for j in 0..n {
-        y[j] = 1.0 - i0;
-        y[n + j] = i0;
-    }
-    y
-}
-
-/// Shared simulate path for the compartment-model kinds: the request's
-/// constant `(eps1, eps2)` map onto the model's two control channels in
-/// order (truth-seeding then blocking for `two_rumor`). Mean series are
-/// labelled by the model's own compartment names.
-fn simulate_kind<M: CompartmentModel>(model: &M, req: &SimulateRequest) -> Result<Value> {
-    let control = ConstantMultiControl::new(vec![req.eps1, req.eps2]);
+/// Runs one model under the request's constant `(eps1, eps2)`, mapped onto
+/// the model's two control channels in order (truth-seeding then blocking
+/// for `two_rumor`), and reports population means per sample labelled by
+/// the model's own compartment names. `head` gives the leading field,
+/// evaluated after the simulation: the paper kind reports its threshold
+/// `r0`, the other kinds their `kind`.
+fn simulate_kind<M: CompartmentModel>(
+    model: &M,
+    req: &SimulateRequest,
+    head: impl FnOnce() -> Result<(&'static str, Value)>,
+) -> Result<Value> {
     let traj = simulate_compartments(
         model,
-        &control,
-        &uniform_initial(model, req.i0),
+        ConstantMultiControl::new(vec![req.eps1, req.eps2]),
+        &model.layout().initial_uniform(req.i0)?,
         req.tf,
         &CompartmentSimOptions {
             n_out: req.n_out,
             ..Default::default()
         },
-        None,
     )?;
+    let (name, value) = head()?;
     let n = model.n_classes() as f64;
     let mut fields = vec![
-        (
-            "kind".to_string(),
-            Value::Str(req.model.kind.name().to_string()),
-        ),
+        (name.to_string(), value),
         ("n_classes".to_string(), Value::Num(n)),
         ("times".to_string(), Value::num_arr(traj.times())),
     ];
@@ -199,68 +187,33 @@ fn simulate_kind<M: CompartmentModel>(model: &M, req: &SimulateRequest) -> Resul
 }
 
 /// `POST /v1/simulate`: trajectories under constant countermeasures,
-/// reported as population means per sample. The paper kind runs Eq. (1)
-/// through the legacy engine; the other kinds run their compartment
-/// models through `rumor-compartments`.
+/// reported as population means per sample. Every kind runs its
+/// compartment model through `rumor-compartments`; the paper kind as
+/// [`PaperSir`].
 pub fn simulate(req: &SimulateRequest) -> Result<Value> {
     let dataset = synthesize(&req.network)?;
     let params = build_params(dataset.classes().clone(), &req.model)?;
+    let kind = || Ok(("kind", Value::Str(req.model.kind.name().to_string())));
+    // Cost weights only enter the FBSM objective; the paper defaults
+    // keep model construction valid here.
     match &req.model.kind {
-        ModelKind::Paper => {}
+        ModelKind::Paper => simulate_kind(&PaperSir::from_params(&params, 5.0, 10.0)?, req, || {
+            Ok(("r0", Value::Num(r0(&params, req.eps1, req.eps2)?)))
+        }),
         ModelKind::TwoRumor {
             lambda20,
             gamma1,
             gamma2,
             mu,
-        } => {
-            // Cost weights only enter the FBSM objective; the paper
-            // defaults keep model construction valid here.
-            let m =
-                TwoRumorModel::from_params(&params, *lambda20, *gamma1, *gamma2, *mu, 5.0, 10.0)?;
-            return simulate_kind(&m, req);
-        }
+        } => simulate_kind(
+            &TwoRumorModel::from_params(&params, *lambda20, *gamma1, *gamma2, *mu, 5.0, 10.0)?,
+            req,
+            kind,
+        ),
         ModelKind::TieStrength { beta } => {
-            let m = tie_strength_model(&params, *beta, 5.0, 10.0)?;
-            return simulate_kind(&m, req);
+            simulate_kind(&tie_strength_model(&params, *beta, 5.0, 10.0)?, req, kind)
         }
     }
-    let initial = NetworkState::initial_uniform(params.n_classes(), req.i0)?;
-    let traj = run_simulation(
-        &params,
-        ConstantControl::new(req.eps1, req.eps2),
-        &initial,
-        req.tf,
-        &SimulateOptions {
-            n_out: req.n_out,
-            ..SimulateOptions::default()
-        },
-    )?;
-    let threshold = rumor_core::equilibrium::r0(&params, req.eps1, req.eps2)?;
-    let n = params.n_classes() as f64;
-    let mean_of = |f: fn(&NetworkState) -> f64| -> Vec<f64> {
-        traj.states().iter().map(|st| f(st) / n).collect()
-    };
-    Ok(Value::obj([
-        ("r0", Value::Num(threshold)),
-        ("n_classes", Value::Num(n)),
-        ("times", Value::num_arr(traj.times())),
-        (
-            "mean_s",
-            Value::num_arr(&mean_of(NetworkState::total_susceptible)),
-        ),
-        (
-            "mean_i",
-            Value::num_arr(&mean_of(NetworkState::total_infected)),
-        ),
-        (
-            "mean_r",
-            Value::num_arr(&mean_of(NetworkState::total_recovered)),
-        ),
-        (
-            "terminal_infected",
-            Value::Num(traj.last_state().total_infected()),
-        ),
-    ]))
 }
 
 /// `POST /v1/threshold`: `r0` of Theorem 1, the `E0`/`E+` equilibria,
@@ -365,7 +318,7 @@ fn optimize_kind<M: CompartmentModel>(
     };
     let result = optimize_compartments_monitored(
         model,
-        &uniform_initial(model, req.i0),
+        &model.layout().initial_uniform(req.i0)?,
         req.tf,
         &bounds,
         &options,

@@ -23,10 +23,11 @@ use crate::abm::AbmConfig;
 use crate::{Result, SimError, SimTrajectory};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rumor_core::control::ConstantControl;
+use rumor_compartments::model::CompartmentModel;
+use rumor_compartments::paper::PaperSir;
+use rumor_compartments::schedule::ConstantMultiControl;
+use rumor_compartments::simulate::{simulate_compartments_grid, CompartmentSimOptions};
 use rumor_core::params::ModelParams;
-use rumor_core::simulate::{simulate_grid, SimulateOptions};
-use rumor_core::state::NetworkState;
 use rumor_net::graph::Graph;
 use rumor_numerics::stats::RunningStats;
 
@@ -438,19 +439,20 @@ pub fn mean_field_reference(
     cfg: &AbmConfig,
     times: &[f64],
 ) -> Result<Vec<f64>> {
-    let init = NetworkState::initial_uniform(params.n_classes(), cfg.initial_infected)?;
-    let traj = simulate_grid(
-        params,
-        ConstantControl::new(cfg.eps1, cfg.eps2),
-        &init,
+    // Cost weights only enter the FBSM objective; the paper defaults keep
+    // model construction valid here.
+    let model = PaperSir::from_params(params, 5.0, 10.0)?;
+    let y0 = model.layout().initial_uniform(cfg.initial_infected)?;
+    let traj = simulate_compartments_grid(
+        &model,
+        ConstantMultiControl::new(vec![cfg.eps1, cfg.eps2]),
+        &y0,
         times,
-        &SimulateOptions::default(),
+        &CompartmentSimOptions::default(),
     )?;
-    let probs = params.classes().probabilities().to_vec();
-    Ok(traj
-        .states()
-        .iter()
-        .map(|st| st.i().iter().zip(&probs).map(|(i, p)| i * p).sum())
+    let probs = params.classes().probabilities();
+    Ok((0..traj.len())
+        .map(|k| traj.band(k, 1).iter().zip(probs).map(|(i, p)| i * p).sum())
         .collect())
 }
 

@@ -291,6 +291,38 @@ fn two_rumor_initial(n: usize, i0: f64) -> Vec<f64> {
     y0
 }
 
+/// `simulate_compartments` of the two-rumor model under the constant
+/// controls `(0.05, 0.1)` over `[0, 10]`, with `pool` bound to the ODE
+/// system (`None` runs serially): the same integrator, grid and sample
+/// sanitizing, so only the inner pool differs between runs.
+fn two_rumor_on_pool(
+    model: &rumor_models::two_rumor::TwoRumorModel,
+    y0: &[f64],
+    n_out: usize,
+    pool: Option<std::sync::Arc<rumor_par::InnerPool>>,
+) -> rumor_compartments::Result<rumor_compartments::simulate::CompartmentTrajectory> {
+    use rumor_compartments::model::{CompartmentModel, CompartmentOde};
+    use rumor_compartments::schedule::ConstantMultiControl;
+    use rumor_compartments::simulate::{CompartmentSimOptions, CompartmentTrajectory};
+
+    let tf = 10.0;
+    let sys =
+        CompartmentOde::new(model, ConstantMultiControl::new(vec![0.05, 0.1])).with_pool(pool);
+    let sol = rumor_ode::integrator::Adaptive::with_config(CompartmentSimOptions::default().ode)
+        .integrate(&sys, 0.0, y0, tf)?;
+    let layout = model.layout();
+    let times: Vec<f64> = (0..n_out)
+        .map(|i| tf * i as f64 / (n_out - 1) as f64)
+        .collect();
+    let mut states = Vec::with_capacity(n_out);
+    for &t in &times {
+        let mut flat = sol.sample(t)?;
+        layout.sanitize(&mut flat)?;
+        states.push(flat);
+    }
+    Ok(CompartmentTrajectory::from_parts(layout, times, states))
+}
+
 #[test]
 fn two_rumor_trajectory_bit_identical_across_inner_pool_sizes() {
     // Tentpole contract, compartment leg: the two-rumor RHS runs through
@@ -298,8 +330,6 @@ fn two_rumor_trajectory_bit_identical_across_inner_pool_sizes() {
     // trajectory must be bit-identical with and without an inner pool,
     // at every pool size.
     use rumor_compartments::model::CompartmentModel;
-    use rumor_compartments::schedule::ConstantMultiControl;
-    use rumor_compartments::simulate::{simulate_compartments, CompartmentSimOptions};
     use rumor_models::two_rumor::TwoRumorModel;
 
     let p = two_rumor_params();
@@ -309,20 +339,8 @@ fn two_rumor_trajectory_bit_identical_across_inner_pool_sizes() {
         "class count must span several kernel partitions"
     );
     let y0 = two_rumor_initial(model.n_classes(), 0.1);
-    let options = CompartmentSimOptions {
-        n_out: 41,
-        ..Default::default()
-    };
     let run = |pool: Option<std::sync::Arc<rumor_par::InnerPool>>| {
-        simulate_compartments(
-            &model,
-            ConstantMultiControl::new(vec![0.05, 0.1]),
-            &y0,
-            10.0,
-            &options,
-            pool,
-        )
-        .unwrap()
+        two_rumor_on_pool(&model, &y0, 41, pool).unwrap()
     };
     let reference = run(None);
     for t in THREAD_COUNTS {
@@ -352,8 +370,6 @@ fn two_rumor_ensemble_bit_identical_across_outer_and_inner_threads() {
     // compartment ODE through their own inner pool. Merged statistics
     // must match the fully serial run bit for bit over the whole
     // {1,4} x {1,4} outer x inner matrix.
-    use rumor_compartments::schedule::ConstantMultiControl;
-    use rumor_compartments::simulate::{simulate_compartments, CompartmentSimOptions};
     use rumor_models::two_rumor::TwoRumorModel;
 
     let p = two_rumor_params();
@@ -366,20 +382,9 @@ fn two_rumor_ensemble_bit_identical_across_outer_and_inner_threads() {
                 .map_err(|e| SimError::Inconsistent(e.to_string()))?;
             // Seed-dependent initial prevalence, deterministic per replica.
             let i0 = 0.02 + (seed % 11) as f64 / 100.0;
-            let options = CompartmentSimOptions {
-                n_out: 21,
-                ..Default::default()
-            };
             let pool = std::sync::Arc::new(rumor_par::InnerPool::new(inner));
-            let sol = simulate_compartments(
-                &model,
-                ConstantMultiControl::new(vec![0.05, 0.1]),
-                &two_rumor_initial(n, i0),
-                10.0,
-                &options,
-                Some(pool),
-            )
-            .map_err(|e| SimError::Inconsistent(e.to_string()))?;
+            let sol = two_rumor_on_pool(&model, &two_rumor_initial(n, i0), 21, Some(pool))
+                .map_err(|e| SimError::Inconsistent(e.to_string()))?;
             // Fold the 4-band trajectory into the ensemble's s/i/r shape:
             // both rumors count as "infected", the truth level rides in
             // the per-class channel so it enters the merged statistics.

@@ -34,14 +34,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let e0 = zero_equilibrium(&params, eps1, eps2)?;
     let initial = NetworkState::initial_uniform(params.n_classes(), 0.1)?;
-    let traj = simulate(
-        &params,
-        ConstantControl::new(eps1, eps2),
-        &initial,
+    let traj = simulate_compartments(
+        &PaperSir::from_params(&params, 5.0, 10.0)?,
+        ConstantMultiControl::new(vec![eps1, eps2]),
+        &initial.to_flat(),
         600.0,
-        &SimulateOptions::default(),
+        &CompartmentSimOptions::default(),
     )?;
-    let dist = traj.dist_series(&e0)?;
+    let dist = traj.dist_series(&e0.to_flat())?;
     println!(
         "  Dist0(0) = {:.4} -> Dist0(600) = {:.2e} (convergence to E0)",
         dist[0],
@@ -72,17 +72,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         params.n_classes()
     );
     let initial = NetworkState::initial_uniform(params.n_classes(), 0.1)?;
-    let traj = simulate(
-        &params,
-        ConstantControl::new(eps1, eps2),
-        &initial,
+    let traj = simulate_compartments(
+        &PaperSir::from_params(&params, 5.0, 10.0)?,
+        ConstantMultiControl::new(vec![eps1, eps2]),
+        &initial.to_flat(),
         3000.0,
-        &SimulateOptions {
+        &CompartmentSimOptions {
             n_out: 301,
             ..Default::default()
         },
     )?;
-    let dist = traj.dist_series(&eplus)?;
+    let dist = traj.dist_series(&eplus.to_flat())?;
     println!(
         "  Dist+(0) = {:.4} -> Dist+(3000) = {:.2e} (convergence to E+)",
         dist[0],
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  final infected density stays endemic: {:.4}",
-        traj.last_state().total_infected()
+        traj.total_series(1).last().expect("non-empty trajectory")
     );
     Ok(())
 }

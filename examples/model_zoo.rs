@@ -26,17 +26,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     let initial = NetworkState::initial_uniform(het.n_classes(), 0.1)?;
     let (eps1, eps2) = (0.05, 0.05);
-    let het_traj = simulate(
-        &het,
-        ConstantControl::new(eps1, eps2),
-        &initial,
+    let het_traj = simulate_compartments(
+        &PaperSir::from_params(&het, 5.0, 10.0)?,
+        ConstantMultiControl::new(vec![eps1, eps2]),
+        &initial.to_flat(),
         tf,
-        &SimulateOptions::default(),
+        &CompartmentSimOptions::default(),
     )?;
     println!(
         "heterogeneous SIR: r0 = {:.3}, final infected = {:.4}",
         r0(&het, eps1, eps2)?,
-        het_traj.last_state().total_infected() / het.n_classes() as f64
+        het_traj
+            .total_series(1)
+            .last()
+            .expect("non-empty trajectory")
+            / het.n_classes() as f64
     );
 
     // 2. Homogeneous ablation with a degree-blind contact rate matched

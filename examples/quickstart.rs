@@ -45,29 +45,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     );
 
-    // Simulate from 10% initially infected in every class.
+    // Simulate the paper model (cost weights c1 = 5, c2 = 10) from 10%
+    // initially infected in every class.
+    let model = PaperSir::from_params(&params, 5.0, 10.0)?;
     let initial = NetworkState::initial_uniform(params.n_classes(), 0.1)?;
-    let trajectory = simulate(
-        &params,
-        ConstantControl::new(eps1, eps2),
-        &initial,
+    let trajectory = simulate_compartments(
+        &model,
+        ConstantMultiControl::new(vec![eps1, eps2]),
+        &initial.to_flat(),
         150.0,
-        &SimulateOptions::default(),
+        &CompartmentSimOptions::default(),
     )?;
 
+    // Per-sample totals of the S, I and R bands.
+    let totals: Vec<Vec<f64>> = (0..3).map(|c| trajectory.total_series(c)).collect();
+    let n = params.n_classes() as f64;
     println!("\n  t      S_total   I_total   R_total");
     for idx in (0..trajectory.len()).step_by(25) {
-        let st = &trajectory.states()[idx];
         println!(
             "{:6.1}   {:8.5}  {:8.5}  {:8.5}",
             trajectory.times()[idx],
-            st.total_susceptible() / params.n_classes() as f64,
-            st.total_infected() / params.n_classes() as f64,
-            st.total_recovered() / params.n_classes() as f64,
+            totals[0][idx] / n,
+            totals[1][idx] / n,
+            totals[2][idx] / n,
         );
     }
 
-    let final_infected = trajectory.last_state().total_infected();
+    let final_infected = *totals[1].last().expect("non-empty trajectory");
     println!("\nfinal total infected density: {final_infected:.2e}");
     if threshold <= 1.0 {
         assert!(final_infected < 0.05, "subcritical rumor must die out");

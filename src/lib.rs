@@ -24,12 +24,13 @@
 //! ## Quickstart
 //!
 //! ```
-//! use rumor_repro::core::control::ConstantControl;
+//! use rumor_repro::compartments::model::CompartmentModel;
+//! use rumor_repro::compartments::paper::PaperSir;
+//! use rumor_repro::compartments::schedule::ConstantMultiControl;
+//! use rumor_repro::compartments::simulate::{simulate_compartments, CompartmentSimOptions};
 //! use rumor_repro::core::equilibrium::r0;
 //! use rumor_repro::core::functions::AcceptanceRate;
 //! use rumor_repro::core::params::ModelParams;
-//! use rumor_repro::core::simulate::{simulate, SimulateOptions};
-//! use rumor_repro::core::state::NetworkState;
 //! use rumor_repro::net::degree::DegreeClasses;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,17 +44,19 @@
 //! // Is the rumor subcritical under countermeasures (ε1, ε2) = (0.2, 0.05)?
 //! let threshold = r0(&params, 0.2, 0.05)?;
 //!
-//! // Simulate the propagation dynamics.
-//! let initial = NetworkState::initial_uniform(params.n_classes(), 0.1)?;
-//! let trajectory = simulate(
-//!     &params,
-//!     ConstantControl::new(0.2, 0.05),
-//!     &initial,
+//! // Simulate the propagation dynamics: the paper model (cost weights
+//! // c1 = 5, c2 = 10) from 10% initially infected in every class.
+//! let model = PaperSir::from_params(&params, 5.0, 10.0)?;
+//! let trajectory = simulate_compartments(
+//!     &model,
+//!     ConstantMultiControl::new(vec![0.2, 0.05]),
+//!     &model.layout().initial_uniform(0.1)?,
 //!     100.0,
-//!     &SimulateOptions::default(),
+//!     &CompartmentSimOptions::default(),
 //! )?;
+//! let infected = trajectory.total_series(1);
 //! if threshold < 1.0 {
-//!     assert!(trajectory.last_state().total_infected() < 0.05);
+//!     assert!(infected.last().unwrap() < &0.05);
 //! }
 //! # Ok(())
 //! # }
@@ -78,6 +81,10 @@ pub use rumor_sim as sim;
 /// A convenience prelude importing the most commonly used items.
 pub mod prelude {
     pub use rumor_compartments::paper::PaperSir;
+    pub use rumor_compartments::schedule::ConstantMultiControl;
+    pub use rumor_compartments::simulate::{
+        simulate_compartments, CompartmentSimOptions, CompartmentTrajectory,
+    };
     pub use rumor_control::multi::{
         evaluate_compartments, optimize_compartments, MultiControlBounds, MultiFbsmOptions,
         MultiPiecewiseControl, MultiSweepResult,
@@ -91,7 +98,6 @@ pub mod prelude {
     pub use rumor_core::functions::{AcceptanceRate, Infectivity};
     pub use rumor_core::model::{MassConvention, RumorModel};
     pub use rumor_core::params::ModelParams;
-    pub use rumor_core::simulate::{simulate, simulate_grid, SimulateOptions, Trajectory};
     pub use rumor_core::state::NetworkState;
     pub use rumor_datasets::digg::{DiggConfig, DiggDataset};
     pub use rumor_net::degree::DegreeClasses;
@@ -103,6 +109,11 @@ pub mod prelude {
         run_ensemble_isolated, run_ensemble_isolated_threads, IsolatedEnsemble, IsolationPolicy,
     };
 }
+
+/// The README's code blocks, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
 
 #[cfg(test)]
 mod tests {

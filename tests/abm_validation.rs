@@ -111,15 +111,15 @@ fn per_class_infection_profile_matches_mean_field() {
     }
     // Mean-field per-class prediction at the same time.
     let init = NetworkState::initial_uniform(params.n_classes(), cfg.initial_infected).unwrap();
-    let traj = simulate(
-        &params,
-        ConstantControl::new(cfg.eps1, cfg.eps2),
-        &init,
+    let traj = simulate_compartments(
+        &PaperSir::from_params(&params, 5.0, 10.0).unwrap(),
+        ConstantMultiControl::new(vec![cfg.eps1, cfg.eps2]),
+        &init.to_flat(),
         cfg.tf,
-        &SimulateOptions::default(),
+        &CompartmentSimOptions::default(),
     )
     .unwrap();
-    let mf = traj.last_state();
+    let mf_i = traj.band(traj.len() - 1, 1);
     // Compare on the well-populated classes (≥ 30 nodes): small classes
     // are dominated by sampling noise.
     let mut abm_profile = Vec::new();
@@ -131,16 +131,16 @@ fn per_class_infection_profile_matches_mean_field() {
         // During the active transient the annealed mean field runs ahead
         // of the quenched graph; bound the absolute gap loosely and pin
         // the *structure* with a correlation check below.
-        let diff = (per_class_abm[c] - mf.i()[c]).abs();
+        let diff = (per_class_abm[c] - mf_i[c]).abs();
         assert!(
             diff < 0.25,
             "class {c} (k = {}): abm {:.4} vs ode {:.4}",
             params.classes().degree(c),
             per_class_abm[c],
-            mf.i()[c]
+            mf_i[c]
         );
         abm_profile.push(per_class_abm[c]);
-        ode_profile.push(mf.i()[c]);
+        ode_profile.push(mf_i[c]);
     }
     assert!(
         abm_profile.len() >= 5,
@@ -169,7 +169,7 @@ fn per_class_infection_profile_matches_mean_field() {
         [bins[0] / mass[0], bins[1] / mass[1], bins[2] / mass[2]]
     };
     let abm_bins = bin_means(&|c| per_class_abm[c]);
-    let ode_bins = bin_means(&|c| mf.i()[c]);
+    let ode_bins = bin_means(&|c| mf_i[c]);
     for bins in [abm_bins, ode_bins] {
         assert!(
             bins[0] < bins[1] && bins[1] < bins[2],

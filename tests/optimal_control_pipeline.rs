@@ -94,16 +94,16 @@ fn optimized_control_suppresses_infection() {
     let (params, initial, bounds, weights) = fig4_setup();
     let tf = 60.0;
     let result = quick_sweep(&params, &initial, &bounds, &weights, tf);
-    let free = simulate(
-        &params,
-        ConstantControl::none(),
-        &initial,
+    let free = simulate_compartments(
+        &PaperSir::from_params(&params, weights.c1, weights.c2).unwrap(),
+        ConstantMultiControl::none(2),
+        &initial.to_flat(),
         tf,
-        &SimulateOptions::default(),
+        &CompartmentSimOptions::default(),
     )
     .unwrap();
     let controlled = result.cost.terminal;
-    let uncontrolled = free.last_state().total_infected();
+    let uncontrolled = *free.total_series(1).last().unwrap();
     assert!(
         controlled < 0.2 * uncontrolled,
         "controlled {controlled} vs uncontrolled {uncontrolled}"
@@ -135,16 +135,15 @@ fn sweep_improves_on_initial_guess() {
         MultiPiecewiseControl::constant(tf, 61, &[bounds.eps1_max / 2.0, bounds.eps2_max / 2.0])
             .unwrap();
     let model = PaperSir::from_params(&params, weights.c1, weights.c2).unwrap();
-    let guess_traj = rumor_repro::compartments::simulate::simulate_compartments(
+    let guess_traj = simulate_compartments(
         &model,
         &guess,
         &initial.to_flat(),
         tf,
-        &rumor_repro::compartments::simulate::CompartmentSimOptions {
+        &CompartmentSimOptions {
             n_out: 61,
             ..Default::default()
         },
-        None,
     )
     .unwrap();
     let guess_cost = evaluate_compartments(&model, &guess_traj, &guess).unwrap();

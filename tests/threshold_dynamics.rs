@@ -8,6 +8,30 @@ use rumor_repro::core::equilibrium::{
 use rumor_repro::core::stability::{local_stability_e0, theorem2_consistency};
 use rumor_repro::prelude::*;
 
+/// Simulates the paper model from `i0` initially infected in every class
+/// under constant countermeasures.
+fn simulate_paper(
+    params: &ModelParams,
+    (eps1, eps2): (f64, f64),
+    i0: f64,
+    tf: f64,
+    n_out: usize,
+) -> CompartmentTrajectory {
+    let model = PaperSir::from_params(params, 5.0, 10.0).expect("paper model");
+    let initial = NetworkState::initial_uniform(params.n_classes(), i0).expect("initial state");
+    simulate_compartments(
+        &model,
+        ConstantMultiControl::new(vec![eps1, eps2]),
+        &initial.to_flat(),
+        tf,
+        &CompartmentSimOptions {
+            n_out,
+            ..Default::default()
+        },
+    )
+    .expect("simulation")
+}
+
 /// A reduced Digg-like parameter bundle shared by the tests.
 fn digg_params(alpha: f64) -> ModelParams {
     let dataset = DiggDataset::synthesize(DiggConfig {
@@ -39,16 +63,8 @@ fn extinction_pipeline_matches_theorems() {
     assert!(consistent);
 
     let e0 = zero_equilibrium(&params, eps1, eps2).unwrap();
-    let initial = NetworkState::initial_uniform(params.n_classes(), 0.1).unwrap();
-    let traj = simulate(
-        &params,
-        ConstantControl::new(eps1, eps2),
-        &initial,
-        600.0,
-        &SimulateOptions::default(),
-    )
-    .unwrap();
-    let dist = traj.dist_series(&e0).unwrap();
+    let traj = simulate_paper(&params, (eps1, eps2), 0.1, 600.0, 201);
+    let dist = traj.dist_series(&e0.to_flat()).unwrap();
     assert!(dist[0] > 0.5);
     assert!(
         *dist.last().unwrap() < 1e-3,
@@ -76,26 +92,15 @@ fn persistence_pipeline_matches_theorems() {
     let eplus = positive_equilibrium(&params, eps1, eps2).unwrap();
     assert!(eplus.i().iter().all(|&x| x > 0.0));
 
-    let initial = NetworkState::initial_uniform(params.n_classes(), 0.1).unwrap();
-    let traj = simulate(
-        &params,
-        ConstantControl::new(eps1, eps2),
-        &initial,
-        3000.0,
-        &SimulateOptions {
-            n_out: 241,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let dist = traj.dist_series(&eplus).unwrap();
+    let traj = simulate_paper(&params, (eps1, eps2), 0.1, 3000.0, 241);
+    let dist = traj.dist_series(&eplus.to_flat()).unwrap();
     assert!(
         *dist.last().unwrap() < 5e-3,
         "Dist+ residual {}",
         dist.last().unwrap()
     );
     // Endemic: infection persists at the equilibrium level.
-    let final_i = traj.last_state().total_infected();
+    let final_i = *traj.total_series(1).last().unwrap();
     assert!((final_i - eplus.total_infected()).abs() / eplus.total_infected() < 0.02);
 }
 
@@ -130,19 +135,8 @@ fn initial_condition_independence_of_extinction() {
     let (params, _) = calibrate_acceptance(&base, 0.7220, eps1, eps2).unwrap();
     let e0 = zero_equilibrium(&params, eps1, eps2).unwrap();
     for i0 in [0.01, 0.25, 0.6, 0.95] {
-        let initial = NetworkState::initial_uniform(params.n_classes(), i0).unwrap();
-        let traj = simulate(
-            &params,
-            ConstantControl::new(eps1, eps2),
-            &initial,
-            600.0,
-            &SimulateOptions {
-                n_out: 61,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let d = traj.dist_series(&e0).unwrap();
+        let traj = simulate_paper(&params, (eps1, eps2), i0, 600.0, 61);
+        let d = traj.dist_series(&e0.to_flat()).unwrap();
         assert!(
             *d.last().unwrap() < 2e-3,
             "i0 = {i0}: residual {}",
