@@ -1,11 +1,15 @@
 //! Criterion micro-benchmarks of the computational kernels behind the
 //! experiment harness: the ODE right-hand side at Digg scale, threshold
-//! and equilibrium computation, single integrator steps, the Jacobian
-//! eigenvalue analysis, and agent-based simulation steps.
+//! and equilibrium computation, single integrator steps and whole
+//! adaptive runs, the Jacobian eigenvalue analysis, and agent-based
+//! simulation steps.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rumor_compartments::model::{CompartmentAdjoint, CompartmentOde};
+use rumor_compartments::paper::PaperSir;
+use rumor_control::multi::{MultiFbsmOptions, MultiPiecewiseControl};
 use rumor_core::control::ConstantControl;
 use rumor_core::equilibrium::{positive_equilibrium, r0, solve_theta_star, zero_equilibrium};
 use rumor_core::functions::{AcceptanceRate, Infectivity};
@@ -16,6 +20,7 @@ use rumor_core::state::NetworkState;
 use rumor_datasets::digg::{DiggConfig, DiggDataset};
 use rumor_net::generators::barabasi_albert;
 use rumor_numerics::eigen::spectral_abscissa;
+use rumor_ode::integrator::Adaptive;
 use rumor_ode::steppers::{Dopri5, Rk4, Stepper};
 use rumor_ode::system::OdeSystem;
 use rumor_sim::abm::{self, AbmConfig};
@@ -102,6 +107,53 @@ fn bench_steppers(c: &mut Criterion) {
         b.iter(|| {
             s.step_with_error(&model, 0.0, black_box(&y), 0.01, &mut out, &mut err);
             black_box(out[0])
+        })
+    });
+    group.finish();
+}
+
+fn bench_adaptive_run(c: &mut Criterion) {
+    // One forward and one backward adaptive run, as in a sweep iteration,
+    // on the small-scale Digg net (264 classes) under a 101-node
+    // piecewise-linear schedule. A whole run, unlike a single step,
+    // shows the first-same-as-last stage reuse and the rejected steps.
+    let params = digg_params(false);
+    let model = PaperSir::from_params(&params, 5.0, 10.0).expect("model");
+    let y0 = NetworkState::initial_uniform(params.n_classes(), 0.1)
+        .expect("state")
+        .to_flat();
+    let (tf, nodes) = (40.0, 101);
+    let grid: Vec<f64> = (0..nodes)
+        .map(|i| tf * i as f64 / (nodes - 1) as f64)
+        .collect();
+    let truth = grid.iter().map(|&t| 0.3 * (1.0 - t / tf)).collect();
+    let blocking = grid.iter().map(|&t| 0.1 + 0.4 * t / tf).collect();
+    let control =
+        MultiPiecewiseControl::from_values(grid, vec![truth, blocking]).expect("schedule");
+    let ode = MultiFbsmOptions::default().ode;
+    let forward = Adaptive::with_config(ode)
+        .integrate(&CompartmentOde::new(&model, &control), 0.0, &y0, tf)
+        .expect("forward");
+    let adjoint = CompartmentAdjoint::new(&model, &forward, &control);
+    let terminal = adjoint.weighted_terminal_condition(1.0);
+    let mut group = c.benchmark_group("adaptive_run");
+    group.bench_function("paper_forward", |b| {
+        let mut driver = Adaptive::with_config(ode);
+        b.iter(|| {
+            let sys = CompartmentOde::new(&model, &control);
+            driver
+                .run(&sys, 0.0, black_box(&y0), tf, None)
+                .expect("forward")
+                .accepted
+        })
+    });
+    group.bench_function("paper_backward", |b| {
+        let mut driver = Adaptive::with_config(ode);
+        b.iter(|| {
+            driver
+                .run(&adjoint, tf, black_box(&terminal), 0.0, None)
+                .expect("backward")
+                .accepted
         })
     });
     group.finish();
@@ -233,6 +285,6 @@ criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
     targets = bench_rhs, bench_theta_flat, bench_threshold_and_equilibria, bench_steppers,
-        bench_stability, bench_abm, bench_ensemble
+        bench_adaptive_run, bench_stability, bench_abm, bench_ensemble
 }
 criterion_main!(kernels);

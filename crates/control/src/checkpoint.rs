@@ -57,8 +57,9 @@ pub fn encode_multi_schedule(control: &MultiPiecewiseControl) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`ControlError::InvalidConfig`] for an unrecognized magic, a
-/// truncated buffer, trailing bytes, a zero channel count, declared
-/// sizes that overflow, or node values the schedule validation rejects.
+/// truncated buffer, trailing bytes, fewer than two grid nodes, a zero
+/// channel count, declared sizes that overflow, or node values the
+/// schedule validation rejects.
 pub fn decode_multi_schedule(bytes: &[u8]) -> Result<MultiPiecewiseControl> {
     let bad = |reason: &str| ControlError::InvalidConfig(format!("control checkpoint: {reason}"));
     let u32_at = |start: usize| {
@@ -80,6 +81,14 @@ pub fn decode_multi_schedule(bytes: &[u8]) -> Result<MultiPiecewiseControl> {
         Some(_) => return Err(bad("unrecognized format tag")),
         None => return Err(bad("truncated header")),
     };
+    // Every schedule has at least two nodes. Checked before the length,
+    // because at `n = 0` the expected length is the bare header whatever
+    // the channel count, and the decoder would then collect that many
+    // empty series; from two nodes on, each channel costs 16 bytes of
+    // input, so the length check bounds the count.
+    if n < 2 {
+        return Err(bad(&format!("{n} grid nodes, need at least two")));
+    }
     if n_channels == 0 {
         return Err(bad("zero control channels"));
     }
@@ -214,5 +223,36 @@ mod tests {
         let mut pair = b"RCP1".to_vec();
         pair.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_multi_schedule(&pair).is_err());
+    }
+
+    #[test]
+    fn fewer_than_two_nodes_are_rejected_before_any_series() {
+        // Zero nodes: the expected length is the bare 12-byte header for
+        // any channel count, so without the node check this header alone
+        // would make the decoder collect 2^32 − 1 empty series.
+        let mut empty = b"RCP2".to_vec();
+        empty.extend_from_slice(&u32::MAX.to_le_bytes());
+        empty.extend_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            decode_multi_schedule(&empty),
+            Err(ControlError::InvalidConfig(_))
+        ));
+        // One node, seven channels, every byte present.
+        let mut single = b"RCP2".to_vec();
+        single.extend_from_slice(&7u32.to_le_bytes());
+        single.extend_from_slice(&1u32.to_le_bytes());
+        for _ in 0..8 {
+            single.extend_from_slice(&0.5f64.to_le_bytes());
+        }
+        assert!(decode_multi_schedule(&single).is_err());
+        // The legacy pair form with zero and one node.
+        for n in [0u32, 1] {
+            let mut pair = b"RCP1".to_vec();
+            pair.extend_from_slice(&n.to_le_bytes());
+            for _ in 0..3 * n {
+                pair.extend_from_slice(&0.5f64.to_le_bytes());
+            }
+            assert!(decode_multi_schedule(&pair).is_err(), "n = {n}");
+        }
     }
 }

@@ -215,16 +215,6 @@ fn ode_recoverable(e: &OdeError) -> bool {
     )
 }
 
-/// Extracts the underlying [`OdeError`] of a sweep failure, whether it
-/// surfaced through the control layer or the core simulation layer.
-fn as_ode_error(e: &ControlError) -> Option<&OdeError> {
-    match e {
-        ControlError::Ode(ode) => Some(ode),
-        ControlError::Core(rumor_core::CoreError::Ode(ode)) => Some(ode),
-        _ => None,
-    }
-}
-
 /// Runs the forward–backward sweep on the paper model under the
 /// watchdog.
 ///
@@ -306,7 +296,7 @@ pub fn optimize_guarded(
                     best = Some(result);
                 }
             }
-            Err(e) if as_ode_error(&e).is_some_and(ode_recoverable) => {
+            Err(e) if matches!(&e, ControlError::Ode(ode) if ode_recoverable(ode)) => {
                 rumor_obs::event(
                     "control.watchdog_restart",
                     &[

@@ -237,6 +237,52 @@ fn full_convergence_is_frozen() {
     );
 }
 
+#[test]
+fn restored_checkpoint_is_frozen() {
+    // A budget-capped sweep whose best diagnostic cost came before its
+    // last iterate: the checkpoint is restored, and its trajectory and
+    // cost are re-solved rather than taken from the last pass.
+    let degrees: Vec<usize> = (0..24).map(|i| 1 + i % 12).collect();
+    let p = params_from(&degrees, 0.02);
+    let w = CostWeights::paper_default();
+    let model = PaperSir::from_params(&p, w.c1, w.c2).unwrap();
+    let y0 = NetworkState::initial_uniform(p.n_classes(), 0.1)
+        .unwrap()
+        .to_flat();
+    let opts = MultiFbsmOptions {
+        n_nodes: 21,
+        max_iterations: 6,
+        tolerance: 1e-4,
+        relaxation: 0.9,
+        ode: AdaptiveConfig {
+            rtol: 1e-6,
+            atol: 1e-8,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let bounds = MultiControlBounds::new(vec![0.2, 0.2]).unwrap();
+    let r = optimize_compartments_monitored(&model, &y0, 20.0, &bounds, &opts).unwrap();
+    assert_eq!(
+        fingerprint(&r),
+        Frozen {
+            iterations: 6,
+            converged: false,
+            backoffs: 0,
+            restored: true,
+            final_relaxation: 0x3feccccccccccccd,
+            change_history: 0x9bc8415b65e10854,
+            cost_history: 0x1210f8d40f02f53c,
+            eps1: 0xb0238d936f26cfb8,
+            eps2: 0xa85eaaa4f8d89130,
+            cost: 0x3fc19cbc0e83552f,
+            cost_parts: 0x9594760f43176f36,
+        }
+    );
+    let states: Vec<f64> = r.trajectory.states().iter().flatten().copied().collect();
+    assert_eq!(fnv1a(&states), 0x42b29ebc86391021);
+}
+
 /// One recorded watchdog restart: attempt, relaxation bits, whether the
 /// attempt ran guarded, and the divergence verdict.
 type Restart = (usize, u64, bool, DivergenceKind);

@@ -374,11 +374,18 @@ impl Adaptive {
         event: Option<&mut Event<'_>>,
     ) -> Result<Run> {
         let mut sp = rumor_obs::span("ode.adaptive");
-        let result = self.run_inner(sys, t0, y0, tf, event);
+        let mut rhs_evals = 0;
+        let result = self.run_inner(sys, t0, y0, tf, event, &mut rhs_evals);
         observe_run(&mut sp, &result);
+        if sp.active() {
+            sp.field("rhs_evals", rhs_evals);
+        }
+        rumor_obs::add("ode.rhs_evals", rhs_evals as u64);
         result
     }
 
+    /// The driver loop; adds every right-hand-side call it makes to
+    /// `rhs_evals`, on success and failure alike.
     fn run_inner(
         &mut self,
         sys: &(impl OdeSystem + ?Sized),
@@ -386,6 +393,7 @@ impl Adaptive {
         y0: &[f64],
         tf: f64,
         mut event: Option<&mut Event<'_>>,
+        rhs_evals: &mut usize,
     ) -> Result<Run> {
         validate_initial(&sys, y0)?;
         let cfg = self.config;
@@ -416,6 +424,12 @@ impl Adaptive {
         let mut rejected = 0usize;
         // PI controller memory.
         let mut err_prev: f64 = 1.0;
+        // The first step's first stage. Every later step takes its first
+        // stage from the step before: a rejected step leaves `(t, y)` and
+        // its first stage as they were, and an accepted one hands over its
+        // last stage, which is `f` at the new `(t, y)`.
+        self.stepper.first_stage(&sys, t, &y);
+        *rhs_evals += 1;
 
         for _ in 0..cfg.max_steps {
             // Clamp the final step onto tf exactly.
@@ -426,7 +440,8 @@ impl Adaptive {
                 h = tf - t;
             }
             self.stepper
-                .step_with_error(&sys, t, &y, h, &mut out, &mut err);
+                .step_from_first_stage(&sys, t, &y, h, &mut out, &mut err);
+            *rhs_evals += 6;
             if out.iter().any(|v| !v.is_finite()) {
                 return Err(OdeError::NonFiniteState { t: t + h });
             }
@@ -443,6 +458,7 @@ impl Adaptive {
                 // Accept.
                 t += h;
                 y.copy_from_slice(&out);
+                self.stepper.reuse_last_stage(&y);
                 solution.push(t, &y);
                 accepted += 1;
                 if let Some(ev) = event.as_deref_mut() {

@@ -54,6 +54,8 @@ pub mod steppers;
 pub mod system;
 
 mod error;
+#[cfg(test)]
+mod reference;
 
 pub use error::OdeError;
 

@@ -26,10 +26,18 @@ pub trait OdeSystem {
     /// Dimension of the state vector.
     fn dim(&self) -> usize;
 
-    /// Writes `f(t, y)` into `dydt`.
+    /// Writes `f(t, y)` into `dydt`, every component of it.
     ///
     /// Both slices have length [`OdeSystem::dim`]; the integrators
     /// guarantee this.
+    ///
+    /// The result must depend on `(t, y)` alone: the same bits in give
+    /// the same bits out, whatever was evaluated before. Drivers rely on
+    /// this to reuse a derivative at an identical `(t, y)` instead of
+    /// calling again — the adaptive driver evaluates the first stage of
+    /// a step only once per run (see [`crate::steppers::Dopri5`]).
+    /// Interior scratch and call tallies are fine; a tally then counts
+    /// only the calls actually made.
     fn rhs(&self, t: f64, y: &[f64], dydt: &mut [f64]);
 }
 
