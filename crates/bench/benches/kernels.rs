@@ -265,7 +265,7 @@ fn bench_ensemble(c: &mut Criterion) {
     for threads in counts {
         group.bench_function(BenchmarkId::from_parameter(threads), |b| {
             b.iter(|| {
-                ensemble::run_ensemble_threads(
+                ensemble::run_ensemble(
                     black_box(&g),
                     &params,
                     &cfg,

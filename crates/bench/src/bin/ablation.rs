@@ -227,7 +227,7 @@ fn abm_ablation() {
         .iter()
         .enumerate()
     {
-        let ens = run_ensemble(&g, &p, &cfg, *sim, 8, 17).expect("ensemble");
+        let ens = run_ensemble(&g, &p, &cfg, *sim, 8, 17, None).expect("ensemble");
         let mf = mean_field_reference(&p, &cfg, &ens.times).expect("mean field");
         let dev = max_deviation(&ens, &mf).expect("deviation");
         let tail = (ens.i_mean.last().expect("tail") - mf.last().expect("tail")).abs();

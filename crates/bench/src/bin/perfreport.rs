@@ -61,9 +61,10 @@
 //!    residual <= 1e-4 is pinned in the committed report). Runs on
 //!    every invocation (and so on every PR).
 //! 9. **intra_scaling** — the deterministic intra-replica thread table:
-//!    the 848-class RHS, the 848-class costate RHS and a sharded
-//!    million-agent ABM step at 1/2/4/8 inner-pool threads, each row
-//!    asserting bitwise identity against the serial kernel. On a
+//!    the 848-class RHS and the 848-class costate RHS at 1/2/4/8
+//!    inner-pool threads, each row asserting bitwise identity against
+//!    the serial kernel, plus one `t1` row timing a million-agent
+//!    `abm::run` step (the ABM has no intra-replica pool). On a
 //!    single-core host the parallel rows measure dispatch overhead,
 //!    not speedup; the table is keyed `t1`/`t2`/... so the perf gate
 //!    can watch the serial row on any host.
@@ -115,8 +116,8 @@ use rumor_ode::system::OdeSystem;
 use rumor_par::InnerPool;
 use rumor_serve::api::SimulateRequest;
 use rumor_serve::{serve, wire, ServeConfig, Server};
-use rumor_sim::abm::{self, run_sharded, AbmConfig};
-use rumor_sim::ensemble::{run_ensemble_threads, EnsembleResult, Simulator};
+use rumor_sim::abm::{self, AbmConfig};
+use rumor_sim::ensemble::{run_ensemble, EnsembleResult, Simulator};
 use std::fmt::Write as _;
 use std::io::{Read, Write as _};
 use std::net::TcpStream;
@@ -246,7 +247,7 @@ fn main() {
     };
     let run = |threads: usize| -> (f64, EnsembleResult) {
         let start = Instant::now();
-        let ens = run_ensemble_threads(
+        let ens = run_ensemble(
             &graph,
             &abm_params,
             &cfg,
@@ -828,11 +829,12 @@ fn synthetic_graph_in_process(n: usize, out_degree: usize) -> Graph {
     graph
 }
 
-/// The tentpole's scaling table: the 848-class RHS, the 848-class
-/// costate RHS and a sharded million-agent ABM step, each at inner-pool
-/// sizes 1/2/4/8 with bitwise identity against the serial kernel
-/// asserted per row. Keyed `t1`/`t2`/`t4`/`t8` so the gate can watch
-/// the serial row by dotted path on any host.
+/// The intra-replica scaling table: the 848-class RHS and the 848-class
+/// costate RHS, each at inner-pool sizes 1/2/4/8 with bitwise identity
+/// against the serial kernel asserted per row, plus a million-agent
+/// `abm::run` step as the single row `abm_1m.t1`. Keyed
+/// `t1`/`t2`/`t4`/`t8` so the gate can watch the serial row by dotted
+/// path on any host.
 fn intra_scaling_section(full_params: &ModelParams) -> String {
     let n = full_params.n_classes();
     let mut json = String::from("{\n");
@@ -936,7 +938,7 @@ fn intra_scaling_section(full_params: &ModelParams) -> String {
     }
     let _ = writeln!(json, "    }},");
 
-    // -- Sharded million-agent ABM stepping. --------------------------
+    // -- Million-agent synchronous ABM stepping (one thread). ---------
     const N_1M: usize = 1_000_000;
     let graph = synthetic_graph_in_process(N_1M, 4);
     let classes = DegreeClasses::from_graph(&graph).expect("1M classes");
@@ -957,37 +959,24 @@ fn intra_scaling_section(full_params: &ModelParams) -> String {
     };
     let n_steps = (abm_cfg.tf / abm_cfg.dt).round() as u64;
     let active = graph.degrees().into_iter().filter(|&d| d > 0).count();
-    let serial_traj =
-        run_sharded(&graph, &abm_params, &abm_cfg, 1_000_003, None).expect("serial sharded ABM");
+    let start = Instant::now();
+    abm::run(
+        &graph,
+        &abm_params,
+        &abm_cfg,
+        &mut StdRng::seed_from_u64(1_000_003),
+    )
+    .expect("1M ABM replica");
+    let wall = start.elapsed().as_secs_f64();
+    let rate = active as f64 * n_steps as f64 / wall;
+    println!(
+        "intra abm_1m: 1 thread: {active} active nodes x {n_steps} steps in {wall:.3} s = {rate:.0} node-steps/s"
+    );
     let _ = writeln!(json, "    \"abm_1m\": {{");
-    let mut t1_rate = 0.0f64;
-    for (pos, &threads) in THREAD_COUNTS.iter().enumerate() {
-        let pool = InnerPool::new(threads);
-        let start = Instant::now();
-        let traj = run_sharded(&graph, &abm_params, &abm_cfg, 1_000_003, Some(&pool))
-            .expect("pooled sharded ABM");
-        let wall = start.elapsed().as_secs_f64();
-        let identical = traj == serial_traj;
-        assert!(identical, "sharded ABM diverged at {threads} thread(s)");
-        let rate = active as f64 * n_steps as f64 / wall;
-        if threads == 1 {
-            t1_rate = rate;
-        }
-        println!(
-            "intra abm_1m: {threads} thread(s): {active} active nodes x {n_steps} steps in {wall:.3} s = {rate:.0} node-steps/s, speedup vs t1 {:.2}x, bit-identical: {identical}",
-            rate / t1_rate
-        );
-        let comma = if pos + 1 == THREAD_COUNTS.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            json,
-            "      \"t{threads}\": {{ \"active_nodes\": {active}, \"steps\": {n_steps}, \"wall_s\": {wall:.4}, \"node_steps_per_s\": {rate:.1}, \"speedup_vs_t1\": {:.3}, \"bit_identical_to_serial\": {identical} }}{comma}",
-            rate / t1_rate
-        );
-    }
+    let _ = writeln!(
+        json,
+        "      \"t1\": {{ \"active_nodes\": {active}, \"steps\": {n_steps}, \"wall_s\": {wall:.4}, \"node_steps_per_s\": {rate:.1} }}"
+    );
     let _ = writeln!(json, "    }}");
     json.push_str("  }");
     json

@@ -520,6 +520,7 @@ pub fn abm(args: &Args) -> CliResult {
         runs,
         seed,
         &policy,
+        None,
     )?;
     for failure in &isolated.failures {
         println!(

@@ -71,8 +71,8 @@ PERFORMANCE:
                      RUMOR_THREADS env var, else all available cores);
                      results are bit-identical for every thread count
     --inner-threads N
-                     intra-replica worker threads for the Theta/RHS,
-                     costate and sharded-ABM kernels of a single solve
+                     intra-solve worker threads for the Theta/RHS and
+                     costate kernels of a single ODE solve
                      (default: the RUMOR_INNER_THREADS env var, else 1:
                      single solves run serially unless asked); results
                      are bit-identical for every inner thread count

@@ -24,14 +24,6 @@ use rumor_core::state::NetworkState;
 use rumor_ode::integrator::{Adaptive, AdaptiveConfig};
 use rumor_ode::system::OdeSystem;
 
-/// A state-feedback countermeasure rule: maps the current mean infected
-/// density to a rate pair. Implemented by [`HeuristicPolicy`]
-/// (proportional) and [`SigmoidPolicy`] (smoothed threshold switching).
-pub trait FeedbackRule: Copy {
-    /// The feedback rates at mean infected density `i_mean`.
-    fn feedback_rates(&self, i_mean: f64) -> (f64, f64);
-}
-
 /// Proportional-feedback policy reacting to the mean infected density.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeuristicPolicy {
@@ -54,52 +46,15 @@ impl HeuristicPolicy {
     }
 }
 
-impl FeedbackRule for HeuristicPolicy {
-    fn feedback_rates(&self, i_mean: f64) -> (f64, f64) {
-        self.rates(i_mean)
-    }
-}
-
-/// Smoothed threshold ("soft bang-bang") policy: each channel switches
-/// from 0 toward its bound as the mean infected density crosses its
-/// midpoint, with a logistic transition of the given sharpness (the
-/// smooth transition keeps the closed-loop ODE integrable without the
-/// chattering a hard switch would induce):
-///
-/// ```text
-/// ε(Ī) = ε_max / (1 + exp(−sharpness·(Ī − mid)))
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SigmoidPolicy {
-    /// Midpoint of the truth-spreading switch.
-    pub mid1: f64,
-    /// Midpoint of the blocking switch.
-    pub mid2: f64,
-    /// Logistic sharpness (larger = closer to a hard switch).
-    pub sharpness: f64,
-    /// Saturation bounds.
-    pub bounds: ControlBounds,
-}
-
-impl FeedbackRule for SigmoidPolicy {
-    fn feedback_rates(&self, i_mean: f64) -> (f64, f64) {
-        let sig = |mid: f64| 1.0 / (1.0 + (-self.sharpness * (i_mean - mid)).exp());
-        (
-            self.bounds.eps1_max * sig(self.mid1),
-            self.bounds.eps2_max * sig(self.mid2),
-        )
-    }
-}
-
 /// The rumor dynamics under state-feedback countermeasures (the control
 /// depends on the state, so it cannot be expressed as a schedule).
 #[derive(Debug, Clone)]
-struct HeuristicModel<'p, P> {
+struct HeuristicModel<'p> {
     params: &'p ModelParams,
-    policy: P,
+    policy: HeuristicPolicy,
 }
 
-impl<P: FeedbackRule> OdeSystem for HeuristicModel<'_, P> {
+impl OdeSystem for HeuristicModel<'_> {
     fn dim(&self) -> usize {
         3 * self.params.n_classes()
     }
@@ -111,7 +66,7 @@ impl<P: FeedbackRule> OdeSystem for HeuristicModel<'_, P> {
         let phi = self.params.phi();
         let mean_k = self.params.mean_degree();
         let i_mean = y[n..2 * n].iter().sum::<f64>() / n as f64;
-        let (eps1, eps2) = self.policy.feedback_rates(i_mean);
+        let (eps1, eps2) = self.policy.rates(i_mean);
         let theta: f64 = phi
             .iter()
             .zip(&y[n..2 * n])
@@ -133,9 +88,9 @@ impl<P: FeedbackRule> OdeSystem for HeuristicModel<'_, P> {
 /// signal it induced, and its cost — in the same forms the sweep
 /// returns, so the watchdog's fallback needs no conversion.
 #[derive(Debug, Clone)]
-pub struct HeuristicRun<P = HeuristicPolicy> {
+pub struct HeuristicRun {
     /// The policy that produced the run.
-    pub policy: P,
+    pub policy: HeuristicPolicy,
     /// State trajectory on the output grid (`[S.., I.., R..]` per
     /// sample, negative round-off clamped to zero).
     pub trajectory: CompartmentTrajectory,
@@ -152,14 +107,14 @@ pub struct HeuristicRun<P = HeuristicPolicy> {
 ///
 /// * [`ControlError::InvalidConfig`] for bad horizon/grid parameters.
 /// * Propagated integration failures.
-pub fn run<P: FeedbackRule>(
+pub fn run(
     params: &ModelParams,
     initial: &NetworkState,
     tf: f64,
-    policy: P,
+    policy: HeuristicPolicy,
     weights: &CostWeights,
     n_out: usize,
-) -> Result<HeuristicRun<P>> {
+) -> Result<HeuristicRun> {
     if !(tf > 0.0) || n_out < 2 {
         return Err(ControlError::InvalidConfig(format!(
             "need tf > 0 and n_out >= 2, got tf = {tf}, n_out = {n_out}"
@@ -191,7 +146,7 @@ pub fn run<P: FeedbackRule>(
     for &t in &grid {
         let mut flat = sol.sample(t)?;
         let i_mean = flat[n..2 * n].iter().sum::<f64>() / n as f64;
-        let (r1, r2) = policy.feedback_rates(i_mean);
+        let (r1, r2) = policy.rates(i_mean);
         e1.push(r1);
         e2.push(r2);
         layout.sanitize(&mut flat)?;
@@ -402,95 +357,5 @@ mod tests {
         let bad = NetworkState::initial_uniform(2, 0.1).unwrap();
         assert!(run(&p, &bad, 1.0, policy, &w, 41).is_err());
         assert!(tune(&p, &init, 1.0, &bounds(), &w, 0.0, 21).is_err());
-    }
-}
-
-#[cfg(test)]
-mod sigmoid_tests {
-    use super::*;
-    use rumor_core::functions::{AcceptanceRate, Infectivity};
-    use rumor_net::degree::DegreeClasses;
-
-    fn params() -> ModelParams {
-        let classes = DegreeClasses::from_degrees(&[1, 1, 2, 2, 3, 6]).unwrap();
-        ModelParams::builder(classes)
-            .alpha(0.002)
-            .acceptance(AcceptanceRate::LinearInDegree { lambda0: 0.05 })
-            .infectivity(Infectivity::paper_default())
-            .build()
-            .unwrap()
-    }
-
-    fn bounds() -> ControlBounds {
-        ControlBounds::new(0.6, 0.6).unwrap()
-    }
-
-    #[test]
-    fn sigmoid_rates_interpolate_between_zero_and_bound() {
-        let p = SigmoidPolicy {
-            mid1: 0.1,
-            mid2: 0.2,
-            sharpness: 100.0,
-            bounds: bounds(),
-        };
-        // Far below the midpoints: nearly off.
-        let (a, b) = p.feedback_rates(0.0);
-        assert!(a < 1e-3 && b < 1e-6);
-        // At a midpoint: exactly half the bound.
-        let (a, _) = p.feedback_rates(0.1);
-        assert!((a - 0.3).abs() < 1e-12);
-        // Far above: saturated.
-        let (a, b) = p.feedback_rates(0.5);
-        assert!((a - 0.6).abs() < 1e-6 && (b - 0.6).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sigmoid_policy_runs_and_suppresses() {
-        let p = params();
-        let init = NetworkState::initial_uniform(p.n_classes(), 0.2).unwrap();
-        let w = CostWeights::paper_default();
-        let policy = SigmoidPolicy {
-            mid1: 0.05,
-            mid2: 0.05,
-            sharpness: 60.0,
-            bounds: bounds(),
-        };
-        let hr = run(&p, &init, 40.0, policy, &w, 41).unwrap();
-        assert_eq!(hr.trajectory.len(), 41);
-        assert!(hr.cost.total().is_finite());
-        // Strong switching suppresses the outbreak relative to no control.
-        let free = run(
-            &p,
-            &init,
-            40.0,
-            HeuristicPolicy {
-                gain1: 0.0,
-                gain2: 0.0,
-                bounds: bounds(),
-            },
-            &w,
-            41,
-        )
-        .unwrap();
-        assert!(hr.cost.terminal < free.cost.terminal);
-    }
-
-    #[test]
-    fn recorded_control_matches_policy_evaluation() {
-        let p = params();
-        let init = NetworkState::initial_uniform(p.n_classes(), 0.15).unwrap();
-        let w = CostWeights::paper_default();
-        let policy = SigmoidPolicy {
-            mid1: 0.08,
-            mid2: 0.12,
-            sharpness: 40.0,
-            bounds: bounds(),
-        };
-        let hr = run(&p, &init, 20.0, policy, &w, 21).unwrap();
-        for (k, i_total) in hr.trajectory.total_series(1).into_iter().enumerate() {
-            let (e1, e2) = policy.feedback_rates(i_total / p.n_classes() as f64);
-            assert!((hr.control.values(0)[k] - e1).abs() < 1e-9);
-            assert!((hr.control.values(1)[k] - e2).abs() < 1e-9);
-        }
     }
 }

@@ -3,9 +3,12 @@
 //! A [`Span`] measures a region with `Instant` (monotonic) timing and
 //! carries structured fields. Spans nest through a thread-local stack:
 //! a span opened while another is live records it as `parent`, and
-//! [`event`]s attach to the innermost live span. IDs come from one
-//! process-wide counter, so a request ID minted at `accept` (see
-//! [`next_trace_id`]) never collides with span IDs minted later.
+//! [`event`]s attach to the innermost live span. Span IDs and request
+//! trace IDs ([`next_trace_id`]) come from two process-wide counters,
+//! so a trace ID depends only on how many trace IDs were minted before
+//! it, never on how many spans earlier requests opened. The two ID
+//! spaces overlap: a request's records carry its trace ID in their
+//! `trace` field, and that field, not a span ID, is what joins them.
 //!
 //! Disabled-path cost: `span()` performs one relaxed atomic load per
 //! facility and returns an inert guard; `field()` on an inert guard is
@@ -70,8 +73,13 @@ impl From<String> for FieldValue {
     }
 }
 
-/// One counter feeds both span IDs and request trace IDs.
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+/// Source of span IDs.
+static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Source of request trace IDs, kept apart from span IDs so that a
+/// trace ID (and with it a response's bytes) does not depend on what
+/// the process traced before.
+static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Fused gate for [`span`]: true iff the sink or rollup collection is
 /// on. Refreshed by `sink::init` and `rollup::set_rollup` (the only
@@ -91,10 +99,12 @@ thread_local! {
     static STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Allocates a fresh process-unique ID for threading through a request
-/// (accept → response) independent of any live span.
+/// Allocates a fresh process-unique trace ID for threading through a
+/// request (accept → response) independent of any live span. Trace IDs
+/// count up from 1 in the order they are minted; span IDs have their
+/// own counter.
 pub fn next_trace_id() -> u64 {
-    NEXT_ID.fetch_add(1, Ordering::Relaxed)
+    NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// The innermost live span's ID on this thread, or 0 if none.
@@ -121,7 +131,7 @@ pub fn span(name: &'static str) -> Span {
     if !ACTIVE.load(Ordering::Relaxed) {
         return Span { meta: None };
     }
-    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let parent = current_span_id();
     STACK.with(|s| s.borrow_mut().push(id));
     Span {

@@ -9,7 +9,7 @@
 //!   which order workers finished. One spawn per call, which is cheap at
 //!   ensemble granularity.
 //! - **Intra-replica**: a persistent worker pool ([`InnerPool`]) for
-//!   splitting a *single* solve (RHS/costate kernels, sharded ABM steps)
+//!   splitting a *single* ODE solve (the RHS and costate kernels)
 //!   across cores without paying thread-spawn per ODE step. Task
 //!   boundaries are derived from the problem size alone and partial
 //!   results are folded in task order on the caller, so every

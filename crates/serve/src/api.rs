@@ -576,6 +576,12 @@ impl EnsembleRequest {
     /// Largest network an ensemble request may realize.
     pub const MAX_NODES: usize = 20_000;
 
+    /// Most ABM steps (`tf / dt`) one replica may take. The deadline is
+    /// checked only before and after compute, so this bounds how long a
+    /// request can hold a compute worker; at the largest `tf`, any
+    /// `dt >= 0.01` fits.
+    const MAX_STEPS: f64 = 100_000.0;
+
     /// Parses and validates an ensemble request body.
     pub fn from_value(v: &Value) -> Result<Self> {
         check_keys(
@@ -603,6 +609,16 @@ impl EnsembleRequest {
             return Err(field_err("i0", "must lie in (0, 1)"));
         }
         check_positive("dt", req.dt, 1.0)?;
+        if req.tf / req.dt > Self::MAX_STEPS {
+            return Err(field_err(
+                "dt",
+                format!(
+                    "tf/dt must be at most {} ABM steps, got {}",
+                    Self::MAX_STEPS,
+                    req.tf / req.dt
+                ),
+            ));
+        }
         if req.runs < 1 || req.runs > 128 {
             return Err(field_err("runs", "must lie in [1, 128]"));
         }
@@ -693,6 +709,25 @@ mod tests {
         let big = r#"{"network": {"nodes": 50000, "k_max": 100}}"#;
         assert!(SimulateRequest::from_value(&parse(big).unwrap()).is_ok());
         assert!(EnsembleRequest::from_value(&parse(big).unwrap()).is_err());
+    }
+
+    #[test]
+    fn ensemble_step_count_is_capped() {
+        // dt = 1e-300 would make the ABM loop `usize::MAX` times.
+        for bad in [
+            r#"{"dt": 1e-300}"#,
+            r#"{"tf": 1000, "dt": 0.009}"#,
+            r#"{"tf": 40, "dt": 0.0001}"#,
+        ] {
+            let err = EnsembleRequest::from_value(&parse(bad).unwrap()).unwrap_err();
+            assert!(err.0.contains("\"dt\""), "{bad}: {err}");
+        }
+        for ok in [r#"{"tf": 1000, "dt": 0.01}"#, r#"{"tf": 10, "dt": 0.0001}"#] {
+            assert!(
+                EnsembleRequest::from_value(&parse(ok).unwrap()).is_ok(),
+                "rejected {ok}"
+            );
+        }
     }
 
     #[test]

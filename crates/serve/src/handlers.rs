@@ -34,7 +34,7 @@ use rumor_models::two_rumor::TwoRumorModel;
 use rumor_net::degree::DegreeClasses;
 use rumor_sim::abm::AbmConfig;
 use rumor_sim::ensemble::{
-    max_deviation, mean_field_reference, run_ensemble_isolated_threads, IsolationPolicy, Simulator,
+    max_deviation, mean_field_reference, run_ensemble_isolated, IsolationPolicy, Simulator,
 };
 use std::fmt;
 
@@ -446,7 +446,7 @@ pub fn ensemble(req: &EnsembleRequest, threads: usize) -> Result<Value> {
         record_every: 10,
     };
     let policy = IsolationPolicy { quorum: req.quorum };
-    let isolated = run_ensemble_isolated_threads(
+    let isolated = run_ensemble_isolated(
         &graph,
         &params,
         &cfg,

@@ -10,8 +10,8 @@
 //! * [`BitSet`] — the active (non-isolated) node set at one bit per
 //!   node (125 KB at 1M nodes), iterated in ascending node order so the
 //!   RNG consumption order is **identical** to the old index-vector
-//!   walk — bit-for-bit trajectory parity at equal seeds is pinned by
-//!   `tests/abm_arena_identity.rs`.
+//!   walk — bit-for-bit trajectory parity at equal seeds is pinned
+//!   against the pre-arena oracle in `abm/reference.rs`.
 //! * [`StateArena`] — current and next state codes as two `n`-byte
 //!   arrays ([`NodeState`] is a one-byte fieldless enum; asserted
 //!   below) with a `commit` that copies next → current, exactly like
@@ -169,14 +169,6 @@ impl StateArena {
     /// equal to `current` for the following step.
     pub fn commit(&mut self) {
         self.current.copy_from_slice(&self.next);
-    }
-
-    /// Split borrow for sharded stepping: the committed states as a
-    /// shared slice plus the staging buffer as an exclusive slice, so a
-    /// worker pool can hand out disjoint `next` shards while every
-    /// shard reads the full `current` snapshot.
-    pub fn buffers(&mut self) -> (&[NodeState], &mut [NodeState]) {
-        (&self.current, &mut self.next)
     }
 }
 

@@ -14,10 +14,10 @@
 //! therefore bit-identical for every thread count, including 1.
 //!
 //! The worker count resolves through [`rumor_par::resolve_threads`]:
-//! an explicit `threads` argument (the `*_threads` variants), else the
-//! process-wide override installed by the CLI's `--threads` flag, else
-//! the `RUMOR_THREADS` environment variable, else the machine's
-//! available parallelism.
+//! the `threads` argument every ensemble function takes, else (for
+//! `None`) the process-wide override installed by the CLI's
+//! `--threads` flag, else the `RUMOR_THREADS` environment variable,
+//! else the machine's available parallelism.
 
 use crate::abm::AbmConfig;
 use crate::{Result, SimError, SimTrajectory};
@@ -72,8 +72,9 @@ fn run_replica(
 /// Runs `n_runs` independent stochastic simulations (seeds
 /// `base_seed, base_seed+1, …`) and aggregates the infected fraction.
 ///
-/// Replicas execute in parallel (see the module docs for the worker
-/// count resolution and the determinism contract); the output is
+/// Replicas execute on `threads` workers (`None` resolves the process
+/// default, `Some(1)` runs serially; see the module docs for the
+/// resolution chain and the determinism contract); the output is
 /// bit-identical to a serial run.
 ///
 /// # Errors
@@ -82,23 +83,6 @@ fn run_replica(
 ///   different grids.
 /// * Propagated per-run failures.
 pub fn run_ensemble(
-    graph: &Graph,
-    params: &ModelParams,
-    cfg: &AbmConfig,
-    simulator: Simulator,
-    n_runs: usize,
-    base_seed: u64,
-) -> Result<EnsembleResult> {
-    run_ensemble_threads(graph, params, cfg, simulator, n_runs, base_seed, None)
-}
-
-/// [`run_ensemble`] with an explicit worker count (`None` resolves the
-/// process default). `Some(1)` forces a serial run.
-///
-/// # Errors
-///
-/// Same as [`run_ensemble`].
-pub fn run_ensemble_threads(
     graph: &Graph,
     params: &ModelParams,
     cfg: &AbmConfig,
@@ -249,8 +233,9 @@ impl IsolatedEnsemble {
 /// tests use: a runner that fails on schedule exercises every isolation
 /// path reproducibly.
 ///
-/// Replicas execute in parallel; the runner must therefore be a pure
-/// `Fn` (a function of `(index, seed)` only). Exclusion records and
+/// Replicas execute on `threads` workers (`None` resolves the process
+/// default, `Some(1)` runs serially); the runner must therefore be a
+/// pure `Fn` (a function of `(index, seed)` only). Exclusion records and
 /// quorum outcomes are evaluated serially in replica order and are
 /// bit-identical for every thread count.
 ///
@@ -261,24 +246,6 @@ impl IsolatedEnsemble {
 /// * [`SimError::QuorumNotMet`] if fewer than `policy.required(n_runs)`
 ///   replicas survive.
 pub fn run_ensemble_isolated_with<F>(
-    n_runs: usize,
-    base_seed: u64,
-    policy: &IsolationPolicy,
-    runner: F,
-) -> Result<IsolatedEnsemble>
-where
-    F: Fn(usize, u64) -> Result<SimTrajectory> + Sync,
-{
-    run_ensemble_isolated_with_threads(n_runs, base_seed, policy, None, runner)
-}
-
-/// [`run_ensemble_isolated_with`] with an explicit worker count (`None`
-/// resolves the process default). `Some(1)` forces a serial run.
-///
-/// # Errors
-///
-/// Same as [`run_ensemble_isolated_with`].
-pub fn run_ensemble_isolated_with_threads<F>(
     n_runs: usize,
     base_seed: u64,
     policy: &IsolationPolicy,
@@ -390,28 +357,8 @@ where
 /// # Errors
 ///
 /// See [`run_ensemble_isolated_with`].
-pub fn run_ensemble_isolated(
-    graph: &Graph,
-    params: &ModelParams,
-    cfg: &AbmConfig,
-    simulator: Simulator,
-    n_runs: usize,
-    base_seed: u64,
-    policy: &IsolationPolicy,
-) -> Result<IsolatedEnsemble> {
-    run_ensemble_isolated_threads(
-        graph, params, cfg, simulator, n_runs, base_seed, policy, None,
-    )
-}
-
-/// [`run_ensemble_isolated`] with an explicit worker count (`None`
-/// resolves the process default). `Some(1)` forces a serial run.
-///
-/// # Errors
-///
-/// See [`run_ensemble_isolated_with`].
 #[allow(clippy::too_many_arguments)]
-pub fn run_ensemble_isolated_threads(
+pub fn run_ensemble_isolated(
     graph: &Graph,
     params: &ModelParams,
     cfg: &AbmConfig,
@@ -421,7 +368,7 @@ pub fn run_ensemble_isolated_threads(
     policy: &IsolationPolicy,
     threads: Option<usize>,
 ) -> Result<IsolatedEnsemble> {
-    run_ensemble_isolated_with_threads(n_runs, base_seed, policy, threads, |_, seed| {
+    run_ensemble_isolated_with(n_runs, base_seed, policy, threads, |_, seed| {
         run_replica(graph, params, cfg, simulator, seed)
     })
 }
@@ -531,7 +478,7 @@ mod tests {
             initial_infected: 0.05,
             record_every: 50,
         };
-        let ens = run_ensemble(&g, &p, &cfg, Simulator::Synchronous, 6, 23).unwrap();
+        let ens = run_ensemble(&g, &p, &cfg, Simulator::Synchronous, 6, 23, None).unwrap();
         let mf = mean_field_reference(&p, &cfg, &ens.times).unwrap();
         let tail = (ens.i_mean.last().unwrap() - mf.last().unwrap()).abs();
         assert!(tail < 0.04, "tail deviation {tail}");
@@ -557,7 +504,7 @@ mod tests {
             initial_infected: 0.05,
             record_every: 1,
         };
-        let ens = run_ensemble(&g, &p, &cfg, Simulator::Gillespie, 5, 31).unwrap();
+        let ens = run_ensemble(&g, &p, &cfg, Simulator::Gillespie, 5, 31, None).unwrap();
         let mf = mean_field_reference(&p, &cfg, &ens.times).unwrap();
         // Quenched-graph endemic levels sit slightly off the annealed
         // mean field; accept a modest systematic offset.
@@ -571,8 +518,8 @@ mod tests {
     #[test]
     fn ensemble_reduces_variance() {
         let (g, p) = setup(400, 0.5);
-        let small = run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 2, 0).unwrap();
-        let large = run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 10, 0).unwrap();
+        let small = run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 2, 0, None).unwrap();
+        let large = run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 10, 0, None).unwrap();
         assert_eq!(small.times, large.times);
         assert_eq!(large.runs, 10);
         // Mean estimates exist everywhere and stddev is finite.
@@ -583,7 +530,7 @@ mod tests {
     #[test]
     fn zero_runs_rejected() {
         let (g, p) = setup(100, 0.5);
-        assert!(run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 0, 0).is_err());
+        assert!(run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 0, 0, None).is_err());
     }
 
     #[test]
@@ -601,7 +548,7 @@ mod tests {
             initial_infected: 0.05,
             record_every: 20,
         };
-        let ens = run_ensemble(&g, &p, &cfg, Simulator::Synchronous, 8, 42).unwrap();
+        let ens = run_ensemble(&g, &p, &cfg, Simulator::Synchronous, 8, 42, None).unwrap();
         let mf = mean_field_reference(&p, &cfg, &ens.times).unwrap();
         // Mean field is an annealed approximation; on a quenched BA
         // graph transient deviations of ~0.1 at the peak are expected.
@@ -626,7 +573,7 @@ mod tests {
             initial_infected: 0.05,
             record_every: 1,
         };
-        let ens = run_ensemble(&g, &p, &cfg, Simulator::Gillespie, 6, 7).unwrap();
+        let ens = run_ensemble(&g, &p, &cfg, Simulator::Gillespie, 6, 7, None).unwrap();
         let mf = mean_field_reference(&p, &cfg, &ens.times).unwrap();
         let dev = max_deviation(&ens, &mf).unwrap();
         assert!(dev < 0.2, "max deviation {dev} too large");
@@ -650,7 +597,7 @@ mod tests {
         // must not sink the ensemble — stats cover the four survivors
         // and the exclusion is on record with its seed.
         let policy = IsolationPolicy::default();
-        let ens = run_ensemble_isolated_with(5, 100, &policy, |r, _| {
+        let ens = run_ensemble_isolated_with(5, 100, &policy, None, |r, _| {
             if r == 2 {
                 Err(SimError::Inconsistent(
                     "injected NaN in replica state".into(),
@@ -674,7 +621,8 @@ mod tests {
     #[test]
     fn clean_run_is_not_degraded() {
         let policy = IsolationPolicy::default();
-        let ens = run_ensemble_isolated_with(3, 0, &policy, |_, _| Ok(synth_traj(3, 0.1))).unwrap();
+        let ens =
+            run_ensemble_isolated_with(3, 0, &policy, None, |_, _| Ok(synth_traj(3, 0.1))).unwrap();
         assert!(!ens.degraded());
         assert_eq!(ens.result.runs, 3);
         assert_eq!(ens.summary(), "all 3 replicas succeeded");
@@ -683,7 +631,7 @@ mod tests {
     #[test]
     fn mismatched_grid_counts_as_failure() {
         let policy = IsolationPolicy::default();
-        let ens = run_ensemble_isolated_with(3, 0, &policy, |r, _| {
+        let ens = run_ensemble_isolated_with(3, 0, &policy, None, |r, _| {
             Ok(synth_traj(if r == 1 { 7 } else { 4 }, 0.2))
         })
         .unwrap();
@@ -697,7 +645,7 @@ mod tests {
         // 4 of 5 fail: below the default 50% quorum → hard error that
         // carries the counts.
         let policy = IsolationPolicy::default();
-        let err = run_ensemble_isolated_with(5, 0, &policy, |r, _| {
+        let err = run_ensemble_isolated_with(5, 0, &policy, None, |r, _| {
             if r == 0 {
                 Ok(synth_traj(3, 0.2))
             } else {
@@ -721,7 +669,7 @@ mod tests {
     fn all_replicas_failed_vs_quorum_met() {
         // All failed: even a minimal quorum cannot be met.
         let lax = IsolationPolicy { quorum: 0.01 };
-        let err = run_ensemble_isolated_with(4, 0, &lax, |_, _| {
+        let err = run_ensemble_isolated_with(4, 0, &lax, None, |_, _| {
             Err(SimError::Inconsistent("dead".into()))
         })
         .unwrap_err();
@@ -734,7 +682,7 @@ mod tests {
             }
         ));
         // Same failure rate, but one survivor satisfies the lax quorum.
-        let ens = run_ensemble_isolated_with(4, 0, &lax, |r, _| {
+        let ens = run_ensemble_isolated_with(4, 0, &lax, None, |r, _| {
             if r == 3 {
                 Ok(synth_traj(2, 0.5))
             } else {
@@ -755,9 +703,9 @@ mod tests {
         assert_eq!(IsolationPolicy { quorum: 1.0 }.required(7), 7);
         assert_eq!(IsolationPolicy { quorum: 0.5 }.required(5), 3);
         assert!(
-            run_ensemble_isolated_with(0, 0, &IsolationPolicy::default(), |_, _| Ok(synth_traj(
-                1, 0.0
-            )))
+            run_ensemble_isolated_with(0, 0, &IsolationPolicy::default(), None, |_, _| Ok(
+                synth_traj(1, 0.0)
+            ))
             .is_err()
         );
     }
@@ -767,7 +715,7 @@ mod tests {
         // With no faults the isolated wrapper must reproduce the strict
         // path exactly: same seeds, same statistics.
         let (g, p) = setup(300, 0.5);
-        let strict = run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 3, 11).unwrap();
+        let strict = run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 3, 11, None).unwrap();
         let isolated = run_ensemble_isolated(
             &g,
             &p,
@@ -776,6 +724,7 @@ mod tests {
             3,
             11,
             &IsolationPolicy::default(),
+            None,
         )
         .unwrap();
         assert!(!isolated.degraded());

@@ -1,9 +1,9 @@
 //! Parallel-vs-serial determinism: ensemble statistics, failure records
 //! and quorum outcomes must be **bit-identical** for every thread count.
 //!
-//! These tests pass explicit worker counts through the `*_threads`
-//! variants rather than mutating the process-wide override, so they are
-//! safe under the test harness's own parallelism.
+//! These tests pass explicit worker counts through each function's
+//! `threads` argument rather than mutating the process-wide override, so
+//! they are safe under the test harness's own parallelism.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -12,10 +12,10 @@ use rumor_core::params::ModelParams;
 use rumor_net::degree::DegreeClasses;
 use rumor_net::generators::barabasi_albert;
 use rumor_net::graph::Graph;
-use rumor_sim::abm::{run_sharded, run_sharded_reference, AbmConfig, SHARD};
+use rumor_sim::abm::AbmConfig;
 use rumor_sim::ensemble::{
-    run_ensemble_isolated_threads, run_ensemble_isolated_with_threads, run_ensemble_threads,
-    EnsembleResult, IsolationPolicy, Simulator,
+    run_ensemble, run_ensemble_isolated, run_ensemble_isolated_with, EnsembleResult,
+    IsolationPolicy, Simulator,
 };
 use rumor_sim::{SimError, SimTrajectory};
 
@@ -69,11 +69,9 @@ fn assert_bit_identical(a: &EnsembleResult, b: &EnsembleResult, label: &str) {
 #[test]
 fn abm_ensemble_bit_identical_across_thread_counts() {
     let (g, p) = setup();
-    let serial =
-        run_ensemble_threads(&g, &p, &cfg(), Simulator::Synchronous, 8, 42, Some(1)).unwrap();
+    let serial = run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 8, 42, Some(1)).unwrap();
     for t in THREAD_COUNTS {
-        let par =
-            run_ensemble_threads(&g, &p, &cfg(), Simulator::Synchronous, 8, 42, Some(t)).unwrap();
+        let par = run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 8, 42, Some(t)).unwrap();
         assert_bit_identical(&serial, &par, &format!("abm, {t} threads"));
     }
 }
@@ -87,9 +85,9 @@ fn gillespie_ensemble_bit_identical_across_thread_counts() {
         record_every: 1,
         ..cfg()
     };
-    let serial = run_ensemble_threads(&g, &p, &cfg, Simulator::Gillespie, 6, 11, Some(1)).unwrap();
+    let serial = run_ensemble(&g, &p, &cfg, Simulator::Gillespie, 6, 11, Some(1)).unwrap();
     for t in THREAD_COUNTS {
-        let par = run_ensemble_threads(&g, &p, &cfg, Simulator::Gillespie, 6, 11, Some(t)).unwrap();
+        let par = run_ensemble(&g, &p, &cfg, Simulator::Gillespie, 6, 11, Some(t)).unwrap();
         assert_bit_identical(&serial, &par, &format!("gillespie, {t} threads"));
     }
 }
@@ -98,7 +96,7 @@ fn gillespie_ensemble_bit_identical_across_thread_counts() {
 fn isolated_ensemble_bit_identical_across_thread_counts() {
     let (g, p) = setup();
     let policy = IsolationPolicy::default();
-    let serial = run_ensemble_isolated_threads(
+    let serial = run_ensemble_isolated(
         &g,
         &p,
         &cfg(),
@@ -110,7 +108,7 @@ fn isolated_ensemble_bit_identical_across_thread_counts() {
     )
     .unwrap();
     for t in THREAD_COUNTS {
-        let par = run_ensemble_isolated_threads(
+        let par = run_ensemble_isolated(
             &g,
             &p,
             &cfg(),
@@ -137,15 +135,13 @@ fn json_tracing_does_not_perturb_ensemble_output() {
     // trace sink and rollups enabled, ensemble statistics stay
     // bit-identical to the untraced baseline at every thread count.
     let (g, p) = setup();
-    let baseline =
-        run_ensemble_threads(&g, &p, &cfg(), Simulator::Synchronous, 8, 42, Some(1)).unwrap();
+    let baseline = run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 8, 42, Some(1)).unwrap();
 
     let path = std::env::temp_dir().join(format!("rumor_sim_trace_{}.jsonl", std::process::id()));
     rumor_obs::init_file(rumor_obs::LogFormat::Json, &path).expect("open trace file");
     rumor_obs::set_rollup(true);
     for t in [1usize, 4] {
-        let traced =
-            run_ensemble_threads(&g, &p, &cfg(), Simulator::Synchronous, 8, 42, Some(t)).unwrap();
+        let traced = run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 8, 42, Some(t)).unwrap();
         assert_bit_identical(&baseline, &traced, &format!("traced, {t} threads"));
     }
     rumor_obs::set_rollup(false);
@@ -171,100 +167,6 @@ fn json_tracing_does_not_perturb_ensemble_output() {
         snap.span_stat("sim.replica").map_or(0, |s| s.count) >= 16,
         "rollup missed replica spans"
     );
-}
-
-/// A graph wide enough to span several [`SHARD`]-sized node ranges, so
-/// the sharded stepper genuinely fans out instead of collapsing to its
-/// single-shard serial path.
-fn multi_shard_setup() -> (Graph, ModelParams) {
-    let mut rng = StdRng::seed_from_u64(3);
-    let n = 2 * SHARD + 1_000;
-    let g = barabasi_albert(n, 2, &mut rng).unwrap();
-    let classes = DegreeClasses::from_graph(&g).unwrap();
-    let p = ModelParams::builder(classes)
-        .alpha(0.0)
-        .acceptance(AcceptanceRate::LinearInDegree { lambda0: 0.5 })
-        .infectivity(Infectivity::paper_default())
-        .build()
-        .unwrap();
-    (g, p)
-}
-
-#[test]
-fn sharded_abm_bit_identical_across_inner_pool_sizes() {
-    // Tentpole contract, ABM leg: across multiple shards, the pooled
-    // stepper reproduces the serial reference bit for bit at every
-    // inner pool size.
-    let (g, p) = multi_shard_setup();
-    let cfg = AbmConfig {
-        tf: 1.0,
-        eps1: 0.02,
-        eps2: 0.1,
-        alpha: 0.01,
-        record_every: 2,
-        ..cfg()
-    };
-    let reference = run_sharded_reference(&g, &p, &cfg, 77).unwrap();
-    assert_eq!(
-        run_sharded(&g, &p, &cfg, 77, None).unwrap(),
-        reference,
-        "no pool"
-    );
-    for t in THREAD_COUNTS {
-        let pool = rumor_par::InnerPool::new(t);
-        let pooled = run_sharded(&g, &p, &cfg, 77, Some(&pool)).unwrap();
-        assert_eq!(pooled, reference, "{t} inner threads");
-    }
-}
-
-#[test]
-fn sharded_replicas_with_faults_bit_identical_across_outer_and_inner_threads() {
-    // Nested parallelism: replica-level (outer) workers each stepping a
-    // multi-shard ABM through their own inner pool, with injected
-    // replica faults. Statistics and exclusion records must match the
-    // fully serial run bit for bit over the whole outer x inner matrix.
-    let (g, p) = multi_shard_setup();
-    let cfg = AbmConfig {
-        tf: 1.0,
-        eps1: 0.02,
-        eps2: 0.1,
-        record_every: 5,
-        ..cfg()
-    };
-    let policy = IsolationPolicy::default();
-    let runner = |inner: usize| {
-        let (g, p, cfg) = (&g, &p, &cfg);
-        move |r: usize, seed: u64| -> Result<SimTrajectory, SimError> {
-            if r % 4 == 3 {
-                return Err(SimError::Inconsistent(format!(
-                    "injected fault in replica {r}"
-                )));
-            }
-            let pool = rumor_par::InnerPool::new(inner);
-            run_sharded(g, p, cfg, seed, Some(&pool))
-        }
-    };
-    let serial = run_ensemble_isolated_with_threads(6, 900, &policy, Some(1), runner(1)).unwrap();
-    assert!(serial.degraded());
-    assert_eq!(serial.failures.len(), 1);
-    assert_eq!(serial.result.runs, 5);
-    for outer in [1usize, 2, 4] {
-        for inner in [1usize, 2, 4] {
-            let par =
-                run_ensemble_isolated_with_threads(6, 900, &policy, Some(outer), runner(inner))
-                    .unwrap();
-            assert_bit_identical(
-                &serial.result,
-                &par.result,
-                &format!("outer {outer} x inner {inner}"),
-            );
-            assert_eq!(
-                serial.failures, par.failures,
-                "outer {outer} x inner {inner}: failures"
-            );
-            assert_eq!(serial.attempted, par.attempted);
-        }
-    }
 }
 
 /// Two-rumor compartment model on the small-tier Digg classes (264 of
@@ -397,14 +299,13 @@ fn two_rumor_ensemble_bit_identical_across_outer_and_inner_threads() {
             Ok(traj)
         }
     };
-    let serial = run_ensemble_isolated_with_threads(6, 4242, &policy, Some(1), runner(1)).unwrap();
+    let serial = run_ensemble_isolated_with(6, 4242, &policy, Some(1), runner(1)).unwrap();
     assert!(!serial.degraded());
     assert_eq!(serial.result.runs, 6);
     for outer in [1usize, 4] {
         for inner in [1usize, 4] {
             let par =
-                run_ensemble_isolated_with_threads(6, 4242, &policy, Some(outer), runner(inner))
-                    .unwrap();
+                run_ensemble_isolated_with(6, 4242, &policy, Some(outer), runner(inner)).unwrap();
             assert_bit_identical(
                 &serial.result,
                 &par.result,
@@ -442,12 +343,12 @@ fn injected_faults_produce_identical_exclusions_for_every_thread_count() {
             Ok(synth_traj(5, seed))
         }
     };
-    let serial = run_ensemble_isolated_with_threads(12, 300, &policy, Some(1), runner).unwrap();
+    let serial = run_ensemble_isolated_with(12, 300, &policy, Some(1), runner).unwrap();
     assert!(serial.degraded());
     assert_eq!(serial.failures.len(), 5);
     assert_eq!(serial.result.runs, 7);
     for t in THREAD_COUNTS {
-        let par = run_ensemble_isolated_with_threads(12, 300, &policy, Some(t), runner).unwrap();
+        let par = run_ensemble_isolated_with(12, 300, &policy, Some(t), runner).unwrap();
         assert_bit_identical(
             &serial.result,
             &par.result,
@@ -470,7 +371,7 @@ fn quorum_violation_is_identical_for_every_thread_count() {
         }
     };
     for t in THREAD_COUNTS {
-        let err = run_ensemble_isolated_with_threads(5, 0, &policy, Some(t), runner).unwrap_err();
+        let err = run_ensemble_isolated_with(5, 0, &policy, Some(t), runner).unwrap_err();
         match err {
             SimError::QuorumNotMet {
                 succeeded,
@@ -495,14 +396,14 @@ fn strict_ensemble_error_matches_serial_first_failure_semantics() {
     };
     let policy = IsolationPolicy { quorum: 0.01 };
     for t in THREAD_COUNTS {
-        let err = run_ensemble_isolated_with_threads(6, 0, &policy, Some(t), runner).unwrap_err();
+        let err = run_ensemble_isolated_with(6, 0, &policy, Some(t), runner).unwrap_err();
         assert!(
             matches!(err, SimError::QuorumNotMet { succeeded: 0, .. }),
             "{t} threads"
         );
     }
     // And the all-success strict path still agrees with itself.
-    let a = run_ensemble_threads(&g, &p, &cfg(), Simulator::Synchronous, 4, 5, Some(8)).unwrap();
-    let b = run_ensemble_threads(&g, &p, &cfg(), Simulator::Synchronous, 4, 5, Some(1)).unwrap();
+    let a = run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 4, 5, Some(8)).unwrap();
+    let b = run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 4, 5, Some(1)).unwrap();
     assert_bit_identical(&a, &b, "strict self-agreement");
 }

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("synchronous ABM", Simulator::Synchronous),
         ("gillespie SSA", Simulator::Gillespie),
     ] {
-        let ens = run_ensemble(&graph, &params, &cfg, sim, 10, 7)?;
+        let ens = run_ensemble(&graph, &params, &cfg, sim, 10, 7, None)?;
         let mf = mean_field_reference(&params, &cfg, &ens.times)?;
         let dev = max_deviation(&ens, &mf)?;
         println!("\n{name} (10 runs) vs mean-field ODE:");

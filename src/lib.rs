@@ -105,9 +105,7 @@ pub mod prelude {
     pub use rumor_ode::fault::{FaultSchedule, FaultyRhs};
     pub use rumor_ode::recovery::{Guarded, GuardedRun, RecoveryPolicy, RecoveryReport};
     pub use rumor_par::{par_map, par_map_indexed, resolve_threads, set_thread_override};
-    pub use rumor_sim::ensemble::{
-        run_ensemble_isolated, run_ensemble_isolated_threads, IsolatedEnsemble, IsolationPolicy,
-    };
+    pub use rumor_sim::ensemble::{run_ensemble_isolated, IsolatedEnsemble, IsolationPolicy};
 }
 
 /// The README's code blocks, compiled and run as doctests.

@@ -48,7 +48,7 @@ fn both_simulators_agree_with_mean_field_in_the_tail() {
         record_every: 50,
     };
     for sim in [Simulator::Synchronous, Simulator::Gillespie] {
-        let ens = run_ensemble(&g, &params, &cfg, sim, 6, 11).unwrap();
+        let ens = run_ensemble(&g, &params, &cfg, sim, 6, 11, None).unwrap();
         let mf = mean_field_reference(&params, &cfg, &ens.times).unwrap();
         let dev = max_deviation(&ens, &mf).unwrap();
         assert!(dev < 0.25, "{sim:?}: transient deviation {dev}");
@@ -74,8 +74,8 @@ fn countermeasures_shrink_outbreaks_in_the_abm() {
         eps2: 0.3,
         ..weak.clone()
     };
-    let weak_r = run_ensemble(&g, &params, &weak, Simulator::Synchronous, 4, 3).unwrap();
-    let strong_r = run_ensemble(&g, &params, &strong, Simulator::Synchronous, 4, 3).unwrap();
+    let weak_r = run_ensemble(&g, &params, &weak, Simulator::Synchronous, 4, 3, None).unwrap();
+    let strong_r = run_ensemble(&g, &params, &strong, Simulator::Synchronous, 4, 3, None).unwrap();
     assert!(
         strong_r.i_mean.last().unwrap() < weak_r.i_mean.last().unwrap(),
         "strong countermeasures must reduce final infection"
@@ -217,7 +217,7 @@ fn digg_dataset_supports_abm_end_to_end() {
         initial_infected: 0.05,
         record_every: 50,
     };
-    let ens = run_ensemble(&graph, &params, &cfg, Simulator::Gillespie, 3, 5).unwrap();
+    let ens = run_ensemble(&graph, &params, &cfg, Simulator::Gillespie, 3, 5, None).unwrap();
     assert!(ens.i_mean.iter().all(|v| (0.0..=1.0).contains(v)));
     assert_eq!(ens.runs, 3);
 }

@@ -115,7 +115,7 @@ fn isolated_ensemble_survives_a_poisoned_replica() {
     };
 
     // Wrap the real ABM runner, poisoning replica 1 deterministically.
-    let ens = run_ensemble_isolated_with(4, 17, &policy, |r, seed| {
+    let ens = run_ensemble_isolated_with(4, 17, &policy, None, |r, seed| {
         if r == 1 {
             return Err(SimError::Inconsistent("injected replica fault".into()));
         }
