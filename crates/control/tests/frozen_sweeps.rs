@@ -8,7 +8,9 @@
 //! below must keep reproducing them exactly — iteration counts,
 //! relaxation telemetry, histories, both schedule channels and the cost.
 //! A deliberate numerics change updates the constants in the same
-//! commit.
+//! commit. Two capped sweeps on the other model kinds, the competing
+//! two-rumor model and the tie-strength variant, are frozen the same
+//! way, so a change to the adaptive step is held on every kind.
 
 use rumor_compartments::paper::PaperSir;
 use rumor_control::multi::{
@@ -22,6 +24,8 @@ use rumor_control::{ControlBounds, CostWeights};
 use rumor_core::functions::{AcceptanceRate, Infectivity};
 use rumor_core::params::ModelParams;
 use rumor_core::state::NetworkState;
+use rumor_models::tie_strength::tie_strength_model;
+use rumor_models::two_rumor::TwoRumorModel;
 use rumor_net::degree::DegreeClasses;
 use rumor_ode::integrator::AdaptiveConfig;
 
@@ -281,6 +285,79 @@ fn restored_checkpoint_is_frozen() {
     );
     let states: Vec<f64> = r.trajectory.states().iter().flatten().copied().collect();
     assert_eq!(fnv1a(&states), 0x42b29ebc86391021);
+}
+
+/// The capped sweep both non-paper kinds are frozen under.
+fn capped_options() -> MultiFbsmOptions {
+    MultiFbsmOptions {
+        n_nodes: 21,
+        max_iterations: 8,
+        tolerance: 1e-6,
+        relaxation: 0.4,
+        inner_threads: Some(1),
+        ..Default::default()
+    }
+}
+
+#[test]
+fn capped_two_rumor_sweep_is_frozen() {
+    let degrees: Vec<usize> = (0..24).map(|i| 1 + i % 12).collect();
+    let p = params_from(&degrees, 0.02);
+    let model = TwoRumorModel::from_params(&p, 0.03, 0.05, 0.08, 0.5, 5.0, 10.0).unwrap();
+    let n = p.n_classes();
+    let mut y0 = vec![0.0; 4 * n];
+    for j in 0..n {
+        y0[j] = 0.88;
+        y0[n + j] = 0.1;
+        y0[2 * n + j] = 0.02;
+    }
+    let bounds = MultiControlBounds::new(vec![0.2, 0.2]).unwrap();
+    let r = optimize_compartments_monitored(&model, &y0, 20.0, &bounds, &capped_options()).unwrap();
+    assert_eq!(
+        fingerprint(&r),
+        Frozen {
+            iterations: 8,
+            converged: false,
+            backoffs: 0,
+            restored: false,
+            final_relaxation: 0x3fd999999999999a,
+            change_history: 0xe46b1663378affc1,
+            cost_history: 0xf23171d86d175d35,
+            eps1: 0xa7a22ea04364acf9,
+            eps2: 0xcc38a2fba5e9ec04,
+            cost: 0x3fb63a1824e28e00,
+            cost_parts: 0x571deda38f8cefc2,
+        }
+    );
+}
+
+#[test]
+fn capped_tie_strength_sweep_is_frozen() {
+    let degrees: Vec<usize> = (0..24).map(|i| 1 + i % 12).collect();
+    let p = params_from(&degrees, 0.02);
+    let w = CostWeights::paper_default();
+    let model = tie_strength_model(&p, 0.5, w.c1, w.c2).unwrap();
+    let y0 = NetworkState::initial_uniform(p.n_classes(), 0.1)
+        .unwrap()
+        .to_flat();
+    let bounds = MultiControlBounds::new(vec![0.6, 0.6]).unwrap();
+    let r = optimize_compartments_monitored(&model, &y0, 20.0, &bounds, &capped_options()).unwrap();
+    assert_eq!(
+        fingerprint(&r),
+        Frozen {
+            iterations: 8,
+            converged: false,
+            backoffs: 1,
+            restored: false,
+            final_relaxation: 0x3fcc395810624dd4,
+            change_history: 0xe655b45302f4e9d9,
+            cost_history: 0x8195eeab2d362079,
+            eps1: 0xf50813990041fd89,
+            eps2: 0xc1a9417cbd9b3748,
+            cost: 0x3ff849b4d101c6ea,
+            cost_parts: 0xc427bae9d1fe1a9d,
+        }
+    );
 }
 
 /// One recorded watchdog restart: attempt, relaxation bits, whether the
