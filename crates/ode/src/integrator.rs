@@ -418,7 +418,6 @@ impl Adaptive {
                 .abs();
         let n = y.len();
         let mut out = vec![0.0; n];
-        let mut err = vec![0.0; n];
         let mut t = t0;
         let mut accepted = 0usize;
         let mut rejected = 0usize;
@@ -439,25 +438,21 @@ impl Adaptive {
             if ((t + h) - tf) * dir > 0.0 {
                 h = tf - t;
             }
-            self.stepper
-                .step_from_first_stage(&sys, t, &y, h, &mut out, &mut err);
+            let norm2 =
+                self.stepper
+                    .step_from_first_stage(&sys, t, &y, h, (cfg.atol, cfg.rtol), &mut out);
             *rhs_evals += 6;
-            if out.iter().any(|v| !v.is_finite()) {
+            let Some(norm2) = norm2 else {
                 return Err(OdeError::NonFiniteState { t: t + h });
-            }
+            };
             // Weighted RMS error norm.
-            let mut norm2 = 0.0;
-            for i in 0..n {
-                let scale = cfg.atol + cfg.rtol * y[i].abs().max(out[i].abs());
-                let e = err[i] / scale;
-                norm2 += e * e;
-            }
             let err_norm = (norm2 / n as f64).sqrt().max(1e-16);
 
             if err_norm <= 1.0 {
-                // Accept.
+                // Accept: the step becomes the state, and the old state
+                // the next step's output buffer.
                 t += h;
-                y.copy_from_slice(&out);
+                std::mem::swap(&mut y, &mut out);
                 self.stepper.reuse_last_stage(&y);
                 solution.push(t, &y);
                 accepted += 1;

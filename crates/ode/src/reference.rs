@@ -1,7 +1,9 @@
 //! Test oracle: the adaptive Dormand–Prince driver as it stood before the
-//! stepper reused its first stage and formed its sums slice by slice —
-//! seven right-hand-side calls per step, every sum element by element.
-//! The tests below hold [`Adaptive`] to it bit for bit.
+//! stepper reused its first stage and formed its sums in lane blocks —
+//! seven right-hand-side calls per step, every sum element by element,
+//! the error estimate stored and then folded into the norm. The tests
+//! below hold [`Adaptive`] and [`crate::steppers::Dopri5`] to it bit for
+//! bit, at state dimensions that cover every lane-block remainder.
 
 use crate::integrator::{AdaptiveConfig, Event, Run, StopReason};
 use crate::solution::Solution;
@@ -206,8 +208,14 @@ mod tests {
     use super::*;
     use crate::fault::{FaultSchedule, FaultyRhs};
     use crate::integrator::Adaptive;
+    use crate::steppers::Dopri5;
     use crate::system::FnSystem;
     use std::cell::Cell;
+
+    /// State dimensions below, at and past the 8-component lane block,
+    /// with remainders 1, 7, 0, 1 and 1, and the 864 components of a
+    /// 288-class S/I/R state (a 10,000-node net).
+    const DIMS: [usize; 6] = [1, 7, 8, 9, 17, 864];
 
     /// Bitwise equality of two solutions: times and every state entry.
     fn same_bits(a: &Solution, b: &Solution) -> bool {
@@ -219,32 +227,91 @@ mod tests {
             })
     }
 
-    /// An event callback that records every accepted step's bits.
-    fn record(steps: &mut Vec<(u64, u64)>) -> impl FnMut(f64, &[f64]) -> bool + '_ {
+    /// Counts the right-hand-side calls made on `inner`.
+    struct Counted<'a> {
+        inner: &'a dyn OdeSystem,
+        calls: Cell<usize>,
+    }
+
+    impl<'a> Counted<'a> {
+        fn new(inner: &'a dyn OdeSystem) -> Self {
+            Counted {
+                inner,
+                calls: Cell::new(0),
+            }
+        }
+    }
+
+    impl OdeSystem for Counted<'_> {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+
+        fn rhs(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.rhs(t, y, dydt);
+        }
+    }
+
+    /// Every accepted step's time and full state, as bits.
+    type Steps = Vec<(u64, Vec<u64>)>;
+
+    fn record(steps: &mut Steps) -> impl FnMut(f64, &[f64]) -> bool + '_ {
         move |t, y| {
-            steps.push((t.to_bits(), y[0].to_bits()));
+            steps.push((t.to_bits(), y.iter().map(|v| v.to_bits()).collect()));
             false
         }
     }
 
-    /// Runs both drivers and demands the same bits, stop reason and step
-    /// counts; returns the run for further checks.
+    /// Runs both drivers, recording every accepted step, and demands the
+    /// same outcome: the same steps and solution bits, stop reason and
+    /// step counts on success, the same error after the same steps on
+    /// failure. The driver must make six right-hand-side calls per step
+    /// plus one, where the oracle makes seven per step. Returns the
+    /// driver's result and how many steps it accepted.
     fn assert_matches_reference(
         cfg: AdaptiveConfig,
         sys: &dyn OdeSystem,
         t0: f64,
         y0: &[f64],
         tf: f64,
+    ) -> (Result<Run>, usize) {
+        let (new_sys, old_sys) = (Counted::new(sys), Counted::new(sys));
+        let (mut new_steps, mut old_steps) = (Vec::new(), Vec::new());
+        let new =
+            Adaptive::with_config(cfg).run(&new_sys, t0, y0, tf, Some(&mut record(&mut new_steps)));
+        let old = run(cfg, &old_sys, t0, y0, tf, Some(&mut record(&mut old_steps)));
+        assert_eq!(new_steps, old_steps, "accepted steps differ");
+        let attempts = match (&new, &old) {
+            (Ok(new), Ok(old)) => {
+                assert!(same_bits(&new.solution, &old.solution), "solutions differ");
+                assert_eq!(new.stop, old.stop);
+                assert_eq!(new.accepted, old.accepted);
+                assert_eq!(new.rejected, old.rejected);
+                new.accepted + new.rejected
+            }
+            (Err(new), Err(old)) => {
+                assert_eq!(new.to_string(), old.to_string());
+                old_sys.calls.get() / 7
+            }
+            _ => panic!("one driver failed and the other did not: {new:?} / {old:?}"),
+        };
+        assert_eq!(old_sys.calls.get(), 7 * attempts);
+        assert_eq!(new_sys.calls.get(), 6 * attempts + 1);
+        (new, new_steps.len())
+    }
+
+    /// [`assert_matches_reference`] on a run that must succeed.
+    fn assert_run_matches(
+        cfg: AdaptiveConfig,
+        sys: &dyn OdeSystem,
+        t0: f64,
+        y0: &[f64],
+        tf: f64,
     ) -> Run {
-        let new = Adaptive::with_config(cfg)
-            .run(sys, t0, y0, tf, None)
-            .expect("adaptive run");
-        let old = run(cfg, sys, t0, y0, tf, None).expect("reference run");
-        assert!(same_bits(&new.solution, &old.solution), "solutions differ");
-        assert_eq!(new.stop, old.stop);
-        assert_eq!(new.accepted, old.accepted);
-        assert_eq!(new.rejected, old.rejected);
-        new
+        assert_matches_reference(cfg, sys, t0, y0, tf)
+            .0
+            .expect("adaptive run")
     }
 
     /// A 6-class S/I/R rumor system under a time-varying control: class
@@ -277,6 +344,51 @@ mod tests {
         y
     }
 
+    /// An `n`-dimensional spreading system under a time-varying control:
+    /// component `i` has weight `1 + i % 13`, and each feels the weighted
+    /// mean `Θ` of all of them.
+    fn spreading(n: usize) -> FnSystem<impl Fn(f64, &[f64], &mut [f64])> {
+        let weights: Vec<f64> = (0..n).map(|i| (1 + i % 13) as f64).collect();
+        let total: f64 = weights.iter().sum();
+        FnSystem::new(n, move |t: f64, y: &[f64], d: &mut [f64]| {
+            let theta = weights.iter().zip(y).map(|(k, y)| k * y).sum::<f64>() / total;
+            let eps = 0.1 + 0.05 * (0.3 * t).sin();
+            for ((d, &y), &k) in d.iter_mut().zip(y).zip(&weights) {
+                *d = 0.3 * k * (1.0 - y) * theta - eps * y;
+            }
+        })
+    }
+
+    fn spreading_y0(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| 0.05 + 0.9 * (0.618 * i as f64).fract())
+            .collect()
+    }
+
+    /// `n` components in groups of five: one that stays `±0`, one whose
+    /// derivative is `−0`, one that is `−0` by sign, one that decays, and
+    /// one that reads the sign of the second's zero. A group cut short by
+    /// `n` reads `0.5` in place of its missing members.
+    fn signed_zeros(n: usize) -> FnSystem<impl Fn(f64, &[f64], &mut [f64])> {
+        FnSystem::new(n, move |t: f64, y: &[f64], d: &mut [f64]| {
+            for i in 0..n {
+                let base = i - i % 5;
+                let at = |m: usize| y.get(base + m).copied().unwrap_or(0.5);
+                d[i] = match i % 5 {
+                    0 => 0.0 * y[i],
+                    1 => -0.0 * y[i].abs(),
+                    2 => -y[i] * at(3),
+                    3 => (-y[i]).min(0.0) * t,
+                    _ => at(2) - y[i] + 0.25 * at(1).signum(),
+                };
+            }
+        })
+    }
+
+    fn signed_zeros_y0(n: usize) -> Vec<f64> {
+        (0..n).map(|i| [0.0, -0.0, 0.0, 1.0, -0.0][i % 5]).collect()
+    }
+
     fn fbsm_tolerances() -> AdaptiveConfig {
         AdaptiveConfig {
             rtol: 1e-7,
@@ -289,19 +401,23 @@ mod tests {
     fn forward_and_backward_runs_match_the_reference() {
         let sys = rumor_system();
         let y0 = rumor_y0();
-        let fwd = assert_matches_reference(fbsm_tolerances(), &sys, 0.0, &y0, 40.0);
+        let fwd = assert_run_matches(fbsm_tolerances(), &sys, 0.0, &y0, 40.0);
         assert!(fwd.accepted > 20, "{} steps", fwd.accepted);
         // Backward from the forward end state, as the co-state pass runs.
-        let bwd = assert_matches_reference(
-            fbsm_tolerances(),
-            &sys,
-            40.0,
-            fwd.solution.last_state(),
-            0.0,
-        );
+        let end = fwd.solution.last_state();
+        let bwd = assert_run_matches(fbsm_tolerances(), &sys, 40.0, end, 0.0);
         assert!(bwd.accepted > 20, "{} steps", bwd.accepted);
         // Default tolerances and a one-ulp-off horizon as well.
-        assert_matches_reference(AdaptiveConfig::default(), &sys, 0.0, &y0, 0.029);
+        assert_run_matches(AdaptiveConfig::default(), &sys, 0.0, &y0, 0.029);
+        // Every lane-block remainder, there and back.
+        for n in DIMS {
+            let sys = spreading(n);
+            let fwd = assert_run_matches(fbsm_tolerances(), &sys, 0.0, &spreading_y0(n), 20.0);
+            assert!(fwd.accepted > 10, "n = {n}: {} steps", fwd.accepted);
+            let end = fwd.solution.last_state();
+            let bwd = assert_run_matches(fbsm_tolerances(), &sys, 20.0, end, 0.0);
+            assert!(bwd.accepted > 10, "n = {n}: {} steps", bwd.accepted);
+        }
     }
 
     #[test]
@@ -318,8 +434,22 @@ mod tests {
             atol: 1e-11,
             ..AdaptiveConfig::default()
         };
-        let run = assert_matches_reference(cfg, &sys, 0.0, &[1.0, 0.0], 10.0);
+        let run = assert_run_matches(cfg, &sys, 0.0, &[1.0, 0.0], 10.0);
         assert!(run.rejected >= 100, "only {} rejections", run.rejected);
+        // The same wave on every lane-block remainder, coupled through
+        // the spreading term.
+        for n in DIMS {
+            let inner = spreading(n);
+            let sys = FnSystem::new(n, |t: f64, y: &[f64], d: &mut [f64]| {
+                inner.rhs(t, y, d);
+                let wave = (5.0 * t).sin().signum();
+                for (i, d) in d.iter_mut().enumerate() {
+                    *d += 0.1 * (1 + i % 3) as f64 * wave;
+                }
+            });
+            let run = assert_run_matches(cfg, &sys, 0.0, &spreading_y0(n), 3.0);
+            assert!(run.rejected >= 20, "n = {n}: {} rejections", run.rejected);
+        }
     }
 
     #[test]
@@ -331,30 +461,19 @@ mod tests {
             ..AdaptiveConfig::default()
         };
         let decay = FnSystem::new(1, |_t, y: &[f64], d: &mut [f64]| d[0] = -y[0]);
-        let faulty = FaultyRhs::new(&decay, FaultSchedule::new().nan_at(1.0, 0.02));
-        let (mut new_steps, mut old_steps) = (Vec::new(), Vec::new());
-        let new = Adaptive::with_config(cfg).run(
-            &faulty,
-            0.0,
-            &[1.0],
-            2.0,
-            Some(&mut record(&mut new_steps)),
-        );
-        let old = run(
-            cfg,
-            &faulty,
-            0.0,
-            &[1.0],
-            2.0,
-            Some(&mut record(&mut old_steps)),
-        );
-        let (Err(new), Err(old)) = (new, old) else {
-            panic!("both runs must fail in the NaN window");
-        };
-        assert_eq!(new.to_string(), old.to_string());
-        assert!(matches!(new, OdeError::NonFiniteState { .. }));
-        assert!(new_steps.len() > 50, "{} steps", new_steps.len());
-        assert_eq!(new_steps, old_steps);
+        let spread: Vec<_> = DIMS
+            .iter()
+            .map(|&n| (spreading(n), spreading_y0(n)))
+            .collect();
+        let mut cases: Vec<(&dyn OdeSystem, &[f64])> = vec![(&decay, &[1.0])];
+        cases.extend(spread.iter().map(|(s, y0)| (s as &dyn OdeSystem, &y0[..])));
+        for (sys, y0) in cases {
+            let faulty = FaultyRhs::new(sys, FaultSchedule::new().nan_at(1.0, 0.02));
+            let (result, steps) = assert_matches_reference(cfg, &faulty, 0.0, y0, 2.0);
+            let err = result.expect_err("the NaN window must stop the run");
+            assert!(matches!(err, OdeError::NonFiniteState { .. }), "{err}");
+            assert!(steps > 50, "{steps} steps");
+        }
     }
 
     #[test]
@@ -362,17 +481,18 @@ mod tests {
         // Components that start and stay at +0 or −0, derivatives that
         // are −0 or +0 by sign, and one that reads the sign of a zero:
         // every sum meets signed zeros, and the bits must still agree.
-        let sys = FnSystem::new(5, |t: f64, y: &[f64], d: &mut [f64]| {
-            d[0] = 0.0 * y[0];
-            d[1] = -0.0 * y[1].abs();
-            d[2] = -y[2] * y[3];
-            d[3] = (-y[3]).min(0.0) * t;
-            d[4] = y[2] - y[4] + 0.25 * y[1].signum();
-        });
-        let y0 = [0.0, -0.0, 0.0, 1.0, -0.0];
-        let fwd = assert_matches_reference(AdaptiveConfig::default(), &sys, 0.0, &y0, 3.0);
-        assert_eq!(fwd.solution.last_state()[0].to_bits(), 0.0f64.to_bits());
-        assert_matches_reference(AdaptiveConfig::default(), &sys, 3.0, &y0, 0.0);
+        for n in [5].into_iter().chain(DIMS) {
+            let sys = signed_zeros(n);
+            let y0 = signed_zeros_y0(n);
+            let fwd = assert_run_matches(AdaptiveConfig::default(), &sys, 0.0, &y0, 3.0);
+            let last = fwd.solution.last_state();
+            assert_eq!(last[0].to_bits(), 0.0f64.to_bits());
+            if n > 1 {
+                // The −0 component comes out +0: every sum starts at +0.
+                assert_eq!(last[1].to_bits(), 0.0f64.to_bits(), "n = {n}");
+            }
+            assert_run_matches(AdaptiveConfig::default(), &sys, 3.0, &y0, 0.0);
+        }
     }
 
     #[test]
@@ -387,5 +507,46 @@ mod tests {
             .expect("smooth run");
         assert!(run.rejected > 0, "the count must cover a rejection too");
         assert_eq!(calls.get(), 6 * (run.accepted + run.rejected) + 1);
+    }
+
+    #[test]
+    fn step_with_error_matches_the_reference_step_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut stepper = Dopri5::new();
+        for n in DIMS {
+            let spread = spreading(n);
+            let zeros = signed_zeros(n);
+            let nan_stage = FnSystem::new(n, |t: f64, y: &[f64], d: &mut [f64]| {
+                spread.rhs(t, y, d);
+                if t > 0.5 {
+                    d[n / 2] = f64::NAN;
+                }
+            });
+            // Derivatives `−0` except `+0` at the fifth stage of the
+            // `h = 0.7` step, whose weight is negative in both solutions:
+            // every term of both sums is then `−0`, and only a sum started
+            // at `+0` comes out `+0`.
+            let stage_signs = FnSystem::new(n, |t: f64, _: &[f64], d: &mut [f64]| {
+                d.fill(if (0.8..0.85).contains(&t) { 0.0 } else { -0.0 });
+            });
+            let cases: [(&dyn OdeSystem, Vec<f64>); 4] = [
+                (&spread, spreading_y0(n)),
+                (&zeros, signed_zeros_y0(n)),
+                (&nan_stage, spreading_y0(n)),
+                (&stage_signs, vec![-0.0; n]),
+            ];
+            for (sys, y) in &cases {
+                for h in [0.3, -0.3, 1e-3, 0.7] {
+                    let (mut out, mut err) = (vec![0.0; n], vec![0.0; n]);
+                    stepper.step_with_error(*sys, 0.2, y, h, &mut out, &mut err);
+                    let mut k: [Vec<f64>; 7] = std::array::from_fn(|_| vec![0.0; n]);
+                    let mut tmp = vec![0.0; n];
+                    let (mut want, mut want_err) = (vec![0.0; n], vec![0.0; n]);
+                    step_with_error(&mut k, &mut tmp, *sys, 0.2, y, h, &mut want, &mut want_err);
+                    assert_eq!(bits(&out), bits(&want), "n = {n}, h = {h}");
+                    assert_eq!(bits(&err), bits(&want_err), "n = {n}, h = {h}");
+                }
+            }
+        }
     }
 }

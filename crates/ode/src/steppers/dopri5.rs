@@ -28,6 +28,23 @@
 //! function of `(t, y)` alone, so the reused `k1` is the one a fresh call
 //! would return. (A step whose state is not finite ends the run with an
 //! error, so it never hands a stage on.)
+//!
+//! # One pass per stage, one for the solution
+//!
+//! Each stage input is formed in one pass over blocks of eight
+//! components: the coefficients run in the middle loop and the eight
+//! lanes innermost, so a component's sum still starts at `+0.0` and adds
+//! its nonzero terms in stage order. One more pass forms the 5th- and
+//! 4th-order sums with every weight, writes the step, checks that it is
+//! finite and folds each component's
+//! `(err_i / (atol + rtol·max(|y_i|, |out_i|)))²` into the squared error
+//! norm in index order, one component after the other. The error
+//! estimate is never stored, and the driver no longer walks the step
+//! again; an accepted step swaps its buffer with the state instead of
+//! copying it. [`Dopri5::step_with_error`] runs the same stage code and
+//! writes the estimate out. The `#[cfg(test)]` oracle in
+//! `crate::reference` holds both to the element-by-element sums bit for
+//! bit, at state dimensions that leave every lane remainder.
 
 use super::{ensure_len, Stepper};
 use crate::system::OdeSystem;
@@ -85,6 +102,14 @@ const B4: [f64; 7] = [
     1.0 / 40.0,
 ];
 
+/// Components per lane block of the stage and solution passes.
+///
+/// The lane loops are `while` loops over indices: an unoptimized (test)
+/// build then makes no call per component, where a range or zip iterator
+/// makes several, and an optimized build unrolls and vectorizes them
+/// just the same.
+const LANES: usize = 8;
+
 /// Dormand–Prince 5(4) stepper with an embedded error estimate.
 ///
 /// [`Dopri5::step_with_error`] evaluates all seven stages. Driven by
@@ -124,7 +149,17 @@ impl Dopri5 {
         err: &mut [f64],
     ) {
         self.first_stage(sys, t, y);
-        self.step_from_first_stage(sys, t, y, h, out, err);
+        self.later_stages(sys, t, y, h);
+        let n = sys.dim();
+        let k = self.stages(n);
+        let (y, out, err) = (&y[..n], &mut out[..n], &mut err[..n]);
+        let full = n - n % LANES;
+        for i in (0..full).step_by(LANES) {
+            solution_block::<LANES>(&k, y, h, i, out, err);
+        }
+        for i in full..n {
+            solution_block::<1>(&k, y, h, i, out, err);
+        }
     }
 
     /// Sizes the stage and stage-input buffers for an `n`-dimensional
@@ -136,6 +171,11 @@ impl Dopri5 {
         ensure_len(&mut self.tmp, n);
     }
 
+    /// The seven stages of an `n`-dimensional system.
+    fn stages(&self, n: usize) -> [&[f64]; 7] {
+        std::array::from_fn(|s| &self.k[s][..n])
+    }
+
     /// Evaluates the first stage `k1 = f(t, y)`: one right-hand-side
     /// call.
     pub(crate) fn first_stage(&mut self, sys: &dyn OdeSystem, t: f64, y: &[f64]) {
@@ -144,60 +184,68 @@ impl Dopri5 {
         sys.rhs(t, y, &mut self.k[0][..n]);
     }
 
-    /// Completes a [`Dopri5::step_with_error`] from the first stage in
-    /// hand, with six right-hand-side calls. The caller vouches that
-    /// `k1` is `f(t, y)` for this very `(t, y)`: from
-    /// [`Dopri5::first_stage`], from a rejected step at the same `(t, y)`,
-    /// or from [`Dopri5::reuse_last_stage`].
+    /// Completes a step from the first stage in hand, with six
+    /// right-hand-side calls: writes the 5th-order solution into `out`
+    /// and returns the squared error norm
+    /// `Σ_i (err_i / (atol + rtol·max(|y_i|, |out_i|)))²`, added in index
+    /// order, or `None` when `out` is not finite. The error estimate
+    /// `err_i` is the one [`Dopri5::step_with_error`] writes; it is never
+    /// stored. The caller vouches that `k1` is `f(t, y)` for this very
+    /// `(t, y)`: from [`Dopri5::first_stage`], from a rejected step at
+    /// the same `(t, y)`, or from [`Dopri5::reuse_last_stage`].
     pub(crate) fn step_from_first_stage(
         &mut self,
         sys: &dyn OdeSystem,
         t: f64,
         y: &[f64],
         h: f64,
+        tol: (f64, f64),
         out: &mut [f64],
-        err: &mut [f64],
-    ) {
+    ) -> Option<f64> {
+        self.later_stages(sys, t, y, h);
+        let n = sys.dim();
+        let k = self.stages(n);
+        let (y, out) = (&y[..n], &mut out[..n]);
+        let (mut norm2, mut finite) = (0.0, true);
+        let full = n - n % LANES;
+        for i in (0..full).step_by(LANES) {
+            norm_block::<LANES>(&k, y, h, tol, i, out, &mut norm2, &mut finite);
+        }
+        for i in full..n {
+            norm_block::<1>(&k, y, h, tol, i, out, &mut norm2, &mut finite);
+        }
+        finite.then_some(norm2)
+    }
+
+    /// Evaluates stages two to seven. Each stage input
+    /// `y + h·Σ_j a_sj·k_j` is formed in one pass over lane blocks, with
+    /// the stage's nonzero coefficients in the middle loop and the lanes
+    /// innermost: per component the same terms, in the same order, from
+    /// the same `+0.0` as a scalar loop over `j` that skips zero
+    /// coefficients.
+    fn later_stages(&mut self, sys: &dyn OdeSystem, t: f64, y: &[f64], h: f64) {
         let n = sys.dim();
         self.ensure_scratch(n);
         let y = &y[..n];
-        // Stage inputs `y + h·Σ_j a_sj·k_j`, one slice pass per nonzero
-        // coefficient with the sum accumulated in `tmp`: per component the
-        // same terms, in the same order, from the same `+0.0` as a scalar
-        // loop over `j`.
         for s in 1..7 {
             let (done, rest) = self.k.split_at_mut(s);
-            let acc = &mut self.tmp[..n];
-            acc.fill(0.0);
-            for (&a, kj) in A[s].iter().zip(done.iter()) {
+            let mut terms = [(0.0, &[][..]); 6];
+            let mut count = 0;
+            for (&a, k) in A[s].iter().zip(done.iter()) {
                 if a != 0.0 {
-                    for (acc_i, &k_i) in acc.iter_mut().zip(&kj[..n]) {
-                        *acc_i += a * k_i;
-                    }
+                    terms[count] = (a, &k[..n]);
+                    count += 1;
                 }
             }
-            for (acc_i, &y_i) in acc.iter_mut().zip(y) {
-                *acc_i = y_i + h * *acc_i;
+            let (terms, tmp) = (&terms[..count], &mut self.tmp[..n]);
+            let full = n - n % LANES;
+            for i in (0..full).step_by(LANES) {
+                stage_input_block::<LANES>(terms, y, h, i, tmp);
             }
-            sys.rhs(t + C[s] * h, acc, &mut rest[0][..n]);
-        }
-        // Both solutions keep every weight, zeros included: `0·k` is NaN
-        // for a non-finite stage, and that must reach `out`. `out` and
-        // `err` accumulate the 5th- and 4th-order sums before becoming
-        // the step and its error estimate.
-        let (out, err) = (&mut out[..n], &mut err[..n]);
-        out.fill(0.0);
-        err.fill(0.0);
-        for ((&b5, &b4), ks) in B5.iter().zip(&B4).zip(&self.k) {
-            for ((y5, y4), &k_i) in out.iter_mut().zip(err.iter_mut()).zip(&ks[..n]) {
-                *y5 += b5 * k_i;
-                *y4 += b4 * k_i;
+            for i in full..n {
+                stage_input_block::<1>(terms, y, h, i, tmp);
             }
-        }
-        for ((o, e), &y_i) in out.iter_mut().zip(err.iter_mut()).zip(y) {
-            let (y5, y4) = (*o, *e);
-            *o = y_i + h * y5;
-            *e = h * (y5 - y4);
+            sys.rhs(t + C[s] * h, tmp, &mut rest[0][..n]);
         }
     }
 
@@ -213,6 +261,108 @@ impl Dopri5 {
             "the seventh stage input must be the accepted state, bit for bit"
         );
         self.k.swap(0, 6);
+    }
+}
+
+/// Stage input `y + h·Σ a·k` over the `(a, k)` terms, on components
+/// `i..i + M`: per component from `+0.0`, in term order.
+#[inline(always)]
+fn stage_input_block<const M: usize>(
+    terms: &[(f64, &[f64])],
+    y: &[f64],
+    h: f64,
+    i: usize,
+    tmp: &mut [f64],
+) {
+    let mut acc = [0.0; M];
+    for &(a, k) in terms {
+        let k = &k[i..i + M];
+        let mut l = 0;
+        while l < M {
+            acc[l] += a * k[l];
+            l += 1;
+        }
+    }
+    let (y, tmp) = (&y[i..i + M], &mut tmp[i..i + M]);
+    let mut l = 0;
+    while l < M {
+        tmp[l] = y[l] + h * acc[l];
+        l += 1;
+    }
+}
+
+/// The 5th- and 4th-order weighted stage sums of components
+/// `i..i + M`, each from `+0.0` in stage order. Both keep every weight,
+/// zeros included: `0·k` is NaN for a non-finite stage, and that must
+/// reach the solution.
+#[inline(always)]
+fn solution_sums<const M: usize>(k: &[&[f64]; 7], i: usize) -> ([f64; M], [f64; M]) {
+    let (mut y5, mut y4) = ([0.0; M], [0.0; M]);
+    for s in 0..7 {
+        let (b5, b4, k) = (B5[s], B4[s], &k[s][i..i + M]);
+        let mut l = 0;
+        while l < M {
+            y5[l] += b5 * k[l];
+            y4[l] += b4 * k[l];
+            l += 1;
+        }
+    }
+    (y5, y4)
+}
+
+/// [`Dopri5::step_with_error`]'s solution and error estimate on
+/// components `i..i + M`.
+#[inline(always)]
+fn solution_block<const M: usize>(
+    k: &[&[f64]; 7],
+    y: &[f64],
+    h: f64,
+    i: usize,
+    out: &mut [f64],
+    err: &mut [f64],
+) {
+    let (y5, y4) = solution_sums::<M>(k, i);
+    let (y, out, err) = (&y[i..i + M], &mut out[i..i + M], &mut err[i..i + M]);
+    let mut l = 0;
+    while l < M {
+        out[l] = y[l] + h * y5[l];
+        err[l] = h * (y5[l] - y4[l]);
+        l += 1;
+    }
+}
+
+/// [`Dopri5::step_from_first_stage`]'s solution on components
+/// `i..i + M`; folds their finiteness into `finite` and their scaled
+/// squared errors into `norm2`, one component after the other.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn norm_block<const M: usize>(
+    k: &[&[f64]; 7],
+    y: &[f64],
+    h: f64,
+    (atol, rtol): (f64, f64),
+    i: usize,
+    out: &mut [f64],
+    norm2: &mut f64,
+    finite: &mut bool,
+) {
+    let (y5, y4) = solution_sums::<M>(k, i);
+    let (y, out) = (&y[i..i + M], &mut out[i..i + M]);
+    let (mut e2, mut all_finite) = ([0.0; M], true);
+    let mut l = 0;
+    while l < M {
+        let o = y[l] + h * y5[l];
+        out[l] = o;
+        all_finite &= o.is_finite();
+        let e = h * (y5[l] - y4[l]) / (atol + rtol * y[l].abs().max(o.abs()));
+        e2[l] = e * e;
+        l += 1;
+    }
+    *finite &= all_finite;
+    let mut l = 0;
+    while l < M {
+        *norm2 += e2[l];
+        l += 1;
     }
 }
 
