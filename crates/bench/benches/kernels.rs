@@ -1,9 +1,8 @@
 //! Criterion micro-benchmarks of the computational kernels behind the
 //! experiment harness: the ODE right-hand side at Digg scale, threshold
-//! and equilibrium computation, single integrator steps and whole
-//! adaptive runs up to the paper-scale state, the Jacobian eigenvalue
-//! analysis and the paper-scale Theorem-2 check, and agent-based
-//! simulation steps.
+//! and equilibrium computation, a single RK4 step and whole adaptive
+//! runs up to the paper-scale state, the paper-scale Theorem-2 check,
+//! and agent-based simulation steps.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -16,14 +15,13 @@ use rumor_core::equilibrium::{positive_equilibrium, r0, solve_theta_star, zero_e
 use rumor_core::functions::{AcceptanceRate, Infectivity};
 use rumor_core::model::RumorModel;
 use rumor_core::params::ModelParams;
-use rumor_core::stability::{jacobian_reduced, local_stability_e0};
+use rumor_core::stability::local_stability_e0;
 use rumor_core::state::NetworkState;
 use rumor_datasets::digg::{DiggConfig, DiggDataset};
 use rumor_net::degree::DegreeClasses;
 use rumor_net::generators::barabasi_albert;
-use rumor_numerics::eigen::spectral_abscissa;
 use rumor_ode::integrator::Adaptive;
-use rumor_ode::steppers::{Dopri5, Rk4, Stepper};
+use rumor_ode::steppers::{Rk4, Stepper};
 use rumor_ode::system::OdeSystem;
 use rumor_sim::abm::{self, AbmConfig};
 use rumor_sim::ensemble;
@@ -92,7 +90,7 @@ fn bench_threshold_and_equilibria(c: &mut Criterion) {
     });
 }
 
-/// The states a step is timed on: the 264-class test scale (792
+/// The states an adaptive run is timed on: the 264-class test scale (792
 /// components), the 10,000-node net behind the analyst's paper-kind
 /// optimize (288 classes, 864) and the paper-scale net (848 classes,
 /// 2,544).
@@ -127,34 +125,14 @@ fn bench_steppers(c: &mut Criterion) {
             black_box(out[0])
         })
     });
-    // `step_with_error` evaluates all seven stages and writes the error
-    // estimate out. The adaptive driver instead takes its first stage
-    // from the step before and folds the error norm into the step;
-    // `adaptive_run` times that path on the same states.
-    for params in step_nets() {
-        let model = RumorModel::new(&params, ConstantControl::new(0.2, 0.05));
-        let y = NetworkState::initial_uniform(params.n_classes(), 0.1)
-            .expect("state")
-            .to_flat();
-        let (mut out, mut err) = (vec![0.0; y.len()], vec![0.0; y.len()]);
-        let id = BenchmarkId::new("dopri5_with_error", y.len());
-        group.bench_function(id, |b| {
-            let mut s = Dopri5::new();
-            b.iter(|| {
-                s.step_with_error(&model, 0.0, black_box(&y), 0.01, &mut out, &mut err);
-                black_box(out[0])
-            })
-        });
-    }
     group.finish();
 }
 
 fn bench_adaptive_run(c: &mut Criterion) {
     // One forward and one backward adaptive run, as in a sweep iteration,
     // under a 101-node piecewise-linear schedule, on each `step_nets`
-    // state. A whole run, unlike a single step, takes the driver's path:
-    // the first-same-as-last stage reuse, the error norm folded into the
-    // step, and the rejected steps.
+    // state: the first-same-as-last stage reuse, the error norm folded
+    // into the step, and the rejected steps.
     let (tf, nodes) = (40.0, 101);
     let grid: Vec<f64> = (0..nodes)
         .map(|i| tf * i as f64 / (nodes - 1) as f64)
@@ -199,28 +177,6 @@ fn bench_adaptive_run(c: &mut Criterion) {
 }
 
 fn bench_stability(c: &mut Criterion) {
-    // Moderate class count: the eigenvalue solve is O(n^3)-ish.
-    let ds = DiggDataset::synthesize(DiggConfig {
-        nodes: 2_000,
-        k_max: 120,
-        target_mean_degree: 15.0,
-        ..DiggConfig::small()
-    })
-    .expect("dataset");
-    let params = ModelParams::builder(ds.classes().clone())
-        .alpha(0.01)
-        .acceptance(AcceptanceRate::LinearInDegree { lambda0: 0.01 })
-        .infectivity(Infectivity::paper_default())
-        .build()
-        .expect("params");
-    let e0 = zero_equilibrium(&params, 0.2, 0.05).expect("E0");
-    c.bench_function("jacobian_assembly", |b| {
-        b.iter(|| jacobian_reduced(black_box(&params), &e0, 0.2, 0.05).expect("jacobian"))
-    });
-    let jac = jacobian_reduced(&params, &e0, 0.2, 0.05).expect("jacobian");
-    c.bench_function("jacobian_eigenvalues", |b| {
-        b.iter(|| spectral_abscissa(black_box(jac.clone())).expect("abscissa"))
-    });
     // The whole Theorem-2 check at the paper's 848 classes: E0, the
     // I–I block and its dense QR.
     let full = digg_params(true);

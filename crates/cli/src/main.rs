@@ -37,7 +37,10 @@ COMMANDS:
     help       print this message
 
 NETWORK SOURCE (all commands):
-    --edges FILE     read an undirected edge list (whitespace/comma separated)
+    --edges FILE     read an undirected edge list: per line, two unsigned
+                     decimal node ids separated by ASCII whitespace or
+                     commas; a line whose first non-separator is #
+                     is a comment (--edges /dev/stdin reads a pipe)
     --nodes N        synthesize a Digg-like power-law network with N nodes
                      (default 5000; ignored when --edges is given)
     --kmax K         maximum degree of the synthetic network (default 300)

@@ -2,8 +2,9 @@
 //! `--strict` promotion of degraded results, the fault-injection
 //! selftest, and golden `simulate` output.
 
-use std::path::Path;
-use std::process::{Command, Output};
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
 
 fn rumor(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rumor"))
@@ -67,6 +68,86 @@ fn simulate_output_matches_the_golden_bytes() {
     ]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     assert_golden(&out.stdout, "simulate_tie_strength.stdout");
+}
+
+/// Writes `bytes` to a temp file unique to this test process and `tag`.
+fn temp_file(tag: &str, bytes: &[u8]) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("rumor_cli_{tag}_{}.txt", std::process::id()));
+    std::fs::write(&path, bytes).expect("write temp file");
+    path
+}
+
+/// `rumor analyze --edges <path>` stdout with the path masked as
+/// `<edges>`.
+fn analyze_edges(path: &str) -> String {
+    let out = rumor(&["analyze", "--edges", path]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    stdout(&out).replace(path, "<edges>")
+}
+
+/// `--edges` reads one grammar: unsigned decimal ids separated by ASCII
+/// whitespace or commas, and `#` comments, also after leading
+/// separators. A file written every way it allows, or piped in, prints
+/// the clean file's bytes; a signed id or a non-ASCII separator is a
+/// rejected input (exit 3) named by its line.
+#[test]
+fn edge_list_grammar_is_pinned_at_the_cli() {
+    // A 40-node ring with chords.
+    let edges: Vec<(usize, usize)> = (0..40)
+        .flat_map(|i| [(i, (i + 1) % 40), (i, (i * 7 + 3) % 40)])
+        .filter(|(u, v)| u != v)
+        .collect();
+    let clean: String = edges.iter().map(|(u, v)| format!("{u} {v}\n")).collect();
+    let mut messy = String::from("# follower followee\r\n,# a comma-led comment\r\n\r\n");
+    for (i, (u, v)) in edges.iter().enumerate() {
+        let sep = [" ", "\t", ",", " , ", "\t,\t"][i % 5];
+        messy.push_str(&format!("  {u}{sep}{v} \r\n"));
+        if i % 9 == 0 {
+            messy.push_str("\t# note\r\n");
+        }
+    }
+    let clean_path = temp_file("edges_clean", clean.as_bytes());
+    let messy_path = temp_file("edges_messy", messy.as_bytes());
+    let want = analyze_edges(clean_path.to_str().unwrap());
+    assert!(want.contains("nodes:          40"), "{want}");
+    assert_eq!(analyze_edges(messy_path.to_str().unwrap()), want);
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rumor"))
+        .args(["analyze", "--edges", "/dev/stdin"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rumor binary");
+    let mut pipe = child.stdin.take().expect("stdin pipe");
+    pipe.write_all(messy.as_bytes())
+        .expect("write the edge list");
+    drop(pipe);
+    let out = child.wait_with_output().expect("wait for rumor");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert_eq!(stdout(&out).replace("/dev/stdin", "<edges>"), want);
+
+    for (tag, bad) in [
+        ("edges_plus", "0 1\n1 2\n+1 2\n"),
+        ("edges_nbsp", "0 1\n1 2\n1\u{a0}2\n"),
+    ] {
+        let path = temp_file(tag, bad.as_bytes());
+        let out = rumor(&["analyze", "--edges", path.to_str().unwrap()]);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "{bad:?}: stderr {}",
+            stderr(&out)
+        );
+        assert!(
+            stderr(&out).contains("line 3"),
+            "{bad:?}: stderr {}",
+            stderr(&out)
+        );
+    }
+    let _ = std::fs::remove_file(clean_path);
+    let _ = std::fs::remove_file(messy_path);
 }
 
 #[test]

@@ -21,6 +21,7 @@ use rumor_compartments::paper::PaperSir;
 use rumor_compartments::simulate::CompartmentTrajectory;
 use rumor_core::params::ModelParams;
 use rumor_core::state::NetworkState;
+use rumor_core::targeted::per_class_rhs;
 use rumor_ode::integrator::{Adaptive, AdaptiveConfig};
 use rumor_ode::system::OdeSystem;
 
@@ -61,26 +62,9 @@ impl OdeSystem for HeuristicModel<'_> {
 
     fn rhs(&self, _t: f64, y: &[f64], dydt: &mut [f64]) {
         let n = self.params.n_classes();
-        let alpha = self.params.alpha();
-        let lambda = self.params.lambda();
-        let phi = self.params.phi();
-        let mean_k = self.params.mean_degree();
         let i_mean = y[n..2 * n].iter().sum::<f64>() / n as f64;
-        let (eps1, eps2) = self.policy.rates(i_mean);
-        let theta: f64 = phi
-            .iter()
-            .zip(&y[n..2 * n])
-            .map(|(p, i)| p * i)
-            .sum::<f64>()
-            / mean_k;
-        for j in 0..n {
-            let s = y[j];
-            let inf = y[n + j];
-            let force = lambda[j] * s * theta;
-            dydt[j] = alpha - force - eps1 * s;
-            dydt[n + j] = force - eps2 * inf;
-            dydt[2 * n + j] = eps1 * s + eps2 * inf - alpha;
-        }
+        let rates = self.policy.rates(i_mean);
+        per_class_rhs(self.params, y, |_| rates, dydt);
     }
 }
 

@@ -1,29 +1,25 @@
 //! Chunked, auto-vectorizable numeric kernels for the per-class hot
 //! loops.
 //!
-//! Every kernel here comes in two forms:
-//!
-//! * the **chunked** form — fixed-width [`LANES`]-lane loops over
-//!   [`slice::chunks_exact`] with a scalar in-order remainder, shaped so
-//!   LLVM's auto-vectorizer turns the lane loop into SIMD without any
-//!   `unsafe` or intrinsics;
-//! * a **scalar reference** (`*_scalar`) — a differently-written plain
-//!   indexed implementation with the *same association order* (per-lane
-//!   strided sums combined lane 0 → lane `LANES−1`, then the remainder in
-//!   order), so the two must agree **bit for bit** on every input.
-//!
-//! The bit-identity contract is what makes the fast path safe to evolve:
-//! `tests/kernel_identity.rs` pins chunked against scalar at class
-//! counts {1, 7, 8, 9, 264, 848}, so any future rewrite that silently
-//! changes the floating-point association order fails the suite instead
-//! of drifting results.
+//! Every kernel here is written in **chunked** form: fixed-width
+//! [`LANES`]-lane loops over [`slice::chunks_exact`] with a scalar
+//! in-order remainder, shaped so LLVM's auto-vectorizer turns the lane
+//! loop into SIMD without any `unsafe` or intrinsics. Each has one
+//! association order — per-lane strided sums combined lane 0 → lane
+//! `LANES−1`, then the remainder in order — and the tests hold each to a
+//! differently-written scalar mirror with that order, bit for bit. The
+//! mirrors are test code (`tests/support/scalar_kernels.rs`), shared by
+//! this module's unit tests and `tests/kernel_identity.rs`, which holds
+//! the model's kernels to them at class counts {1, 7, 8, 9, 264, 848};
+//! so any future rewrite that silently changes the floating-point
+//! association order fails the suite instead of drifting results.
 //!
 //! Reductions (the `Θ` dot product, the adjoint coupling sum) are the
 //! kernels that *need* this treatment: a strict left-fold cannot be
 //! vectorized without reassociation, so we fix one deterministic
-//! lane-wise association and implement it twice. Element-wise maps (the
-//! SIR and costate right-hand sides) are order-free per element; they are
-//! chunked over disjoint `split_at_mut` slices so the optimizer can prove
+//! lane-wise association. Element-wise maps (the SIR and costate
+//! right-hand sides) are order-free per element; they are chunked over
+//! disjoint `split_at_mut` slices so the optimizer can prove
 //! independence.
 //!
 //! On top of the lane-chunked kernels sits the **partitioned** layer
@@ -44,9 +40,8 @@ pub const LANES: usize = 8;
 ///
 /// Accumulates into [`LANES`] independent lanes (block-strided), combines
 /// the lanes in index order, then folds the remainder in order. The
-/// result is deterministic and bit-identical to [`dot_scalar`] — but it
-/// is *not* the naive left-fold sum, so compare against the reference,
-/// not against `iter().sum()`.
+/// result is deterministic — but it is *not* the naive left-fold sum, so
+/// compare against the scalar mirror, not against `iter().sum()`.
 ///
 /// # Panics
 ///
@@ -72,28 +67,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     }
     for (x, y) in a[split..n].iter().zip(&b[split..n]) {
         total += x * y;
-    }
-    total
-}
-
-/// Scalar reference for [`dot`]: per-lane strided sequential sums,
-/// combined in the same fixed order. Bit-identical to the chunked form
-/// by construction.
-pub fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    let blocks = n / LANES;
-    let mut total = 0.0;
-    for j in 0..LANES {
-        let mut lane = 0.0;
-        let mut i = j;
-        while i < blocks * LANES {
-            lane += a[i] * b[i];
-            i += LANES;
-        }
-        total += lane;
-    }
-    for i in blocks * LANES..n {
-        total += a[i] * b[i];
     }
     total
 }
@@ -125,26 +98,6 @@ pub fn coupling_sum(a: &[f64], b: &[f64], w: &[f64], s: &[f64]) -> f64 {
     total
 }
 
-/// Scalar reference for [`coupling_sum`], strided per lane.
-pub fn coupling_sum_scalar(a: &[f64], b: &[f64], w: &[f64], s: &[f64]) -> f64 {
-    let n = a.len();
-    let blocks = n / LANES;
-    let mut total = 0.0;
-    for j in 0..LANES {
-        let mut lane = 0.0;
-        let mut i = j;
-        while i < blocks * LANES {
-            lane += (a[i] - b[i]) * w[i] * s[i];
-            i += LANES;
-        }
-        total += lane;
-    }
-    for i in blocks * LANES..n {
-        total += (a[i] - b[i]) * w[i] * s[i];
-    }
-    total
-}
-
 /// Chunked element-wise SIR right-hand side (paper Eq. (1)) for one
 /// evaluation instant:
 ///
@@ -155,8 +108,8 @@ pub fn coupling_sum_scalar(a: &[f64], b: &[f64], w: &[f64], s: &[f64]) -> f64 {
 /// ```
 ///
 /// Element-wise maps carry no reduction, so chunking does not change any
-/// association — the output is bit-identical to [`sir_rhs_scalar`] *and*
-/// to the historical per-index loop. The chunked shape (disjoint
+/// association — the output is bit-identical to the historical
+/// per-index loop. The chunked shape (disjoint
 /// `chunks_exact` over every slice) is what lets LLVM keep the three
 /// streams in registers and vectorize the body.
 #[allow(clippy::too_many_arguments)]
@@ -191,29 +144,6 @@ pub fn sir_rhs(
         base += LANES;
     }
     for i in split..n {
-        let force = lambda[i] * s[i] * theta;
-        ds[i] = alpha - force - eps1 * s[i];
-        di[i] = force - eps2 * inf[i];
-        dr[i] = eps1 * s[i] + eps2 * inf[i] - recycle;
-    }
-}
-
-/// Scalar reference for [`sir_rhs`]: the historical plain indexed loop.
-#[allow(clippy::too_many_arguments)]
-pub fn sir_rhs_scalar(
-    s: &[f64],
-    inf: &[f64],
-    lambda: &[f64],
-    theta: f64,
-    alpha: f64,
-    eps1: f64,
-    eps2: f64,
-    recycle: f64,
-    ds: &mut [f64],
-    di: &mut [f64],
-    dr: &mut [f64],
-) {
-    for i in 0..s.len() {
         let force = lambda[i] * s[i] * theta;
         ds[i] = alpha - force - eps1 * s[i];
         di[i] = force - eps2 * inf[i];
@@ -274,31 +204,6 @@ pub fn costate_rhs(
     }
 }
 
-/// Scalar reference for [`costate_rhs`]: the plain indexed loop.
-#[allow(clippy::too_many_arguments)]
-pub fn costate_rhs_scalar(
-    s: &[f64],
-    inf: &[f64],
-    psi: &[f64],
-    phi: &[f64],
-    lambda: &[f64],
-    theta_w: &[f64],
-    theta: f64,
-    coupling: f64,
-    c1e1sq2: f64,
-    c2e2sq2: f64,
-    eps1: f64,
-    eps2: f64,
-    dpsi: &mut [f64],
-    dphi: &mut [f64],
-) {
-    for i in 0..s.len() {
-        dpsi[i] =
-            -c1e1sq2 * s[i] + psi[i] * (lambda[i] * theta + eps1) - phi[i] * lambda[i] * theta;
-        dphi[i] = -c2e2sq2 * inf[i] + theta_w[i] * coupling + phi[i] * eps2;
-    }
-}
-
 /// Fixed partition width (in classes) of the intra-replica work-sharding
 /// layer — a multiple of [`LANES`] so every full chunk keeps the 8-lane
 /// association intact. Partition boundaries depend only on the problem
@@ -322,7 +227,7 @@ pub const fn partition_count(n: usize) -> usize {
 /// Folds per-chunk partials in chunk order: `p[0] + p[1] + …` (0.0 when
 /// empty). This is the ordered reduction tree shared by the serial and
 /// pooled partitioned paths.
-pub fn combine_partials(partials: &[f64]) -> f64 {
+fn combine_partials(partials: &[f64]) -> f64 {
     let mut iter = partials.iter();
     let Some(&first) = iter.next() else {
         return 0.0;
@@ -359,13 +264,6 @@ pub fn dot_partitioned(a: &[f64], b: &[f64]) -> f64 {
     reduce_partitioned(n, |lo, hi| dot(&a[lo..hi], &b[lo..hi]))
 }
 
-/// Scalar reference for [`dot_partitioned`]: the same chunk plan over
-/// [`dot_scalar`] partials.
-pub fn dot_partitioned_scalar(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    reduce_partitioned(n, |lo, hi| dot_scalar(&a[lo..hi], &b[lo..hi]))
-}
-
 /// Pooled [`dot_partitioned`]: chunk partials are computed on the pool's
 /// threads into per-chunk slots and folded in chunk order on the calling
 /// thread. The chunk plan is thread-count independent, so the result is
@@ -389,14 +287,6 @@ pub fn coupling_sum_partitioned(a: &[f64], b: &[f64], w: &[f64], s: &[f64]) -> f
     let n = a.len();
     reduce_partitioned(n, |lo, hi| {
         coupling_sum(&a[lo..hi], &b[lo..hi], &w[lo..hi], &s[lo..hi])
-    })
-}
-
-/// Scalar reference for [`coupling_sum_partitioned`].
-pub fn coupling_sum_partitioned_scalar(a: &[f64], b: &[f64], w: &[f64], s: &[f64]) -> f64 {
-    let n = a.len();
-    reduce_partitioned(n, |lo, hi| {
-        coupling_sum_scalar(&a[lo..hi], &b[lo..hi], &w[lo..hi], &s[lo..hi])
     })
 }
 
@@ -524,7 +414,12 @@ pub fn costate_rhs_pooled(
 }
 
 #[cfg(test)]
+#[path = "../tests/support/scalar_kernels.rs"]
+mod scalar;
+
+#[cfg(test)]
 mod tests {
+    use super::scalar::*;
     use super::*;
 
     /// Deterministic pseudo-random fill without pulling `rand` into the

@@ -3,16 +3,16 @@
 //! Theorem 2 classifies the local stability of the rumor-free
 //! equilibrium `E0` through the eigenvalues of the Jacobian of the
 //! reduced `(S, I)` system (the first two equations are independent of
-//! `R`). This module assembles that `2n × 2n` Jacobian analytically. At
-//! `E0` the Jacobian is block upper triangular, so the Theorem-2 check
-//! feeds only its `n × n` I–I block to the dense QR eigenvalue solver
-//! in `rumor-numerics` and adds the `S` block's eigenvalue `−ε1`. The
-//! tests find that abscissa bit for bit equal to the whole matrix's on
-//! nets of 1–16, 97 and 264 classes; the two solves' QR deflation floors
-//! differ, so the equality is checked, not proven. The module also
-//! provides an empirical global-stability check (Theorems 3–4) that
-//! integrates the full system from a batch of initial conditions and
-//! measures convergence to a target equilibrium.
+//! `R`). At `E0` that `2n × 2n` Jacobian is block upper triangular, so
+//! the Theorem-2 check assembles only its `n × n` I–I block, feeds it to
+//! the dense QR eigenvalue solver in `rumor-numerics` and adds the `S`
+//! block's eigenvalue `−ε1`. The tests assemble the whole Jacobian as
+//! their oracle and find that abscissa bit for bit equal to the whole
+//! matrix's on nets of 1–16, 97 and 264 classes; the two solves' QR
+//! deflation floors differ, so the equality is checked, not proven. The
+//! module also provides an empirical global-stability check (Theorems
+//! 3–4) that integrates the full system from a batch of initial
+//! conditions and measures convergence to a target equilibrium.
 
 use crate::control::ConstantControl;
 use crate::equilibrium::r0;
@@ -63,50 +63,7 @@ impl Stability {
     }
 }
 
-/// Assembles the Jacobian of the reduced `(S, I)` system at an arbitrary
-/// state, ordered `[S_0..S_{n-1}, I_0..I_{n-1}]`:
-///
-/// ```text
-/// ∂Ṡ_i/∂S_j = −(λ_i Θ + ε1) δ_ij        ∂Ṡ_i/∂I_j = −λ_i S_i ϕ_j/⟨k⟩
-/// ∂İ_i/∂S_j =  λ_i Θ δ_ij               ∂İ_i/∂I_j =  λ_i S_i ϕ_j/⟨k⟩ − ε2 δ_ij
-/// ```
-///
-/// # Errors
-///
-/// Returns [`CoreError::DimensionMismatch`] if `state` and `params`
-/// disagree on the class count.
-pub fn jacobian_reduced(
-    params: &ModelParams,
-    state: &NetworkState,
-    eps1: f64,
-    eps2: f64,
-) -> Result<Matrix> {
-    let n = params.n_classes();
-    if state.n_classes() != n {
-        return Err(CoreError::DimensionMismatch {
-            expected: n,
-            found: state.n_classes(),
-        });
-    }
-    let theta = state.theta(params)?;
-    let lambda = params.lambda();
-    let ii = jacobian_ii_block(params, state, eps2);
-    // With `ε2 = 0` the block is the coupling alone, which `∂Ṡ/∂I`
-    // subtracts from `0.0`.
-    let coupling = jacobian_ii_block(params, state, 0.0);
-    let mut j = Matrix::zeros(2 * n, 2 * n);
-    for i in 0..n {
-        j[(i, i)] = -(lambda[i] * theta + eps1);
-        j[(n + i, i)] = lambda[i] * theta;
-        for col in 0..n {
-            j[(i, n + col)] -= coupling[(i, col)];
-            j[(n + i, n + col)] = ii[(i, col)];
-        }
-    }
-    Ok(j)
-}
-
-/// The I–I block of [`jacobian_reduced`],
+/// The I–I block of the reduced `(S, I)` system's Jacobian at `state`,
 /// `∂İ_i/∂I_j = λ_i S_i ϕ_j/⟨k⟩ − ε2 δ_ij`: the diagonal `−ε2` first,
 /// then `+=` the coupling.
 fn jacobian_ii_block(params: &ModelParams, state: &NetworkState, eps2: f64) -> Matrix {
@@ -125,7 +82,13 @@ fn jacobian_ii_block(params: &ModelParams, state: &NetworkState, eps2: f64) -> M
 }
 
 /// Local stability of the rumor-free equilibrium `E0` via the spectral
-/// abscissa of [`jacobian_reduced`] (Theorem 2: stable iff `r0 < 1`).
+/// abscissa of the reduced `(S, I)` system's Jacobian (Theorem 2:
+/// stable iff `r0 < 1`), ordered `[S_0..S_{n-1}, I_0..I_{n-1}]`:
+///
+/// ```text
+/// ∂Ṡ_i/∂S_j = −(λ_i Θ + ε1) δ_ij        ∂Ṡ_i/∂I_j = −λ_i S_i ϕ_j/⟨k⟩
+/// ∂İ_i/∂S_j =  λ_i Θ δ_ij               ∂İ_i/∂I_j =  λ_i S_i ϕ_j/⟨k⟩ − ε2 δ_ij
+/// ```
 ///
 /// At `E0` no class is infected, so `Θ` is exactly 0. The `S` columns
 /// of the Jacobian then hold only their diagonal `−ε1`, and the matrix
@@ -315,6 +278,41 @@ mod tests {
                 NetworkState::from_flat(&sol.sample(t).unwrap()).unwrap()
             })
             .collect()
+    }
+
+    /// Oracle: the whole `2n × 2n` Jacobian of the reduced `(S, I)` system
+    /// at an arbitrary state, in the layout [`local_stability_e0`]
+    /// documents. Fails with [`CoreError::DimensionMismatch`] if `state`
+    /// and `params` disagree on the class count.
+    fn jacobian_reduced(
+        params: &ModelParams,
+        state: &NetworkState,
+        eps1: f64,
+        eps2: f64,
+    ) -> Result<Matrix> {
+        let n = params.n_classes();
+        if state.n_classes() != n {
+            return Err(CoreError::DimensionMismatch {
+                expected: n,
+                found: state.n_classes(),
+            });
+        }
+        let theta = state.theta(params)?;
+        let lambda = params.lambda();
+        let ii = jacobian_ii_block(params, state, eps2);
+        // With `ε2 = 0` the block is the coupling alone, which `∂Ṡ/∂I`
+        // subtracts from `0.0`.
+        let coupling = jacobian_ii_block(params, state, 0.0);
+        let mut j = Matrix::zeros(2 * n, 2 * n);
+        for i in 0..n {
+            j[(i, i)] = -(lambda[i] * theta + eps1);
+            j[(n + i, i)] = lambda[i] * theta;
+            for col in 0..n {
+                j[(i, n + col)] -= coupling[(i, col)];
+                j[(n + i, n + col)] = ii[(i, col)];
+            }
+        }
+        Ok(j)
     }
 
     #[test]

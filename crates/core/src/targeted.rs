@@ -300,26 +300,46 @@ impl OdeSystem for TargetedModel<'_> {
     }
 
     fn rhs(&self, _t: f64, y: &[f64], dydt: &mut [f64]) {
-        let n = self.params.n_classes();
-        let alpha = self.params.alpha();
-        let lambda = self.params.lambda();
-        let phi = self.params.phi();
-        let mean_k = self.params.mean_degree();
-        let theta: f64 = phi
-            .iter()
-            .zip(&y[n..2 * n])
-            .map(|(p, i)| p * i)
-            .sum::<f64>()
-            / mean_k;
-        for j in 0..n {
-            let s = y[j];
-            let inf = y[n + j];
-            let (e1, e2) = (self.rates.eps1[j], self.rates.eps2[j]);
-            let force = lambda[j] * s * theta;
-            dydt[j] = alpha - force - e1 * s;
-            dydt[n + j] = force - e2 * inf;
-            dydt[2 * n + j] = e1 * s + e2 * inf - alpha;
-        }
+        let rates = &self.rates;
+        per_class_rhs(self.params, y, |j| (rates.eps1[j], rates.eps2[j]), dydt);
+    }
+}
+
+/// The S/I/R right-hand side of the module-level equations at the flat
+/// state `y = [S.., I.., R..]`, with class `j`'s countermeasure rates
+/// `rates(j) = (ε1_j, ε2_j)`: `Θ` is the left fold `Σ_j ϕ_j I_j` divided
+/// by `⟨k⟩`, then each class's three updates. [`TargetedModel`] passes
+/// its per-class rates; a caller with uniform rates returns the same
+/// pair for every class.
+///
+/// # Panics
+///
+/// Panics if `y` or `dydt` is shorter than `3 · n_classes`.
+pub fn per_class_rhs(
+    params: &ModelParams,
+    y: &[f64],
+    rates: impl Fn(usize) -> (f64, f64),
+    dydt: &mut [f64],
+) {
+    let n = params.n_classes();
+    let alpha = params.alpha();
+    let lambda = params.lambda();
+    let phi = params.phi();
+    let mean_k = params.mean_degree();
+    let theta: f64 = phi
+        .iter()
+        .zip(&y[n..2 * n])
+        .map(|(p, i)| p * i)
+        .sum::<f64>()
+        / mean_k;
+    for j in 0..n {
+        let s = y[j];
+        let inf = y[n + j];
+        let (e1, e2) = rates(j);
+        let force = lambda[j] * s * theta;
+        dydt[j] = alpha - force - e1 * s;
+        dydt[n + j] = force - e2 * inf;
+        dydt[2 * n + j] = e1 * s + e2 * inf - alpha;
     }
 }
 

@@ -11,11 +11,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rumor_core::control::ConstantControl;
 use rumor_core::functions::{AcceptanceRate, Infectivity};
-use rumor_core::kernels;
+use rumor_core::kernels::{self, partition_count, LANES, PART_CHUNK};
 use rumor_core::model::RumorModel;
 use rumor_core::params::ModelParams;
 use rumor_net::degree::DegreeClasses;
 use rumor_ode::system::OdeSystem;
+
+#[path = "support/scalar_kernels.rs"]
+mod scalar;
 
 /// Class counts under test: 1 (degenerate), 7/8/9 (chunk boundary),
 /// 264 (small-scale Digg), 848 (full-scale Digg).
@@ -55,16 +58,16 @@ fn theta_flat_is_bit_identical_to_scalar_reference_at_every_class_count() {
             // association is identical with and without an inner pool);
             // the reference is the partitioned *scalar* mirror. For
             // n <= PART_CHUNK this equals the plain scalar dot.
-            let scalar = kernels::dot_partitioned_scalar(p.theta_weights(), &y[n..2 * n]);
+            let reference = scalar::dot_partitioned_scalar(p.theta_weights(), &y[n..2 * n]);
             assert_eq!(
                 chunked.to_bits(),
-                scalar.to_bits(),
+                reference.to_bits(),
                 "theta mismatch at n = {n}"
             );
-            if n <= kernels::PART_CHUNK {
+            if n <= PART_CHUNK {
                 assert_eq!(
-                    scalar.to_bits(),
-                    kernels::dot_scalar(p.theta_weights(), &y[n..2 * n]).to_bits(),
+                    reference.to_bits(),
+                    scalar::dot_scalar(p.theta_weights(), &y[n..2 * n]).to_bits(),
                     "single-partition theta must equal the plain scalar dot at n = {n}"
                 );
             }
@@ -85,11 +88,11 @@ fn model_rhs_is_bit_identical_to_scalar_reference_at_every_class_count() {
 
             // Scalar reference path: partitioned scalar Θ reduction +
             // scalar RHS map.
-            let theta = kernels::dot_partitioned_scalar(p.theta_weights(), &y[n..2 * n]);
+            let theta = scalar::dot_partitioned_scalar(p.theta_weights(), &y[n..2 * n]);
             let mut ds = vec![0.0; n];
             let mut di = vec![0.0; n];
             let mut dr = vec![0.0; n];
-            kernels::sir_rhs_scalar(
+            scalar::sir_rhs_scalar(
                 &y[..n],
                 &y[n..2 * n],
                 p.lambda(),
@@ -130,12 +133,12 @@ fn reduction_kernels_match_their_scalar_references_on_random_data() {
             let s: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
             assert_eq!(
                 kernels::dot(&a, &b).to_bits(),
-                kernels::dot_scalar(&a, &b).to_bits(),
+                scalar::dot_scalar(&a, &b).to_bits(),
                 "dot at n = {n}"
             );
             assert_eq!(
                 kernels::coupling_sum(&a, &b, &w, &s).to_bits(),
-                kernels::coupling_sum_scalar(&a, &b, &w, &s).to_bits(),
+                scalar::coupling_sum_scalar(&a, &b, &w, &s).to_bits(),
                 "coupling at n = {n}"
             );
         }

@@ -1,9 +1,11 @@
-//! Plain edge-list parsing and writing.
+//! Plain edge-list reading and writing.
 //!
-//! The format is one edge per line, two whitespace- (or comma-)
-//! separated node ids, `#`-prefixed comment lines ignored. This matches
-//! the distribution format of the real Digg2009 friendship file, so a
-//! downloaded copy can be loaded directly:
+//! The format is one edge per line: two unsigned decimal node ids (ASCII
+//! digits only, no sign) separated by ASCII whitespace (space, tab, CR,
+//! VT, FF) and/or commas. Blank lines, and lines whose first byte after
+//! any separators is `#`, are ignored; a line ends at `\n`, so CRLF files
+//! load too. This matches the distribution format of the real Digg2009
+//! friendship file, so a downloaded copy can be loaded directly:
 //!
 //! ```text
 //! # follower followee
@@ -11,62 +13,36 @@
 //! 0 2
 //! 17 3
 //! ```
+//!
+//! There is one parser and one CSR builder, in [`crate::streaming`]:
+//! [`read_edge_list`] runs them over an in-memory copy of its input, and
+//! [`crate::streaming::load_edge_list_path`] over a file scanned twice.
 
-use crate::{DatasetError, Result};
+use crate::{streaming, Result};
 use rumor_net::graph::{EdgeKind, Graph};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 
 /// Parses an edge list from a reader.
 ///
-/// Node ids may be arbitrary non-negative integers; they are compacted to
-/// dense ids `0..n` in first-appearance order. Pass `&mut reader` if you
+/// Node ids may be arbitrary `u64` values; they are compacted to dense
+/// ids `0..n` in first-appearance order. The whole input is read into
+/// memory once, then [`crate::streaming`]'s two passes run over those
+/// bytes, so a pipe loads as well as a file. Pass `&mut reader` if you
 /// need the reader afterwards.
 ///
 /// # Errors
 ///
-/// * [`DatasetError::ParseError`] for malformed lines.
-/// * [`DatasetError::Io`] for read failures.
-/// * [`DatasetError::Net`] if graph construction fails.
-pub fn read_edge_list<R: Read>(reader: R, kind: EdgeKind) -> Result<Graph> {
-    let buf = BufReader::new(reader);
-    let mut id_map: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    let intern = |raw: u64, map: &mut std::collections::HashMap<u64, usize>| -> usize {
-        let next = map.len();
-        *map.entry(raw).or_insert(next)
-    };
-    for (lineno, line) in buf.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let mut parts = trimmed
-            .split(|c: char| c.is_whitespace() || c == ',')
-            .filter(|s| !s.is_empty());
-        let parse = |tok: Option<&str>, lineno: usize| -> Result<u64> {
-            let tok = tok.ok_or_else(|| DatasetError::ParseError {
-                line: lineno + 1,
-                message: "expected two node ids".into(),
-            })?;
-            tok.parse::<u64>().map_err(|e| DatasetError::ParseError {
-                line: lineno + 1,
-                message: format!("invalid node id {tok:?}: {e}"),
-            })
-        };
-        let u = parse(parts.next(), lineno)?;
-        let v = parse(parts.next(), lineno)?;
-        if parts.next().is_some() {
-            return Err(DatasetError::ParseError {
-                line: lineno + 1,
-                message: "expected exactly two node ids".into(),
-            });
-        }
-        let ui = intern(u, &mut id_map);
-        let vi = intern(v, &mut id_map);
-        edges.push((ui, vi));
-    }
-    Ok(Graph::from_edges(id_map.len(), &edges, kind)?)
+/// * [`DatasetError::ParseError`](crate::DatasetError::ParseError) for
+///   malformed lines (with 1-based line numbers).
+/// * [`DatasetError::Io`](crate::DatasetError::Io) for read failures.
+/// * [`DatasetError::InvalidConfig`](crate::DatasetError::InvalidConfig)
+///   past `u32::MAX` distinct nodes.
+/// * [`DatasetError::Net`](crate::DatasetError::Net) if graph
+///   construction fails.
+pub fn read_edge_list<R: Read>(mut reader: R, kind: EdgeKind) -> Result<Graph> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    Ok(streaming::ingest(kind, || Ok(&bytes[..]))?.0)
 }
 
 /// Writes a graph as an edge list (one `u v` line per stored input edge;
@@ -74,7 +50,7 @@ pub fn read_edge_list<R: Read>(reader: R, kind: EdgeKind) -> Result<Graph> {
 ///
 /// # Errors
 ///
-/// Returns [`DatasetError::Io`] on write failures.
+/// Returns [`DatasetError::Io`](crate::DatasetError::Io) on write failures.
 pub fn write_edge_list<W: Write>(graph: &Graph, mut writer: W) -> Result<()> {
     writeln!(writer, "# nodes: {}", graph.node_count())?;
     match graph.kind() {
@@ -97,6 +73,7 @@ pub fn write_edge_list<W: Write>(graph: &Graph, mut writer: W) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DatasetError;
 
     #[test]
     fn parses_basic_file() {

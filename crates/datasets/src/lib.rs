@@ -10,11 +10,12 @@
 //!   through its degree histogram, so matching `n`, `k_min`, `k_max`,
 //!   `⟨k⟩` and the class count preserves everything the experiments
 //!   depend on (see DESIGN.md §2 for the substitution argument).
-//! * [`edgelist`] — plain edge-list reading/writing, so the *real*
-//!   Digg2009 file can be dropped in without code changes.
-//! * [`streaming`] — two-pass streaming ingest building the CSR in
-//!   O(file size) with exact-sized allocations; byte-identical result to
-//!   [`edgelist`] and fast enough for million-node synthetic graphs.
+//! * [`edgelist`] — the edge-list grammar, reading from any reader and
+//!   writing, so the *real* Digg2009 file can be dropped in without code
+//!   changes.
+//! * [`streaming`] — the one line parser and two-pass CSR builder behind
+//!   every edge-list load, O(input size) with exact-sized allocations
+//!   and fast enough for million-node synthetic graphs.
 //! * [`summary`] — dataset statistics used by the experiment harness to
 //!   print Table I.
 

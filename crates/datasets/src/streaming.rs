@@ -1,27 +1,26 @@
-//! Streaming edge-list ingest: O(file size) CSR construction.
+//! Edge-list ingest: one line grammar and one O(input size) CSR build.
 //!
-//! [`edgelist::read_edge_list`](crate::edgelist::read_edge_list) is fine
-//! for test fixtures but allocates per line (`BufRead::lines`) and grows
-//! a `Vec<(usize, usize)>` per edge before handing everything to
-//! [`Graph::from_edges`] — at Digg scale (1.73 M links) that is three
-//! full materializations of the edge set, and at 1M+ nodes it dominates
-//! end-to-end time. This module builds the CSR directly:
+//! Both entry points run the same parser (`parse_line`, the grammar of
+//! [`crate::edgelist`]) and the same [`StreamingCsrBuilder`]:
+//! [`load_edge_list_path`] scans a file twice, and
+//! [`crate::edgelist::read_edge_list`] reads any reader into memory once
+//! and scans those bytes twice. The build runs in three steps:
 //!
 //! 1. **Pass 1 (degree histogram):** one sequential scan parses edges
 //!    from a reused byte buffer (no per-line `String`), interns raw node
-//!    ids to dense ids in first-appearance order (identical to the
-//!    in-memory path), and counts per-node degrees.
+//!    ids to dense ids in first-appearance order, and counts per-node
+//!    degrees.
 //! 2. **Exact allocation:** offsets (`n + 1`) and targets (`Σ degrees`)
 //!    are sized from the histogram — no growth, no reallocation.
 //! 3. **Pass 2 (placement):** a second sequential scan drops each arc
 //!    into its final CSR slot via a cursor array.
 //!
-//! Total work is two sequential scans of the file plus one exact-sized
-//! allocation — O(file size), independent of edge multiplicity or id
-//! sparsity. The result is **byte-identical** to the in-memory path
-//! (`tests/streaming_identity.rs` pins `Graph` equality and degree-class
-//! equality property-style), because both paths compact ids in
-//! first-appearance order and normalize adjacency by sorting.
+//! Total work is two sequential scans plus one exact-sized allocation —
+//! O(input size), independent of edge multiplicity or id sparsity. The
+//! result is the [`Graph::from_edges`] layout of the parsed edges with
+//! ids compacted in first-appearance order, adjacency sorted; the tests
+//! hold both entry points to `Graph::from_edges` on the edges they
+//! rendered.
 //!
 //! For edge sources that are not files (e.g. deterministic synthetic
 //! generators), [`StreamingCsrBuilder`] exposes the same two-phase
@@ -323,14 +322,14 @@ impl StreamingCsrBuilder {
     }
 }
 
-/// Parses one edge-list line (shared by both passes): `Ok(None)` for
-/// comments/blank lines, `Ok(Some((u, v)))` for an edge.
+/// Parses one edge-list line, its `\n` stripped (shared by both passes
+/// of both entry points): `Ok(None)` for comments/blank lines,
+/// `Ok(Some((u, v)))` for an edge.
 ///
-/// Accepts the same grammar as the in-memory reader: two ids separated
-/// by whitespace and/or commas, `#` comments, and a trailing `\r`.
+/// The grammar of [`crate::edgelist`]: two unsigned decimal ids
+/// separated by ASCII whitespace (space, tab, CR, VT, FF) and/or commas,
+/// and `#` as the first byte after any separators for a comment.
 fn parse_line(line: &[u8], lineno: usize) -> Result<Option<(u64, u64)>> {
-    let is_sep =
-        |b: u8| b == b' ' || b == b'\t' || b == b',' || b == b'\r' || b == 0x0b || b == 0x0c;
     let mut i = 0;
     let n = line.len();
     while i < n && is_sep(line[i]) {
@@ -393,12 +392,15 @@ fn parse_line(line: &[u8], lineno: usize) -> Result<Option<(u64, u64)>> {
     Ok(Some((u, v)))
 }
 
+/// The separators of the edge-list grammar: ASCII whitespace (space,
+/// tab, CR, VT, FF) and commas.
+fn is_sep(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b',' | b'\r' | 0x0b | 0x0c)
+}
+
 /// The leading non-separator run of `token`, for error messages.
 fn trim_token(token: &[u8]) -> &[u8] {
-    let end = token
-        .iter()
-        .position(|&b| b == b' ' || b == b'\t' || b == b',' || b == b'\r')
-        .unwrap_or(token.len());
+    let end = token.iter().position(|&b| is_sep(b)).unwrap_or(token.len());
     &token[..end]
 }
 
@@ -429,83 +431,114 @@ fn scan<R: BufRead>(mut reader: R, mut sink: impl FnMut(u64, u64) -> Result<()>)
 
 /// Streaming edge-list load from a path: two sequential scans of the
 /// file, exact-sized CSR allocation, no per-edge or per-line heap
-/// growth. The resulting [`Graph`] is byte-identical to
-/// [`crate::edgelist::read_edge_list`] on the same bytes.
+/// growth. The same parser and builder as
+/// [`crate::edgelist::read_edge_list`], so the same bytes give the same
+/// [`Graph`].
 ///
 /// # Errors
 ///
 /// * [`DatasetError::Io`] for open/read failures.
 /// * [`DatasetError::ParseError`] for malformed lines (with 1-based line
 ///   numbers).
+/// * [`DatasetError::InvalidConfig`] past `u32::MAX` distinct nodes.
 /// * [`DatasetError::Net`] if CSR validation fails.
 pub fn load_edge_list_path<P: AsRef<Path>>(
     path: P,
     kind: EdgeKind,
 ) -> Result<(Graph, IngestStats)> {
     let path = path.as_ref();
+    ingest(kind, || {
+        Ok(BufReader::with_capacity(
+            1 << 20,
+            std::fs::File::open(path)?,
+        ))
+    })
+}
+
+/// The two-pass build over the byte stream `open` returns, called once
+/// per pass: pass 1 counts, pass 2 places. `bytes` in the returned stats
+/// is one pass's length.
+pub(crate) fn ingest<R: BufRead>(
+    kind: EdgeKind,
+    mut open: impl FnMut() -> Result<R>,
+) -> Result<(Graph, IngestStats)> {
     let mut builder = StreamingCsrBuilder::new(kind);
-    let pass1 = BufReader::with_capacity(1 << 20, std::fs::File::open(path)?);
-    let bytes = scan(pass1, |u, v| builder.count(u, v))?;
+    let bytes = scan(open()?, |u, v| builder.count(u, v))?;
     builder.start_placement();
-    let pass2 = BufReader::with_capacity(1 << 20, std::fs::File::open(path)?);
-    scan(pass2, |u, v| builder.place(u, v))?;
+    scan(open()?, |u, v| builder.place(u, v))?;
     let (graph, mut stats) = builder.finish()?;
     stats.bytes = bytes;
     Ok((graph, stats))
 }
 
 #[cfg(test)]
+#[path = "../tests/support/from_edges_oracle.rs"]
+mod from_edges_oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::from_edges_oracle::expected;
     use super::*;
     use crate::edgelist::read_edge_list;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn write_temp(contents: &str) -> std::path::PathBuf {
+    fn write_temp(contents: impl AsRef<[u8]>) -> std::path::PathBuf {
+        static COUNTER: AtomicUsize = AtomicUsize::new(0);
         let path = std::env::temp_dir().join(format!(
-            "rumor_streaming_test_{}_{contents_len}.txt",
+            "rumor_streaming_test_{}_{}.txt",
             std::process::id(),
-            contents_len = contents.len()
+            COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&path, contents).unwrap();
         path
     }
 
+    /// Loads `data` through both entry points, demands the oracle's graph
+    /// from each, and returns the path load's stats.
+    fn assert_both_load(data: &[u8], edges: &[(u64, u64)], kind: EdgeKind) -> IngestStats {
+        let (want, shown) = (expected(edges, kind), String::from_utf8_lossy(data));
+        let path = write_temp(data);
+        let (g, stats) = load_edge_list_path(&path, kind).unwrap();
+        let _ = std::fs::remove_file(path);
+        assert_eq!(g, want, "path load of {shown:?}");
+        assert_eq!(read_edge_list(data, kind).unwrap(), want, "{shown:?}");
+        stats
+    }
+
     #[test]
     fn streaming_matches_in_memory_on_basic_file() {
         let data = "# comment\n0 1\n1 2\n\n2 0\n";
-        let path = write_temp(data);
         for kind in [EdgeKind::Undirected, EdgeKind::Directed] {
-            let (g, stats) = load_edge_list_path(&path, kind).unwrap();
-            let reference = read_edge_list(data.as_bytes(), kind).unwrap();
-            assert_eq!(g, reference);
+            let stats = assert_both_load(data.as_bytes(), &[(0, 1), (1, 2), (2, 0)], kind);
             assert_eq!(stats.edges, 3);
             assert_eq!(stats.nodes, 3);
             assert_eq!(stats.bytes, data.len() as u64);
         }
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
     fn streaming_compacts_sparse_and_large_ids() {
         // 40_000_000 is above the interner's direct-map limit.
-        let data = "100 900\n900 7\n40000000 100\n";
-        let path = write_temp(data);
-        let (g, stats) = load_edge_list_path(&path, EdgeKind::Directed).unwrap();
-        let reference = read_edge_list(data.as_bytes(), EdgeKind::Directed).unwrap();
-        assert_eq!(g, reference);
+        let data = b"100 900\n900 7\n40000000 100\n";
+        let edges = [(100, 900), (900, 7), (40_000_000, 100)];
+        let stats = assert_both_load(data, &edges, EdgeKind::Directed);
         assert_eq!(stats.nodes, 4);
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
     fn streaming_accepts_commas_and_mixed_whitespace() {
-        let data = "0,1\n1\t2\n 2  3 \n";
-        let path = write_temp(data);
-        let (g, _) = load_edge_list_path(&path, EdgeKind::Undirected).unwrap();
-        assert_eq!(
-            g,
-            read_edge_list(data.as_bytes(), EdgeKind::Undirected).unwrap()
-        );
-        let _ = std::fs::remove_file(path);
+        // ASCII whitespace or commas between ids, `#` after any
+        // separators for a comment, any bytes in a comment.
+        let kind = EdgeKind::Undirected;
+        assert_both_load(b"0,1\n1\t2\n 2  3 \n", &[(0, 1), (1, 2), (2, 3)], kind);
+        for one_edge in [
+            &b",# comment\n0 1\n"[..],
+            b"# caf\xe9\n0 1\n",
+            b"0\r1\n",
+            b"0\x0b1\x0c\n",
+        ] {
+            assert_both_load(one_edge, &[(0, 1)], kind);
+        }
     }
 
     #[test]
@@ -515,13 +548,20 @@ mod tests {
             ("0\n", 1),
             ("0 1 2\n", 1),
             ("0 -1\n", 1),
+            ("0 1\n+1 2\n", 2),
+            ("0 1\n1\u{a0}2\n", 2),
+            ("0 1\n1\u{2003}2\n", 2),
+            ("18446744073709551616 1\n", 1),
         ] {
             let path = write_temp(data);
-            match load_edge_list_path(&path, EdgeKind::Undirected).unwrap_err() {
-                DatasetError::ParseError { line, .. } => assert_eq!(line, bad_line, "{data:?}"),
+            let err = load_edge_list_path(&path, EdgeKind::Undirected).unwrap_err();
+            let _ = std::fs::remove_file(path);
+            match &err {
+                DatasetError::ParseError { line, .. } => assert_eq!(*line, bad_line, "{data:?}"),
                 other => panic!("unexpected error {other:?} for {data:?}"),
             }
-            let _ = std::fs::remove_file(path);
+            let from_reader = read_edge_list(data.as_bytes(), EdgeKind::Undirected).unwrap_err();
+            assert_eq!(err.to_string(), from_reader.to_string(), "{data:?}");
         }
     }
 
@@ -559,13 +599,10 @@ mod tests {
 
     #[test]
     fn self_loops_and_duplicates_match_in_memory() {
-        let data = "0 0\n0 1\n0 1\n1 0\n";
-        let path = write_temp(data);
+        let data = b"0 0\n0 1\n0 1\n1 0\n";
         for kind in [EdgeKind::Undirected, EdgeKind::Directed] {
-            let (g, _) = load_edge_list_path(&path, kind).unwrap();
-            assert_eq!(g, read_edge_list(data.as_bytes(), kind).unwrap());
+            assert_both_load(data, &[(0, 0), (0, 1), (0, 1), (1, 0)], kind);
         }
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

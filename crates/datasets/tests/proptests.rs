@@ -7,6 +7,10 @@ use rumor_datasets::streaming::load_edge_list_path;
 use rumor_net::graph::{EdgeKind, Graph};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+#[path = "support/from_edges_oracle.rs"]
+mod from_edges_oracle;
+use from_edges_oracle::expected;
+
 /// Renders random edges as edge-list text with varied (but valid)
 /// formatting: separator choice, optional comment and blank lines.
 fn render_edge_list(edges: &[(u64, u64)], style: u64) -> String {
@@ -115,11 +119,13 @@ proptest! {
     ) {
         let kind = if directed == 1 { EdgeKind::Directed } else { EdgeKind::Undirected };
         let text = render_edge_list(&edges, style);
-        let reference = read_edge_list(text.as_bytes(), kind).unwrap();
+        let reference = expected(&edges, kind);
+        let read = read_edge_list(text.as_bytes(), kind).unwrap();
         let (streamed, stats) = with_temp_file(&text, |p| load_edge_list_path(p, kind)).unwrap();
         // Full structural identity: same offsets, targets, kind, edge
         // count (Graph equality is CSR equality) — and, consequently,
         // identical degree histograms.
+        prop_assert_eq!(&read, &reference);
         prop_assert_eq!(&streamed, &reference);
         prop_assert_eq!(streamed.degrees(), reference.degrees());
         prop_assert_eq!(stats.edges as usize, edges.len());
@@ -132,7 +138,7 @@ proptest! {
         picks in proptest::collection::vec((0usize..6, 0usize..6), 1..40),
     ) {
         // Ids straddle the interner's direct-map/hash-map boundary; the
-        // compaction order (first appearance) must match exactly.
+        // compaction order (first appearance) must match the oracle's.
         const SOURCES: [u64; 6] = [0, 3, 17, 40_000_000, 1 << 30, u64::MAX - 1];
         const TARGETS: [u64; 6] = [1, 9, 256, 50_000_000, 1 << 40, u64::MAX];
         let edges: Vec<(u64, u64)> = picks
@@ -140,9 +146,11 @@ proptest! {
             .map(|(a, b)| (SOURCES[a], TARGETS[b]))
             .collect();
         let text = render_edge_list(&edges, 1);
-        let reference = read_edge_list(text.as_bytes(), EdgeKind::Undirected).unwrap();
+        let reference = expected(&edges, EdgeKind::Undirected);
+        let read = read_edge_list(text.as_bytes(), EdgeKind::Undirected).unwrap();
         let (streamed, _) =
             with_temp_file(&text, |p| load_edge_list_path(p, EdgeKind::Undirected)).unwrap();
+        prop_assert_eq!(&read, &reference);
         prop_assert_eq!(&streamed, &reference);
         prop_assert_eq!(streamed.degrees(), reference.degrees());
     }
@@ -155,15 +163,17 @@ proptest! {
         // enough that the hash fallback crosses its first reservation
         // slab: the geometric capacity reservation must be invisible —
         // first-appearance compaction order, and therefore the CSR,
-        // stays byte-identical to the in-memory reader. Raw draws below
+        // stays the `Graph::from_edges` oracle's. Raw draws below
         // 200 stay as small direct-mapped ids; the rest shift to a band
         // of ids around the 2^24 boundary.
         let widen = |x: u64| if x < 200 { x } else { (1u64 << 24) - 64 + (x - 200) };
         let edges: Vec<(u64, u64)> = raw.into_iter().map(|(u, v)| (widen(u), widen(v))).collect();
         let text = render_edge_list(&edges, 2);
-        let reference = read_edge_list(text.as_bytes(), EdgeKind::Undirected).unwrap();
+        let reference = expected(&edges, EdgeKind::Undirected);
+        let read = read_edge_list(text.as_bytes(), EdgeKind::Undirected).unwrap();
         let (streamed, stats) =
             with_temp_file(&text, |p| load_edge_list_path(p, EdgeKind::Undirected)).unwrap();
+        prop_assert_eq!(&read, &reference);
         prop_assert_eq!(&streamed, &reference);
         prop_assert_eq!(streamed.degrees(), reference.degrees());
         prop_assert_eq!(stats.nodes as usize, reference.node_count());

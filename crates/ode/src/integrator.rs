@@ -315,6 +315,11 @@ impl AdaptiveConfig {
 }
 
 /// Adaptive Dormand–Prince 5(4) driver with a PI step-size controller.
+///
+/// A run evaluates `f(t0, y0)` once; every step then takes its first
+/// stage from the step before — the same one after a rejection, the
+/// last one after an acceptance (first same as last) — and costs six
+/// right-hand-side calls.
 #[derive(Debug, Clone, Default)]
 pub struct Adaptive {
     config: AdaptiveConfig,

@@ -5,11 +5,11 @@
 //! integrated with the solvers in this crate:
 //!
 //! * [`system::OdeSystem`] — the right-hand-side trait all models implement.
-//! * [`steppers`] — explicit fixed-step methods (Euler, Heun, classic RK4),
-//!   the adaptive Dormand–Prince 5(4) pair, and an implicit (backward)
-//!   Euler stepper for stiff regimes.
-//! * [`integrator`] — drivers that walk a stepper across an interval,
-//!   record the trajectory, support *backward* integration (needed for the
+//! * [`steppers`] — explicit fixed-step methods (Euler, Heun, classic RK4)
+//!   and an implicit (backward) Euler stepper for stiff regimes.
+//! * [`integrator`] — drivers that walk a stepper across an interval
+//!   (the adaptive one steps its own Dormand–Prince 5(4) pair), record
+//!   the trajectory, support *backward* integration (needed for the
 //!   co-state sweep), stop on events, and sample onto caller-supplied
 //!   output grids.
 //! * [`solution::Solution`] — a recorded trajectory with interpolating

@@ -39,14 +39,14 @@
 //! finite and folds each component's
 //! `(err_i / (atol + rtol·max(|y_i|, |out_i|)))²` into the squared error
 //! norm in index order, one component after the other. The error
-//! estimate is never stored, and the driver no longer walks the step
-//! again; an accepted step swaps its buffer with the state instead of
-//! copying it. [`Dopri5::step_with_error`] runs the same stage code and
-//! writes the estimate out. The `#[cfg(test)]` oracle in
-//! `crate::reference` holds both to the element-by-element sums bit for
-//! bit, at state dimensions that leave every lane remainder.
+//! estimate is never stored, and the driver never walks the step again;
+//! an accepted step swaps its buffer with the state instead of copying
+//! it. This is the only step path: the `#[cfg(test)]` oracle in
+//! `crate::reference` holds it, and the driver built on it, to the
+//! element-by-element sums bit for bit, at state dimensions that leave
+//! every lane remainder.
 
-use super::{ensure_len, Stepper};
+use super::ensure_len;
 use crate::system::OdeSystem;
 
 // Butcher tableau of DOPRI5 (Dormand & Prince, 1980).
@@ -110,56 +110,24 @@ const B4: [f64; 7] = [
 /// just the same.
 const LANES: usize = 8;
 
-/// Dormand–Prince 5(4) stepper with an embedded error estimate.
+/// Dormand–Prince 5(4) stepper with an embedded error estimate, driven
+/// by [`crate::integrator::Adaptive`] alone.
 ///
-/// [`Dopri5::step_with_error`] evaluates all seven stages. Driven by
-/// [`crate::integrator::Adaptive`], every step after a run's first takes
-/// its first stage from the step before — the same one after a
-/// rejection, the last one after an acceptance (first same as last) —
-/// and costs six right-hand-side calls, with bit-identical results.
+/// A run's first step takes its first stage from
+/// [`Dopri5::first_stage`]; every later one takes it from the step
+/// before — the same one after a rejection, the last one after an
+/// acceptance (first same as last, [`Dopri5::reuse_last_stage`]) — so a
+/// step costs six right-hand-side calls.
 #[derive(Debug, Clone, Default)]
-pub struct Dopri5 {
+pub(crate) struct Dopri5 {
     k: [Vec<f64>; 7],
     tmp: Vec<f64>,
-    /// Scratch for the error estimate when driven through the plain
-    /// [`Stepper::step`] interface, so that path allocates only once.
-    err_scratch: Vec<f64>,
 }
 
 impl Dopri5 {
     /// Creates a new DOPRI5 stepper.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Advances one step and additionally writes the component-wise
-    /// difference between the 5th- and 4th-order solutions into `err`,
-    /// which adaptive drivers use for step-size control.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y`, `out` or `err` are shorter than `sys.dim()`.
-    pub fn step_with_error(
-        &mut self,
-        sys: &dyn OdeSystem,
-        t: f64,
-        y: &[f64],
-        h: f64,
-        out: &mut [f64],
-        err: &mut [f64],
-    ) {
-        self.first_stage(sys, t, y);
-        self.later_stages(sys, t, y, h);
-        let n = sys.dim();
-        let k = self.stages(n);
-        let (y, out, err) = (&y[..n], &mut out[..n], &mut err[..n]);
-        let full = n - n % LANES;
-        for i in (0..full).step_by(LANES) {
-            solution_block::<LANES>(&k, y, h, i, out, err);
-        }
-        for i in full..n {
-            solution_block::<1>(&k, y, h, i, out, err);
-        }
     }
 
     /// Sizes the stage and stage-input buffers for an `n`-dimensional
@@ -189,10 +157,11 @@ impl Dopri5 {
     /// and returns the squared error norm
     /// `Σ_i (err_i / (atol + rtol·max(|y_i|, |out_i|)))²`, added in index
     /// order, or `None` when `out` is not finite. The error estimate
-    /// `err_i` is the one [`Dopri5::step_with_error`] writes; it is never
-    /// stored. The caller vouches that `k1` is `f(t, y)` for this very
-    /// `(t, y)`: from [`Dopri5::first_stage`], from a rejected step at
-    /// the same `(t, y)`, or from [`Dopri5::reuse_last_stage`].
+    /// `err_i = h·(y5_i − y4_i)`, the difference between the 5th- and
+    /// 4th-order solutions, is never stored. The caller vouches that
+    /// `k1` is `f(t, y)` for this very `(t, y)`: from
+    /// [`Dopri5::first_stage`], from a rejected step at the same
+    /// `(t, y)`, or from [`Dopri5::reuse_last_stage`].
     pub(crate) fn step_from_first_stage(
         &mut self,
         sys: &dyn OdeSystem,
@@ -310,27 +279,6 @@ fn solution_sums<const M: usize>(k: &[&[f64]; 7], i: usize) -> ([f64; M], [f64; 
     (y5, y4)
 }
 
-/// [`Dopri5::step_with_error`]'s solution and error estimate on
-/// components `i..i + M`.
-#[inline(always)]
-fn solution_block<const M: usize>(
-    k: &[&[f64]; 7],
-    y: &[f64],
-    h: f64,
-    i: usize,
-    out: &mut [f64],
-    err: &mut [f64],
-) {
-    let (y5, y4) = solution_sums::<M>(k, i);
-    let (y, out, err) = (&y[i..i + M], &mut out[i..i + M], &mut err[i..i + M]);
-    let mut l = 0;
-    while l < M {
-        out[l] = y[l] + h * y5[l];
-        err[l] = h * (y5[l] - y4[l]);
-        l += 1;
-    }
-}
-
 /// [`Dopri5::step_from_first_stage`]'s solution on components
 /// `i..i + M`; folds their finiteness into `finite` and their scaled
 /// squared errors into `norm2`, one component after the other.
@@ -366,27 +314,9 @@ fn norm_block<const M: usize>(
     }
 }
 
-impl Stepper for Dopri5 {
-    fn step(&mut self, sys: &dyn OdeSystem, t: f64, y: &[f64], h: f64, out: &mut [f64]) {
-        let n = sys.dim();
-        let mut err = std::mem::take(&mut self.err_scratch);
-        ensure_len(&mut err, n);
-        self.step_with_error(sys, t, y, h, out, &mut err);
-        self.err_scratch = err;
-    }
-
-    fn order(&self) -> usize {
-        5
-    }
-
-    fn name(&self) -> &'static str {
-        "dopri5"
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{decay, empirical_order, oscillator};
+    use super::super::test_support::{decay, empirical_order_of, oscillator};
     use super::*;
 
     #[test]
@@ -415,34 +345,46 @@ mod tests {
         assert!((B4.iter().sum::<f64>() - 1.0).abs() < 1e-14);
     }
 
+    /// One step through the driver's two calls. With `(atol, rtol) =
+    /// (1, 0)` the returned norm² is `Σ err_i²`, the raw error estimate.
+    fn step(sys: &dyn OdeSystem, y: &[f64], h: f64, out: &mut [f64]) -> f64 {
+        let mut s = Dopri5::new();
+        s.first_stage(sys, 0.0, y);
+        s.step_from_first_stage(sys, 0.0, y, h, (1.0, 0.0), out)
+            .expect("finite step")
+    }
+
     #[test]
     fn fifth_order_convergence() {
-        let p = empirical_order(&mut Dopri5::new(), 0.2);
+        let mut s = Dopri5::new();
+        let p = empirical_order_of(
+            |sys, t, y, h, out| {
+                s.first_stage(sys, t, y);
+                s.step_from_first_stage(sys, t, y, h, (1.0, 0.0), out);
+            },
+            0.2,
+        );
         assert!(p > 4.5 && p < 5.7, "observed order {p}");
     }
 
     #[test]
     fn error_estimate_tracks_true_error_scale() {
         let sys = decay();
-        let mut s = Dopri5::new();
         let mut out = [0.0];
-        let mut err = [0.0];
-        s.step_with_error(&sys, 0.0, &[1.0], 0.1, &mut out, &mut err);
+        let err = step(&sys, &[1.0], 0.1, &mut out).sqrt();
         let true_err = (out[0] - (-0.1_f64).exp()).abs();
         // The estimate must be a sane magnitude: neither zero nor wildly off.
-        assert!(err[0].abs() > 0.0);
-        assert!(err[0].abs() < 1e-4);
+        assert!(err > 0.0);
+        assert!(err < 1e-4);
         assert!(true_err < 1e-8);
     }
 
     #[test]
     fn single_step_oscillator_accuracy() {
         let sys = oscillator();
-        let mut s = Dopri5::new();
         let mut out = [0.0; 2];
-        let mut err = [0.0; 2];
         let h = 0.2;
-        s.step_with_error(&sys, 0.0, &[1.0, 0.0], h, &mut out, &mut err);
+        step(&sys, &[1.0, 0.0], h, &mut out);
         assert!((out[0] - h.cos()).abs() < 1e-7);
         assert!((out[1] + h.sin()).abs() < 1e-7);
     }

@@ -4,6 +4,11 @@
 //! negative, which the drivers use for backward (co-state) integration.
 //! Steppers own their scratch buffers, so repeated calls after the first
 //! are allocation-free.
+//!
+//! The public steppers — Euler, Heun, classic RK4 and implicit Euler —
+//! implement [`Stepper`]. The Dormand–Prince 5(4) pair is private to
+//! [`crate::integrator::Adaptive`], its only user, which takes each
+//! step's first stage from the step before.
 
 mod dopri5;
 mod euler;
@@ -11,7 +16,7 @@ mod heun;
 mod implicit;
 mod rk4;
 
-pub use dopri5::Dopri5;
+pub(crate) use dopri5::Dopri5;
 pub use euler::Euler;
 pub use heun::Heun;
 pub use implicit::ImplicitEuler;
@@ -70,7 +75,7 @@ pub(crate) fn ensure_len(buf: &mut Vec<f64>, n: usize) {
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    use crate::system::FnSystem;
+    use crate::system::{FnSystem, OdeSystem};
 
     /// dy/dt = -y with y(0) = 1: solution e^{-t}.
     pub fn decay() -> FnSystem<impl Fn(f64, &[f64], &mut [f64])> {
@@ -95,22 +100,31 @@ pub(crate) mod test_support {
     /// integrates to t = 1 with steps h and h/2 and returns
     /// log2(err_h / err_{h/2}).
     pub fn empirical_order(stepper: &mut dyn super::Stepper, h: f64) -> f64 {
+        empirical_order_of(|sys, t, y, h, out| stepper.step(sys, t, y, h, out), h)
+    }
+
+    /// [`empirical_order`] of any step function
+    /// `step(sys, t, y, h, out)`.
+    pub fn empirical_order_of(
+        mut step: impl FnMut(&dyn OdeSystem, f64, &[f64], f64, &mut [f64]),
+        h: f64,
+    ) -> f64 {
         let sys = decay();
         let exact = (-1.0_f64).exp();
-        let run = |stepper: &mut dyn super::Stepper, h: f64| {
+        let mut run = |h: f64| {
             let n = (1.0 / h).round() as usize;
             let mut y = vec![1.0];
             let mut out = vec![0.0];
             let mut t = 0.0;
             for _ in 0..n {
-                stepper.step(&sys, t, &y, h, &mut out);
+                step(&sys, t, &y, h, &mut out);
                 y.copy_from_slice(&out);
                 t += h;
             }
             (y[0] - exact).abs()
         };
-        let e1 = run(stepper, h);
-        let e2 = run(stepper, h / 2.0);
+        let e1 = run(h);
+        let e2 = run(h / 2.0);
         (e1 / e2).log2()
     }
 }

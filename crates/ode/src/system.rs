@@ -35,7 +35,7 @@ pub trait OdeSystem {
     /// the same bits out, whatever was evaluated before. Drivers rely on
     /// this to reuse a derivative at an identical `(t, y)` instead of
     /// calling again — the adaptive driver evaluates the first stage of
-    /// a step only once per run (see [`crate::steppers::Dopri5`]).
+    /// a step only once per run (see [`crate::integrator::Adaptive`]).
     /// Interior scratch and call tallies are fine; a tally then counts
     /// only the calls actually made.
     fn rhs(&self, t: f64, y: &[f64], dydt: &mut [f64]);
