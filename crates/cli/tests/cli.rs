@@ -203,6 +203,14 @@ fn initial_infection_outside_the_unit_interval_exits_three() {
 }
 
 #[test]
+fn invalid_abm_config_exits_three_before_any_replica_runs() {
+    let out = rumor(&["abm", "--nodes", "50", "--tf", "0"]);
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("tf = 0"), "stderr: {}", stderr(&out));
+    assert!(!stderr(&out).contains("quorum"), "stderr: {}", stderr(&out));
+}
+
+#[test]
 fn selftest_reports_recovery_and_respects_strict() {
     // The NaN scenario must engage the fallback chain, yet the run
     // completes and exits 0 without --strict.

@@ -8,6 +8,7 @@ use crate::model::{CompartmentModel, CompartmentOde};
 use crate::schedule::MultiControlSchedule;
 use crate::{CoreError, Result};
 use rumor_ode::integrator::{Adaptive, AdaptiveConfig};
+use rumor_ode::solution::Solution;
 
 /// Output grid and integrator tolerances. The defaults (201 samples,
 /// `rtol = 1e-8`, `atol = 1e-10`) are the ones behind every simulated
@@ -62,6 +63,27 @@ impl CompartmentTrajectory {
             times,
             states,
         }
+    }
+
+    /// Samples `sol` at every time of `grid` and sanitizes each sample
+    /// through [`CompartmentLayout::sanitize`], which clamps with the rule
+    /// of `NetworkState::from_flat`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates sampling failures and rejects non-finite samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid` is empty.
+    pub fn from_solution(layout: CompartmentLayout, sol: &Solution, grid: &[f64]) -> Result<Self> {
+        let mut states = Vec::with_capacity(grid.len());
+        for &t in grid {
+            let mut flat = sol.sample(t)?;
+            layout.sanitize(&mut flat)?;
+            states.push(flat);
+        }
+        Ok(Self::from_parts(layout, grid.to_vec(), states))
     }
 
     /// The state layout.
@@ -137,11 +159,10 @@ impl CompartmentTrajectory {
 }
 
 /// Simulates a compartment model on an explicit output grid
-/// (`grid[0] == 0`, non-decreasing). Samples are sanitized through
-/// [`CompartmentLayout::sanitize`], which clamps with the rule of
-/// `NetworkState::from_flat`. Single solves run serially: a caller that
-/// wants an inner pool binds [`CompartmentOde::with_pool`] itself, with
-/// the same bits.
+/// (`grid[0] == 0`, non-decreasing), sampled by
+/// [`CompartmentTrajectory::from_solution`]. Single solves run serially:
+/// a caller that wants an inner pool binds [`CompartmentOde::with_pool`]
+/// itself, with the same bits.
 ///
 /// # Errors
 ///
@@ -166,21 +187,10 @@ pub fn simulate_compartments_grid<M: CompartmentModel, C: MultiControlSchedule>(
             found: y0.len(),
         });
     }
-    let layout = model.layout();
     let tf = *grid.last().expect("non-empty grid");
     let sys = CompartmentOde::new(model, control);
     let sol = Adaptive::with_config(options.ode).integrate(&sys, 0.0, y0, tf)?;
-    let mut states = Vec::with_capacity(grid.len());
-    for &t in grid {
-        let mut flat = sol.sample(t)?;
-        layout.sanitize(&mut flat)?;
-        states.push(flat);
-    }
-    Ok(CompartmentTrajectory::from_parts(
-        layout,
-        grid.to_vec(),
-        states,
-    ))
+    CompartmentTrajectory::from_solution(model.layout(), &sol, grid)
 }
 
 /// Simulates over `[0, tf]` on a uniform `options.n_out`-point grid.

@@ -462,27 +462,6 @@ fn integrate_pass(
     .map_err(ControlError::Ode)
 }
 
-/// Samples a forward solution onto the sweep grid, clamping round-off the
-/// way [`rumor_compartments::simulate::simulate_compartments_grid`] does.
-fn grid_trajectory<M: CompartmentModel>(
-    model: &M,
-    forward: &Solution,
-    grid: &[f64],
-) -> Result<CompartmentTrajectory> {
-    let layout = model.layout();
-    let mut states = Vec::with_capacity(grid.len());
-    for &t in grid {
-        let mut flat = forward.sample(t).map_err(ControlError::Ode)?;
-        layout.sanitize(&mut flat)?;
-        states.push(flat);
-    }
-    Ok(CompartmentTrajectory::from_parts(
-        layout,
-        grid.to_vec(),
-        states,
-    ))
-}
-
 /// The sweep itself, instrumented for the watchdog: never errors on mere
 /// non-convergence. The result carries `converged = false` plus the full
 /// change/cost histories and relaxation telemetry instead, and restores
@@ -669,7 +648,7 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
         drop(backward);
         drop(std::mem::take(&mut forward));
         forward = forward_pass(&control)?;
-        let trajectory = grid_trajectory(model, &forward, &grid)?;
+        let trajectory = CompartmentTrajectory::from_solution(model.layout(), &forward, &grid)?;
         let total = evaluate_compartments(model, &trajectory, &control)?.total();
         cost_history.push(total);
         if total.is_finite() && best.as_ref().is_none_or(|(b, _)| total < *b) {
@@ -723,7 +702,7 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
     if restored_checkpoint {
         forward = forward_pass(&control)?;
     }
-    let trajectory = grid_trajectory(model, &forward, &grid)?;
+    let trajectory = CompartmentTrajectory::from_solution(model.layout(), &forward, &grid)?;
     let cost = evaluate_compartments(model, &trajectory, &control)?;
     Ok(MultiSweepResult {
         control,

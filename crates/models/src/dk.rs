@@ -44,14 +44,6 @@ impl DaleyKendall {
             gamma,
         }
     }
-
-    /// The classic final-size transcendental relation predicts that, for
-    /// `β = γ`, roughly 20.3% of the population never hears the rumor.
-    /// Exposed for tests and the ablation bench.
-    pub fn classic_final_ignorant() -> f64 {
-        // Solution of x = exp(-2(1-x)) in (0, 1).
-        0.203_187_869_979_980_66
-    }
 }
 
 impl OdeSystem for DaleyKendall {
@@ -97,14 +89,16 @@ mod tests {
 
     #[test]
     fn classic_final_size_fraction() {
-        // ~20.3% never hear the rumor in the classic parameterization.
+        // The classic final-size relation x = exp(-2(1-x)) for β = γ: about
+        // 20.3% of the population never hears the rumor.
+        const CLASSIC_FINAL_IGNORANT: f64 = 0.203_187_869_979_980_66;
         let m = DaleyKendall::new(1.0, 1.0, 1.0);
         let sol = Adaptive::new()
             .integrate(&m, 0.0, &[1.0 - 1e-5, 1e-5, 0.0], 2000.0)
             .unwrap();
         let x_final = sol.last_state()[0];
         assert!(
-            (x_final - DaleyKendall::classic_final_ignorant()).abs() < 0.01,
+            (x_final - CLASSIC_FINAL_IGNORANT).abs() < 0.01,
             "final ignorant fraction {x_final}"
         );
     }

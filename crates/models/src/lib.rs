@@ -4,16 +4,13 @@
 //! traditions: classical rumor models (Daley–Kendall 1965 and
 //! Maki–Thompson 1973, its Section III lineage) and mean-field epidemic
 //! models that ignore degree structure. This crate implements those
-//! baselines so the ablation benchmarks can quantify what the
-//! heterogeneity and the saturating infectivity actually buy:
+//! baselines: the ablation harness runs the homogeneous SIR against the
+//! heterogeneous model, and `examples/model_zoo.rs` runs all three:
 //!
 //! * [`homogeneous`] — the degree-blind SIR with the same countermeasure
 //!   channels (the direct ablation of network heterogeneity).
 //! * [`dk`] — the Daley–Kendall ignorant/spreader/stifler model.
 //! * [`mt`] — the Maki–Thompson variant.
-//! * [`sis`] — a heterogeneous SIS model with nonlinear infectivity
-//!   (Zhu–Fu–Chen 2012), the reference the paper borrows its `ω(k)`
-//!   family from.
 //!
 //! Beyond the baselines, two *scenario* models ride on the generalized
 //! compartment abstraction of `rumor-compartments`:
@@ -40,6 +37,5 @@
 pub mod dk;
 pub mod homogeneous;
 pub mod mt;
-pub mod sis;
 pub mod tie_strength;
 pub mod two_rumor;

@@ -172,18 +172,8 @@ impl TwoRumorModel {
         })
     }
 
-    /// The rumor acceptance table `λ1(k_j)`.
-    pub fn lambda1(&self) -> &[f64] {
-        &self.lambda1
-    }
-
-    /// The truth acceptance table `λ2(k_j)`.
-    pub fn lambda2(&self) -> &[f64] {
-        &self.lambda2
-    }
-
     /// The two contact forces `(Θ1, Θ2)` at a flat state.
-    pub fn thetas(&self, y: &[f64], pool: Option<&InnerPool>) -> (f64, f64) {
+    fn thetas(&self, y: &[f64], pool: Option<&InnerPool>) -> (f64, f64) {
         let n = self.theta_w.len();
         let i1 = &y[n..2 * n];
         let i2 = &y[2 * n..3 * n];

@@ -2,13 +2,9 @@
 
 use proptest::prelude::*;
 use rumor_core::control::ConstantControl;
-use rumor_core::functions::{AcceptanceRate, Infectivity};
-use rumor_core::params::ModelParams;
 use rumor_models::dk::DaleyKendall;
 use rumor_models::homogeneous::HomogeneousSir;
 use rumor_models::mt::MakiThompson;
-use rumor_models::sis::HeterogeneousSis;
-use rumor_net::degree::DegreeClasses;
 use rumor_ode::integrator::Adaptive;
 
 proptest! {
@@ -79,29 +75,5 @@ proptest! {
         prop_assert!(sup.r0(weak, weak) > 1.0);
         let sol = Adaptive::new().integrate(&sup, 0.0, &[0.9, 0.1, 0.0], 2000.0).unwrap();
         prop_assert!(sol.last_state()[1] > 1e-4, "supercritical I = {}", sol.last_state()[1]);
-    }
-
-    #[test]
-    fn sis_threshold_separates_extinction_from_endemicity(
-        lambda0 in 0.005..2.0_f64,
-    ) {
-        let classes = DegreeClasses::from_degrees(&[1, 1, 2, 2, 3, 6]).unwrap();
-        let p = ModelParams::builder(classes)
-            .alpha(0.0)
-            .acceptance(AcceptanceRate::LinearInDegree { lambda0 })
-            .infectivity(Infectivity::paper_default())
-            .build()
-            .unwrap();
-        let m = HeterogeneousSis::new(&p, 0.1);
-        let sol = Adaptive::new()
-            .integrate(&m, 0.0, &vec![0.05; p.n_classes()], 2000.0)
-            .unwrap();
-        let endemic = sol.last_state().iter().any(|&i| i > 1e-4);
-        if m.threshold() < 0.9 {
-            prop_assert!(!endemic, "should die below threshold {}", m.threshold());
-        }
-        if m.threshold() > 1.1 {
-            prop_assert!(endemic, "should persist above threshold {}", m.threshold());
-        }
     }
 }

@@ -85,62 +85,6 @@ impl DegreeClasses {
         Self::from_degrees(&graph.degrees())
     }
 
-    /// Builds the partition directly from `(degree, probability)` pairs,
-    /// e.g. an analytic `P(k)`.
-    ///
-    /// Probabilities are normalized to sum to 1; synthetic node counts are
-    /// not available so [`DegreeClasses::count`] reports 0 for every class.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::InvalidGeneratorConfig`] if the input is empty,
-    /// contains non-positive probabilities or zero degrees, or contains
-    /// duplicate degrees.
-    pub fn from_probabilities(pairs: &[(usize, f64)]) -> Result<Self> {
-        if pairs.is_empty() {
-            return Err(NetError::InvalidGeneratorConfig(
-                "degree/probability pairs must be non-empty".into(),
-            ));
-        }
-        let mut sorted = pairs.to_vec();
-        sorted.sort_by_key(|&(k, _)| k);
-        let mut ks = Vec::with_capacity(sorted.len());
-        let mut ps = Vec::with_capacity(sorted.len());
-        let mut total = 0.0;
-        for &(k, p) in &sorted {
-            if k == 0 {
-                return Err(NetError::InvalidGeneratorConfig(
-                    "degree classes must have positive degree".into(),
-                ));
-            }
-            if !(p > 0.0) || !p.is_finite() {
-                return Err(NetError::InvalidGeneratorConfig(format!(
-                    "probability for degree {k} must be positive and finite"
-                )));
-            }
-            if ks.last() == Some(&k) {
-                return Err(NetError::InvalidGeneratorConfig(format!(
-                    "duplicate degree {k}"
-                )));
-            }
-            ks.push(k);
-            ps.push(p);
-            total += p;
-        }
-        let mut mean = 0.0;
-        for (k, p) in ks.iter().zip(&mut ps) {
-            *p /= total;
-            mean += *k as f64 * *p;
-        }
-        let counts = vec![0; ks.len()];
-        Ok(DegreeClasses {
-            degrees: ks,
-            probabilities: ps,
-            counts,
-            mean_degree: mean,
-        })
-    }
-
     /// Number of distinct degree classes (the paper's `n`).
     pub fn len(&self) -> usize {
         self.degrees.len()
@@ -169,8 +113,7 @@ impl DegreeClasses {
         self.probabilities[i]
     }
 
-    /// The number of nodes in class `i` (0 if built from an analytic
-    /// distribution).
+    /// The number of nodes in class `i`.
     ///
     /// # Panics
     ///
@@ -281,30 +224,6 @@ mod tests {
         let c = DegreeClasses::from_graph(&g).unwrap();
         assert_eq!(c.degrees(), &[1, 2]);
         assert!((c.probability(0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_probabilities_normalizes() {
-        let c = DegreeClasses::from_probabilities(&[(1, 2.0), (4, 2.0)]).unwrap();
-        assert!((c.probability(0) - 0.5).abs() < 1e-12);
-        assert!((c.mean_degree() - 2.5).abs() < 1e-12);
-        assert_eq!(c.count(0), 0);
-    }
-
-    #[test]
-    fn from_probabilities_sorts_by_degree() {
-        let c = DegreeClasses::from_probabilities(&[(9, 0.5), (2, 0.5)]).unwrap();
-        assert_eq!(c.degrees(), &[2, 9]);
-    }
-
-    #[test]
-    fn from_probabilities_validation() {
-        assert!(DegreeClasses::from_probabilities(&[]).is_err());
-        assert!(DegreeClasses::from_probabilities(&[(0, 1.0)]).is_err());
-        assert!(DegreeClasses::from_probabilities(&[(1, 0.0)]).is_err());
-        assert!(DegreeClasses::from_probabilities(&[(1, -1.0)]).is_err());
-        assert!(DegreeClasses::from_probabilities(&[(1, f64::NAN)]).is_err());
-        assert!(DegreeClasses::from_probabilities(&[(3, 0.5), (3, 0.5)]).is_err());
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! Random-graph generators.
+//! Random-graph generators: the bounded power-law degree sequence and
+//! configuration model behind the Digg2009 stand-in, and the
+//! Barabási–Albert graphs the agent-based simulations run on.
 //!
 //! All generators are deterministic given a [`rand::Rng`] seed, which the
 //! experiment harness exploits to make every figure reproducible.
 
 mod ba;
 mod config_model;
-mod er;
 mod powerlaw_seq;
-mod ws;
 
 pub use ba::barabasi_albert;
 pub use config_model::configuration_model;
-pub use er::erdos_renyi;
 pub use powerlaw_seq::{powerlaw_degree_sequence, PowerlawSequenceConfig};
-pub use ws::watts_strogatz;

@@ -8,14 +8,12 @@
 //! views:
 //!
 //! * [`graph::Graph`] — a compact CSR (compressed sparse row) graph.
-//! * [`generators`] — Erdős–Rényi, Barabási–Albert, and configuration-model
-//!   generators plus bounded power-law degree-sequence sampling, all
-//!   deterministic given a seed.
-//! * [`degree`] — degree histograms, [`degree::DegreeClasses`] (the `n`
-//!   groups of the paper's heterogeneous model), and distribution moments.
-//! * [`metrics`] — connected components, clustering, assortativity.
-//! * [`powerlaw`] — discrete MLE and log–log regression estimates of the
-//!   power-law exponent.
+//! * [`generators`] — Barabási–Albert and configuration-model generators
+//!   plus bounded power-law degree-sequence sampling, all deterministic
+//!   given a seed.
+//! * [`degree`] — [`degree::DegreeClasses`], the `n` groups of the paper's
+//!   heterogeneous model, with `P(k)` and `⟨k⟩`.
+//! * [`metrics`] — connected components.
 
 // Deliberate idioms throughout this workspace:
 // * `!(x > 0.0)` rejects NaN alongside non-positive values, which the
@@ -30,7 +28,6 @@ pub mod degree;
 pub mod generators;
 pub mod graph;
 pub mod metrics;
-pub mod powerlaw;
 
 mod error;
 

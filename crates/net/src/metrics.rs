@@ -1,7 +1,7 @@
-//! Structural graph metrics: components, clustering, assortativity.
+//! Connected components: the connectivity precondition the ABM
+//! validation tests check on the graphs they simulate.
 
 use crate::graph::Graph;
-use crate::{NetError, Result};
 
 /// Connected components via breadth-first search (edges treated as
 /// undirected regardless of [`crate::graph::EdgeKind`]).
@@ -45,14 +45,6 @@ pub fn connected_components(graph: &Graph) -> Vec<usize> {
     comp
 }
 
-/// Number of connected components.
-pub fn component_count(graph: &Graph) -> usize {
-    connected_components(graph)
-        .iter()
-        .max()
-        .map_or(0, |m| m + 1)
-}
-
 /// Size of the largest connected component (0 for an empty graph).
 pub fn largest_component_size(graph: &Graph) -> usize {
     let comp = connected_components(graph);
@@ -63,200 +55,6 @@ pub fn largest_component_size(graph: &Graph) -> usize {
     counts.values().copied().max().unwrap_or(0)
 }
 
-/// Global clustering coefficient: `3 × triangles / connected triples`.
-///
-/// # Errors
-///
-/// Returns [`NetError::EmptyGraph`] for a graph without edges.
-pub fn global_clustering(graph: &Graph) -> Result<f64> {
-    let n = graph.node_count();
-    if n == 0 || graph.edge_count() == 0 {
-        return Err(NetError::EmptyGraph);
-    }
-    let mut triangles = 0u64;
-    let mut triples = 0u64;
-    for u in 0..n {
-        let nb = graph.neighbors(u);
-        let d = nb.len() as u64;
-        if d >= 2 {
-            triples += d * (d - 1) / 2;
-        }
-        for (i, &a) in nb.iter().enumerate() {
-            for &b in &nb[i + 1..] {
-                if graph.has_edge(a as usize, b as usize) {
-                    triangles += 1;
-                }
-            }
-        }
-    }
-    if triples == 0 {
-        return Ok(0.0);
-    }
-    // Each triangle is seen once per apex node → 3 apexes; triples formula
-    // already counts per-apex pairs, so the ratio needs no extra factor.
-    Ok(triangles as f64 / triples as f64)
-}
-
-/// Degree assortativity: the Pearson correlation of degrees across edges
-/// (Newman's `r`). Positive values mean hubs attach to hubs.
-///
-/// # Errors
-///
-/// Returns [`NetError::EmptyGraph`] if the graph has no edges, or
-/// [`NetError::InvalidGeneratorConfig`] if all edge-endpoint degrees are
-/// identical (correlation undefined, e.g. a cycle).
-pub fn degree_assortativity(graph: &Graph) -> Result<f64> {
-    let arcs: Vec<(usize, usize)> = graph.iter_arcs().collect();
-    if arcs.is_empty() {
-        return Err(NetError::EmptyGraph);
-    }
-    let m = arcs.len() as f64;
-    let (mut sum_prod, mut sum_j, mut sum_k, mut sum_j2, mut sum_k2) = (0.0, 0.0, 0.0, 0.0, 0.0);
-    for &(u, v) in &arcs {
-        let j = graph.degree(u) as f64;
-        let k = graph.degree(v) as f64;
-        sum_prod += j * k;
-        sum_j += j;
-        sum_k += k;
-        sum_j2 += j * j;
-        sum_k2 += k * k;
-    }
-    let num = sum_prod / m - (sum_j / m) * (sum_k / m);
-    let den = ((sum_j2 / m - (sum_j / m).powi(2)) * (sum_k2 / m - (sum_k / m).powi(2))).sqrt();
-    if den == 0.0 {
-        return Err(NetError::InvalidGeneratorConfig(
-            "assortativity undefined: all endpoint degrees identical".into(),
-        ));
-    }
-    Ok(num / den)
-}
-
-/// Breadth-first distances from `source` (treating edges as undirected);
-/// unreachable nodes get `usize::MAX`.
-///
-/// # Errors
-///
-/// Returns [`NetError::NodeOutOfBounds`] if `source` is out of range.
-pub fn bfs_distances(graph: &Graph, source: usize) -> Result<Vec<usize>> {
-    let n = graph.node_count();
-    if source >= n {
-        return Err(NetError::NodeOutOfBounds {
-            node: source,
-            node_count: n,
-        });
-    }
-    let mut rev: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (u, v) in graph.iter_arcs() {
-        rev[v].push(u as u32);
-    }
-    let mut dist = vec![usize::MAX; n];
-    dist[source] = 0;
-    let mut queue = std::collections::VecDeque::from([source]);
-    while let Some(u) = queue.pop_front() {
-        let d = dist[u] + 1;
-        for &v in graph.neighbors(u).iter().chain(rev[u].iter()) {
-            let v = v as usize;
-            if dist[v] == usize::MAX {
-                dist[v] = d;
-                queue.push_back(v);
-            }
-        }
-    }
-    Ok(dist)
-}
-
-/// Mean shortest-path length estimated from BFS trees rooted at
-/// `sample_count` deterministic, evenly spaced source nodes (exact when
-/// `sample_count >= n`). Unreachable pairs are excluded.
-///
-/// # Example
-///
-/// ```
-/// use rumor_net::graph::{EdgeKind, Graph};
-/// use rumor_net::metrics::average_path_length;
-///
-/// # fn main() -> Result<(), rumor_net::NetError> {
-/// // Path 0 - 1 - 2: pair distances 1, 1, 2 (each direction).
-/// let g = Graph::from_edges(3, &[(0, 1), (1, 2)], EdgeKind::Undirected)?;
-/// let apl = average_path_length(&g, 3)?;
-/// assert!((apl - 8.0 / 6.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-///
-/// # Errors
-///
-/// Returns [`NetError::EmptyGraph`] if the graph has no edges or no pair
-/// of connected nodes, and [`NetError::InvalidGeneratorConfig`] if
-/// `sample_count == 0`.
-pub fn average_path_length(graph: &Graph, sample_count: usize) -> Result<f64> {
-    if graph.node_count() == 0 || graph.edge_count() == 0 {
-        return Err(NetError::EmptyGraph);
-    }
-    if sample_count == 0 {
-        return Err(NetError::InvalidGeneratorConfig(
-            "need at least one BFS sample".into(),
-        ));
-    }
-    let n = graph.node_count();
-    let samples = sample_count.min(n);
-    let mut total = 0.0;
-    let mut pairs = 0usize;
-    for s in 0..samples {
-        let source = s * n / samples;
-        let dist = bfs_distances(graph, source)?;
-        for (v, &d) in dist.iter().enumerate() {
-            if v != source && d != usize::MAX {
-                total += d as f64;
-                pairs += 1;
-            }
-        }
-    }
-    if pairs == 0 {
-        return Err(NetError::EmptyGraph);
-    }
-    Ok(total / pairs as f64)
-}
-
-/// Average nearest-neighbour degree as a function of degree,
-/// `k_nn(k) = E[degree of a random neighbour | node degree = k]` —
-/// the standard probe of degree–degree correlations. Returns sorted
-/// `(k, k_nn(k))` pairs over the degrees present in the graph.
-///
-/// A flat profile indicates an uncorrelated network (where the
-/// mean-field model's factorization is exact); rising/falling profiles
-/// indicate assortative/disassortative mixing.
-///
-/// # Errors
-///
-/// Returns [`NetError::EmptyGraph`] if the graph has no edges.
-pub fn knn_by_degree(graph: &Graph) -> Result<Vec<(usize, f64)>> {
-    if graph.node_count() == 0 || graph.edge_count() == 0 {
-        return Err(NetError::EmptyGraph);
-    }
-    let mut sums: std::collections::BTreeMap<usize, (f64, usize)> =
-        std::collections::BTreeMap::new();
-    for u in 0..graph.node_count() {
-        let k = graph.degree(u);
-        if k == 0 {
-            continue;
-        }
-        let mean_nb: f64 = graph
-            .neighbors(u)
-            .iter()
-            .map(|&v| graph.degree(v as usize) as f64)
-            .sum::<f64>()
-            / k as f64;
-        let entry = sums.entry(k).or_insert((0.0, 0));
-        entry.0 += mean_nb;
-        entry.1 += 1;
-    }
-    Ok(sums
-        .into_iter()
-        .map(|(k, (total, count))| (k, total / count as f64))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +63,13 @@ mod tests {
     fn path(n: usize) -> Graph {
         let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         Graph::from_edges(n, &edges, EdgeKind::Undirected).unwrap()
+    }
+
+    fn component_count(graph: &Graph) -> usize {
+        connected_components(graph)
+            .iter()
+            .max()
+            .map_or(0, |m| m + 1)
     }
 
     #[test]
@@ -290,157 +95,5 @@ mod tests {
         // 0 → 1 ← 2: weakly connected as one component.
         let g = Graph::from_edges(3, &[(0, 1), (2, 1)], EdgeKind::Directed).unwrap();
         assert_eq!(component_count(&g), 1);
-    }
-
-    #[test]
-    fn clustering_triangle_is_one() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)], EdgeKind::Undirected).unwrap();
-        assert!((global_clustering(&g).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clustering_star_is_zero() {
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)], EdgeKind::Undirected).unwrap();
-        assert_eq!(global_clustering(&g).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn clustering_known_mixed_value() {
-        // Triangle 0-1-2 plus pendant 3 attached to 0.
-        let g =
-            Graph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (0, 3)], EdgeKind::Undirected).unwrap();
-        // Triangles (per-apex): 3. Triples: node0 C(3,2)=3, node1 1, node2 1, node3 0 → 5.
-        assert!((global_clustering(&g).unwrap() - 3.0 / 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clustering_empty_graph_errors() {
-        let g = Graph::from_edges(3, &[], EdgeKind::Undirected).unwrap();
-        assert!(matches!(global_clustering(&g), Err(NetError::EmptyGraph)));
-    }
-
-    #[test]
-    fn assortativity_star_is_negative() {
-        let edges: Vec<(usize, usize)> = (1..10).map(|i| (0, i)).collect();
-        let g = Graph::from_edges(10, &edges, EdgeKind::Undirected).unwrap();
-        assert!((degree_assortativity(&g).unwrap() + 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn assortativity_undefined_on_regular_graph() {
-        // 4-cycle: every endpoint degree is 2.
-        let g =
-            Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)], EdgeKind::Undirected).unwrap();
-        assert!(degree_assortativity(&g).is_err());
-    }
-
-    #[test]
-    fn assortativity_no_edges_errors() {
-        let g = Graph::from_edges(3, &[], EdgeKind::Undirected).unwrap();
-        assert!(matches!(
-            degree_assortativity(&g),
-            Err(NetError::EmptyGraph)
-        ));
-    }
-
-    #[test]
-    fn bfs_distances_on_path() {
-        let g = path(5);
-        let d = bfs_distances(&g, 0).unwrap();
-        assert_eq!(d, vec![0, 1, 2, 3, 4]);
-        let d = bfs_distances(&g, 2).unwrap();
-        assert_eq!(d, vec![2, 1, 0, 1, 2]);
-        assert!(bfs_distances(&g, 99).is_err());
-    }
-
-    #[test]
-    fn bfs_marks_unreachable() {
-        let g = Graph::from_edges(4, &[(0, 1)], EdgeKind::Undirected).unwrap();
-        let d = bfs_distances(&g, 0).unwrap();
-        assert_eq!(d[1], 1);
-        assert_eq!(d[2], usize::MAX);
-        assert_eq!(d[3], usize::MAX);
-    }
-
-    #[test]
-    fn bfs_follows_directed_edges_both_ways() {
-        // Weak connectivity: 0 → 1 ← 2 is all within distance 2 of 0.
-        let g = Graph::from_edges(3, &[(0, 1), (2, 1)], EdgeKind::Directed).unwrap();
-        let d = bfs_distances(&g, 0).unwrap();
-        assert_eq!(d, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn average_path_length_exact_on_path_graph() {
-        // Path on 4 nodes: pair distances 1,2,3,1,2,1 → mean = 10/6.
-        let g = path(4);
-        let apl = average_path_length(&g, 10).unwrap();
-        assert!((apl - 10.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_path_length_validation() {
-        let empty = Graph::from_edges(3, &[], EdgeKind::Undirected).unwrap();
-        assert!(average_path_length(&empty, 3).is_err());
-        let g = path(3);
-        assert!(average_path_length(&g, 0).is_err());
-    }
-
-    #[test]
-    fn small_world_rewiring_shortens_paths() {
-        use crate::generators::watts_strogatz;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let lattice = watts_strogatz(400, 6, 0.0, &mut StdRng::seed_from_u64(6)).unwrap();
-        let rewired = watts_strogatz(400, 6, 0.2, &mut StdRng::seed_from_u64(6)).unwrap();
-        let l0 = average_path_length(&lattice, 40).unwrap();
-        let l1 = average_path_length(&rewired, 40).unwrap();
-        assert!(
-            l1 < 0.5 * l0,
-            "rewired APL {l1} should be far below the lattice's {l0}"
-        );
-    }
-
-    #[test]
-    fn knn_star_profile() {
-        // Star: leaves (k = 1) neighbour the hub (k = 9); hub neighbours
-        // leaves (k = 1).
-        let edges: Vec<(usize, usize)> = (1..10).map(|i| (0, i)).collect();
-        let g = Graph::from_edges(10, &edges, EdgeKind::Undirected).unwrap();
-        let knn = knn_by_degree(&g).unwrap();
-        assert_eq!(knn.len(), 2);
-        assert_eq!(knn[0], (1, 9.0));
-        assert_eq!(knn[1], (9, 1.0));
-    }
-
-    #[test]
-    fn knn_regular_graph_is_flat() {
-        // Cycle: every node and neighbour has degree 2.
-        let g = Graph::from_edges(
-            5,
-            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
-            EdgeKind::Undirected,
-        )
-        .unwrap();
-        let knn = knn_by_degree(&g).unwrap();
-        assert_eq!(knn, vec![(2, 2.0)]);
-    }
-
-    #[test]
-    fn knn_empty_graph_errors() {
-        let g = Graph::from_edges(3, &[], EdgeKind::Undirected).unwrap();
-        assert!(matches!(knn_by_degree(&g), Err(NetError::EmptyGraph)));
-    }
-
-    #[test]
-    fn assortativity_mixed_graph_in_range() {
-        let g = Graph::from_edges(
-            6,
-            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)],
-            EdgeKind::Undirected,
-        )
-        .unwrap();
-        let r = degree_assortativity(&g).unwrap();
-        assert!((-1.0..=1.0).contains(&r));
     }
 }

@@ -8,8 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rumor_net::degree::DegreeClasses;
 use rumor_net::generators::{
-    barabasi_albert, configuration_model, erdos_renyi, powerlaw_degree_sequence,
-    PowerlawSequenceConfig,
+    barabasi_albert, configuration_model, powerlaw_degree_sequence, PowerlawSequenceConfig,
 };
 use rumor_net::graph::{EdgeKind, Graph};
 use rumor_net::metrics::{connected_components, largest_component_size};
@@ -83,9 +82,12 @@ proptest! {
     }
 
     #[test]
-    fn erdos_renyi_components_partition_nodes(n in 2usize..80, p in 0.0..0.3_f64, seed in 0u64..50) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = erdos_renyi(n, p, &mut rng).expect("er");
+    fn components_partition_nodes(
+        n in 2usize..80,
+        raw in proptest::collection::vec((0usize..80, 0usize..80), 0..120),
+    ) {
+        let edges: Vec<(usize, usize)> = raw.into_iter().map(|(u, v)| (u % n, v % n)).collect();
+        let g = Graph::from_edges(n, &edges, EdgeKind::Undirected).expect("graph");
         let comp = connected_components(&g);
         prop_assert_eq!(comp.len(), n);
         let n_comp = comp.iter().max().map_or(0, |m| m + 1);

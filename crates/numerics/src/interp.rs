@@ -2,9 +2,8 @@
 //!
 //! The optimal-control solver in `rumor-control` stores the control
 //! signals `ε1(t)`, `ε2(t)` on a time grid and needs to evaluate them at
-//! arbitrary times requested by the adaptive ODE integrator. That path
-//! uses [`LinearInterp`]; [`PchipInterp`] (monotone cubic Hermite) is
-//! provided for smoother reconstructions and for plotting-quality output.
+//! arbitrary times requested by the adaptive ODE integrator through
+//! [`LinearInterp`].
 
 use crate::{NumericsError, Result};
 
@@ -122,105 +121,6 @@ impl LinearInterp {
     }
 }
 
-/// Monotone piecewise-cubic Hermite interpolation (PCHIP, Fritsch–Carlson).
-///
-/// Preserves monotonicity of the data — no overshoot between samples —
-/// which matters when interpolating state densities that must stay within
-/// `[0, 1]`-ish ranges.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PchipInterp {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    /// Endpoint-adjusted derivative at each grid node.
-    ds: Vec<f64>,
-}
-
-impl PchipInterp {
-    /// Creates a monotone cubic interpolant over `(xs, ys)`.
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`LinearInterp::new`].
-    pub fn new(xs: Vec<f64>, ys: Vec<f64>) -> Result<Self> {
-        validate_grid(&xs, &ys)?;
-        let n = xs.len();
-        let mut slopes = vec![0.0; n - 1];
-        for i in 0..n - 1 {
-            slopes[i] = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]);
-        }
-        let mut ds = vec![0.0; n];
-        // Interior derivatives: weighted harmonic mean when slopes agree in
-        // sign, zero otherwise (Fritsch–Carlson).
-        for i in 1..n - 1 {
-            let (s0, s1) = (slopes[i - 1], slopes[i]);
-            if s0 * s1 <= 0.0 {
-                ds[i] = 0.0;
-            } else {
-                let h0 = xs[i] - xs[i - 1];
-                let h1 = xs[i + 1] - xs[i];
-                let w1 = 2.0 * h1 + h0;
-                let w2 = h1 + 2.0 * h0;
-                ds[i] = (w1 + w2) / (w1 / s0 + w2 / s1);
-            }
-        }
-        // One-sided endpoint formulas with monotonicity clamping.
-        ds[0] = endpoint_derivative(
-            xs[1] - xs[0],
-            if n > 2 { xs[2] - xs[1] } else { xs[1] - xs[0] },
-            slopes[0],
-            if n > 2 { slopes[1] } else { slopes[0] },
-        );
-        ds[n - 1] = endpoint_derivative(
-            xs[n - 1] - xs[n - 2],
-            if n > 2 {
-                xs[n - 2] - xs[n - 3]
-            } else {
-                xs[n - 1] - xs[n - 2]
-            },
-            slopes[n - 2],
-            if n > 2 { slopes[n - 3] } else { slopes[n - 2] },
-        );
-        Ok(PchipInterp { xs, ys, ds })
-    }
-
-    /// Evaluates the interpolant at `x` (clamped outside the grid).
-    pub fn eval(&self, x: f64) -> f64 {
-        if x <= self.xs[0] {
-            return self.ys[0];
-        }
-        if x >= *self.xs.last().expect("non-empty grid") {
-            return *self.ys.last().expect("non-empty grid");
-        }
-        let i = segment_index(&self.xs, x);
-        let h = self.xs[i + 1] - self.xs[i];
-        let t = (x - self.xs[i]) / h;
-        let (t2, t3) = (t * t, t * t * t);
-        let h00 = 2.0 * t3 - 3.0 * t2 + 1.0;
-        let h10 = t3 - 2.0 * t2 + t;
-        let h01 = -2.0 * t3 + 3.0 * t2;
-        let h11 = t3 - t2;
-        h00 * self.ys[i] + h10 * h * self.ds[i] + h01 * self.ys[i + 1] + h11 * h * self.ds[i + 1]
-    }
-
-    /// The grid abscissae.
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-}
-
-/// One-sided three-point endpoint derivative with the standard PCHIP
-/// monotonicity clamps.
-fn endpoint_derivative(h0: f64, h1: f64, s0: f64, s1: f64) -> f64 {
-    let d = ((2.0 * h0 + h1) * s0 - h0 * s1) / (h0 + h1);
-    if d * s0 <= 0.0 {
-        0.0
-    } else if s0 * s1 < 0.0 && d.abs() > 3.0 * s0.abs() {
-        3.0 * s0
-    } else {
-        d
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,72 +161,6 @@ mod tests {
         li.set_ys(vec![2.0, 4.0]).unwrap();
         assert_eq!(li.eval(0.5), 3.0);
         assert!(li.set_ys(vec![1.0]).is_err());
-    }
-
-    #[test]
-    fn pchip_exact_on_nodes() {
-        let xs = vec![0.0, 1.0, 2.0, 3.0];
-        let ys = vec![0.0, 1.0, 4.0, 9.0];
-        let p = PchipInterp::new(xs.clone(), ys.clone()).unwrap();
-        for (x, y) in xs.iter().zip(&ys) {
-            assert!((p.eval(*x) - y).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn pchip_no_overshoot_on_step_data() {
-        // Data with a plateau: cubic splines overshoot, PCHIP must not.
-        let xs = vec![0.0, 1.0, 2.0, 3.0, 4.0];
-        let ys = vec![0.0, 0.0, 1.0, 1.0, 1.0];
-        let p = PchipInterp::new(xs, ys).unwrap();
-        for i in 0..=400 {
-            let x = i as f64 * 0.01;
-            let y = p.eval(x);
-            assert!((-1e-12..=1.0 + 1e-12).contains(&y), "overshoot at {x}: {y}");
-        }
-    }
-
-    #[test]
-    fn pchip_monotone_data_stays_monotone() {
-        let xs = vec![0.0, 0.5, 1.5, 2.0, 5.0];
-        let ys = vec![0.0, 0.1, 2.0, 2.5, 3.0];
-        let p = PchipInterp::new(xs, ys).unwrap();
-        let mut prev = p.eval(0.0);
-        for i in 1..=500 {
-            let x = i as f64 * 0.01;
-            let y = p.eval(x);
-            assert!(y + 1e-12 >= prev, "non-monotone at {x}");
-            prev = y;
-        }
-    }
-
-    #[test]
-    fn pchip_clamps_outside() {
-        let p = PchipInterp::new(vec![0.0, 1.0, 2.0], vec![1.0, 3.0, 2.0]).unwrap();
-        assert_eq!(p.eval(-5.0), 1.0);
-        assert_eq!(p.eval(5.0), 2.0);
-    }
-
-    #[test]
-    fn pchip_two_points_is_linearish() {
-        let p = PchipInterp::new(vec![0.0, 1.0], vec![0.0, 2.0]).unwrap();
-        assert!((p.eval(0.5) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pchip_more_accurate_than_linear_on_smooth_data() {
-        let xs: Vec<f64> = (0..=10).map(|i| i as f64 * 0.3).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| x.sin()).collect();
-        let p = PchipInterp::new(xs.clone(), ys.clone()).unwrap();
-        let l = LinearInterp::new(xs, ys).unwrap();
-        let mut pe = 0.0;
-        let mut le = 0.0;
-        for i in 0..=300 {
-            let x = i as f64 * 0.01;
-            pe = f64::max(pe, (p.eval(x) - x.sin()).abs());
-            le = f64::max(le, (l.eval(x) - x.sin()).abs());
-        }
-        assert!(pe < le, "pchip err {pe} should beat linear err {le}");
     }
 
     #[test]

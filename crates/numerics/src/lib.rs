@@ -1,23 +1,24 @@
 //! Numerical substrate for the rumor-propagation reproduction workspace.
 //!
-//! This crate provides the numerical building blocks that the rest of the
-//! workspace is built on:
+//! This crate holds the numerical building blocks the rest of the
+//! workspace calls:
 //!
-//! * [`matrix`] — a small dense row-major [`matrix::Matrix`] with the usual
-//!   arithmetic, norms and slicing helpers.
-//! * [`lu`] — LU decomposition with partial pivoting, linear solves,
-//!   determinants and inverses.
-//! * [`qr`] — Householder QR decomposition and least-squares solves.
+//! * [`matrix`] — a small dense row-major [`matrix::Matrix`] for the
+//!   Jacobians of the implicit Euler stepper and of Theorem 2.
+//! * [`lu`] — LU decomposition with partial pivoting: the implicit Euler
+//!   stepper's Newton solves, and determinants.
 //! * [`eigen`] — eigenvalues of general real matrices via Hessenberg
-//!   reduction followed by the shifted QR iteration (complex pairs are
-//!   returned as [`eigen::Complex`] values).
-//! * [`roots`] — scalar root finding (bisection, Newton, Brent).
-//! * [`quadrature`] — numerical integration (trapezoid, Simpson, adaptive
-//!   Simpson, Gauss–Legendre, and integration of sampled trajectories).
-//! * [`interp`] — piecewise-linear and monotone cubic (PCHIP) interpolation
-//!   on grids, used to store continuous control signals.
-//! * [`stats`] — summary statistics and simple regressions (used by the
-//!   power-law fitting in `rumor-net`).
+//!   reduction followed by the Francis double-shift QR iteration, and the
+//!   spectral abscissa behind Theorem 2's stability verdict.
+//! * [`roots`] — Brent's method for the `E+` fixed point and the `λ0` and
+//!   Digg2009 calibrations (with bisection as its test reference).
+//! * [`quadrature`] — trapezoid integration of sampled trajectories, for
+//!   the cost functional `J`, and composite and Gauss–Legendre rules on
+//!   functions.
+//! * [`interp`] — piecewise-linear interpolation on grids, for the control
+//!   schedules.
+//! * [`stats`] — the running mean/variance accumulator of the Monte Carlo
+//!   ensembles.
 //!
 //! # Example
 //!
@@ -45,7 +46,6 @@ pub mod eigen;
 pub mod interp;
 pub mod lu;
 pub mod matrix;
-pub mod qr;
 pub mod quadrature;
 pub mod roots;
 pub mod stats;

@@ -1,8 +1,8 @@
 //! LU decomposition with partial pivoting.
 //!
-//! The decomposition `P·A = L·U` supports linear solves, determinants and
-//! inverses. It backs the implicit ODE stepper in `rumor-ode` and several
-//! checks in the stability analysis.
+//! The decomposition `P·A = L·U` backs the Newton solves of the implicit
+//! Euler stepper in `rumor-ode`. Its determinant is the reference the
+//! eigenvalue tests check eigenvalue products against.
 
 use crate::matrix::Matrix;
 use crate::{NumericsError, Result};
@@ -89,18 +89,14 @@ impl Lu {
         })
     }
 
-    /// Dimension of the decomposed matrix.
-    pub fn dim(&self) -> usize {
-        self.lu.rows()
-    }
-
     /// Solves `A·x = b`.
     ///
     /// # Errors
     ///
-    /// Returns [`NumericsError::ShapeMismatch`] if `b.len() != self.dim()`.
+    /// Returns [`NumericsError::ShapeMismatch`] if `b` does not match the
+    /// dimension of the decomposed matrix.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.dim();
+        let n = self.lu.rows();
         if b.len() != n {
             return Err(NumericsError::ShapeMismatch {
                 expected: format!("rhs of length {n}"),
@@ -127,52 +123,10 @@ impl Lu {
         Ok(y)
     }
 
-    /// Solves `A·X = B` for a matrix right-hand side.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::ShapeMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(NumericsError::ShapeMismatch {
-                expected: format!("rhs with {n} rows"),
-                found: format!("rhs with {} rows", b.rows()),
-            });
-        }
-        let mut out = Matrix::zeros(n, b.cols());
-        for j in 0..b.cols() {
-            let col = self.solve(&b.col(j))?;
-            for i in 0..n {
-                out[(i, j)] = col[i];
-            }
-        }
-        Ok(out)
-    }
-
     /// Determinant of the decomposed matrix.
     pub fn det(&self) -> f64 {
         self.perm_sign * self.lu.diag().iter().product::<f64>()
     }
-
-    /// Inverse of the decomposed matrix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve errors (the decomposition already guarantees
-    /// non-singularity, so this is effectively infallible).
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
-    }
-}
-
-/// Convenience wrapper: solves `A·x = b` via a fresh LU decomposition.
-///
-/// # Errors
-///
-/// See [`Lu::decompose`] and [`Lu::solve`].
-pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    Lu::decompose(a)?.solve(b)
 }
 
 /// Convenience wrapper: determinant of `a` via LU decomposition.
@@ -192,7 +146,14 @@ pub fn det(a: &Matrix) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::vecops::dist_inf;
+
+    fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
+        Lu::decompose(a)?.solve(b)
+    }
+
+    fn dist_inf(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).fold(0.0, |m, (x, y)| m.max((x - y).abs()))
+    }
 
     #[test]
     fn solve_2x2() {
@@ -238,23 +199,6 @@ mod tests {
         // This matrix needs a swap; det = -1 for the 2x2 anti-identity.
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
         assert!((det(&a).unwrap() + 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]).unwrap();
-        let inv = Lu::decompose(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.approx_eq(&Matrix::identity(2), 1e-12));
-    }
-
-    #[test]
-    fn solve_matrix_rhs() {
-        let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 2.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[3.0, 6.0], &[2.0, 4.0]]).unwrap();
-        let x = Lu::decompose(&a).unwrap().solve_matrix(&b).unwrap();
-        let expect = Matrix::from_rows(&[&[1.0, 2.0], &[1.0, 2.0]]).unwrap();
-        assert!(x.approx_eq(&expect, 1e-12));
     }
 
     #[test]

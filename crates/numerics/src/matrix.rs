@@ -1,11 +1,10 @@
 //! A small dense, row-major matrix type.
 //!
 //! [`Matrix`] is deliberately simple: `f64` elements stored contiguously in
-//! row-major order. It supports the arithmetic and norms needed by the LU/QR
-//! decompositions, the eigenvalue solver, and the Jacobian stability analysis
-//! in `rumor-core`. It is not meant to compete with full linear-algebra
-//! crates — it exists so the workspace has zero external numeric
-//! dependencies.
+//! row-major order. It carries the Jacobians of the implicit Euler
+//! stepper (through the LU solve) and of the Theorem-2 stability analysis
+//! in `rumor-core` (through the eigenvalue solver). It exists so the
+//! workspace has no external numeric dependencies.
 
 use crate::{NumericsError, Result};
 use std::fmt;
@@ -433,7 +432,7 @@ impl fmt::Display for Matrix {
     }
 }
 
-/// Vector helpers shared by the ODE and control crates.
+/// Vector helpers: norms, dot product, `axpy` and infinity-norm distance.
 pub mod vecops {
     /// Euclidean (L2) norm of a vector.
     pub fn norm2(v: &[f64]) -> f64 {
@@ -522,6 +521,13 @@ mod tests {
     #[should_panic(expected = "matrix size overflow")]
     fn filled_panics_on_an_overflowing_shape() {
         let _ = Matrix::filled(1 << (usize::BITS - 1), 2, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix size overflow")]
+    fn zeros_panics_on_an_overflowing_shape() {
+        // 2^63 × 2 wraps to 0, which an unchecked product would accept.
+        let _ = Matrix::zeros(1 << (usize::BITS - 1), 2);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Scalar root finding: bisection, Newton's method and Brent's method.
+//! Scalar root finding on a bracket: Brent's method and bisection.
 //!
-//! The positive-equilibrium computation in `rumor-core` solves the scalar
-//! fixed-point equation `F(Θ*) = 0` (Eq. (5) of the paper) with these
-//! routines, and the heuristic-controller gain search in `rumor-control`
-//! uses bisection on a monotone response curve.
+//! [`brent`] solves the positive-equilibrium fixed point `F(Θ*) = 0`
+//! (Eq. (5) of the paper) and the `λ0` calibration in `rumor-core`, and
+//! the Digg2009 degree-law calibration in `rumor-datasets`. [`bisect`] is
+//! the slow, plainly correct reference the tests hold [`brent`] to.
 
 use crate::{NumericsError, Result};
 
@@ -86,52 +86,6 @@ pub fn bisect(mut f: impl FnMut(f64) -> f64, a: f64, b: f64, cfg: &RootConfig) -
     }
     Err(NumericsError::NoConvergence {
         algorithm: "bisection",
-        iterations: cfg.max_iter,
-    })
-}
-
-/// Newton's method starting from `x0`, with the derivative supplied by the
-/// caller.
-///
-/// # Errors
-///
-/// * [`NumericsError::InvalidArgument`] if the derivative vanishes at an
-///   iterate.
-/// * [`NumericsError::NoConvergence`] if the iteration budget is exhausted.
-pub fn newton(
-    mut f: impl FnMut(f64) -> f64,
-    mut df: impl FnMut(f64) -> f64,
-    x0: f64,
-    cfg: &RootConfig,
-) -> Result<Root> {
-    let mut x = x0;
-    for it in 1..=cfg.max_iter {
-        let fx = f(x);
-        if fx.abs() <= cfg.f_tol {
-            return Ok(Root {
-                x,
-                f: fx,
-                iterations: it,
-            });
-        }
-        let dfx = df(x);
-        if dfx == 0.0 || !dfx.is_finite() {
-            return Err(NumericsError::InvalidArgument(format!(
-                "derivative vanished or was non-finite at x = {x}"
-            )));
-        }
-        let step = fx / dfx;
-        x -= step;
-        if step.abs() <= cfg.x_tol {
-            return Ok(Root {
-                x,
-                f: f(x),
-                iterations: it,
-            });
-        }
-    }
-    Err(NumericsError::NoConvergence {
-        algorithm: "newton",
         iterations: cfg.max_iter,
     })
 }
@@ -269,37 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn newton_cubic() {
-        let r = newton(
-            |x| x * x * x - 8.0,
-            |x| 3.0 * x * x,
-            3.0,
-            &RootConfig::default(),
-        )
-        .unwrap();
-        assert!((r.x - 2.0).abs() < 1e-10);
-        assert!(r.iterations < 20);
-    }
-
-    #[test]
-    fn newton_zero_derivative() {
-        let err = newton(|_| 1.0, |_| 0.0, 0.0, &RootConfig::default()).unwrap_err();
-        assert!(matches!(err, NumericsError::InvalidArgument(_)));
-    }
-
-    #[test]
-    fn newton_no_convergence_budget() {
-        let cfg = RootConfig {
-            max_iter: 3,
-            x_tol: 0.0,
-            f_tol: 0.0,
-        };
-        // x^2 + 1 has no real root; Newton just wanders.
-        let err = newton(|x| x * x + 1.0, |x| 2.0 * x, 3.0, &cfg).unwrap_err();
-        assert!(matches!(err, NumericsError::NoConvergence { .. }));
-    }
-
-    #[test]
     fn brent_transcendental() {
         // cos(x) = x near 0.739085.
         let r = brent(|x| x.cos() - x, 0.0, 1.0, &RootConfig::default()).unwrap();
@@ -340,10 +263,8 @@ mod tests {
         let f = |x: f64| x.powi(3) - 2.0 * x - 5.0; // classic Wallis cubic, root ≈ 2.0945515
         let cfg = RootConfig::default();
         let rb = bisect(f, 2.0, 3.0, &cfg).unwrap().x;
-        let rn = newton(f, |x| 3.0 * x * x - 2.0, 2.0, &cfg).unwrap().x;
         let rr = brent(f, 2.0, 3.0, &cfg).unwrap().x;
-        assert!((rb - rn).abs() < 1e-8);
-        assert!((rr - rn).abs() < 1e-8);
-        assert!((rn - 2.094_551_481_542_326_5).abs() < 1e-10);
+        assert!((rb - rr).abs() < 1e-8);
+        assert!((rr - 2.094_551_481_542_326_5).abs() < 1e-10);
     }
 }

@@ -1,8 +1,6 @@
-//! Summary statistics and simple regressions.
-//!
-//! Used by `rumor-net` for power-law degree-distribution fitting (log–log
-//! least squares and discrete MLE support functions) and by `rumor-sim`
-//! for aggregating Monte Carlo ensembles.
+//! Summary statistics for aggregating Monte Carlo ensembles in
+//! `rumor-sim`: the streaming [`RunningStats`] accumulator, and the batch
+//! [`mean`] and [`variance`] the tests hold it to.
 
 use crate::{NumericsError, Result};
 
@@ -32,137 +30,6 @@ pub fn variance(xs: &[f64]) -> Result<f64> {
     }
     let m = mean(xs)?;
     Ok(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
-}
-
-/// Sample standard deviation.
-///
-/// # Errors
-///
-/// See [`variance`].
-pub fn std_dev(xs: &[f64]) -> Result<f64> {
-    Ok(variance(xs)?.sqrt())
-}
-
-/// Result of an ordinary least-squares line fit `y ≈ slope·x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LineFit {
-    /// Fitted slope.
-    pub slope: f64,
-    /// Fitted intercept.
-    pub intercept: f64,
-    /// Coefficient of determination `R²` (1 for a perfect fit).
-    pub r_squared: f64,
-}
-
-/// Ordinary least-squares straight-line fit.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::ShapeMismatch`] on length mismatch and
-/// [`NumericsError::InvalidArgument`] if fewer than two points are given
-/// or all `x` values coincide.
-pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Result<LineFit> {
-    if xs.len() != ys.len() {
-        return Err(NumericsError::ShapeMismatch {
-            expected: format!("{} values", xs.len()),
-            found: format!("{} values", ys.len()),
-        });
-    }
-    if xs.len() < 2 {
-        return Err(NumericsError::InvalidArgument(
-            "line fit requires at least two points".into(),
-        ));
-    }
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-    if sxx == 0.0 {
-        return Err(NumericsError::InvalidArgument(
-            "all x values coincide; slope undefined".into(),
-        ));
-    }
-    let slope = sxy / sxx;
-    let intercept = my - slope * mx;
-    let ss_tot: f64 = ys.iter().map(|y| (y - my) * (y - my)).sum();
-    let ss_res: f64 = xs
-        .iter()
-        .zip(ys)
-        .map(|(x, y)| {
-            let e = y - (slope * x + intercept);
-            e * e
-        })
-        .sum();
-    let r_squared = if ss_tot == 0.0 {
-        1.0
-    } else {
-        1.0 - ss_res / ss_tot
-    };
-    Ok(LineFit {
-        slope,
-        intercept,
-        r_squared,
-    })
-}
-
-/// Weighted mean with non-negative weights.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::ShapeMismatch`] on length mismatch and
-/// [`NumericsError::InvalidArgument`] if the weights do not sum to a
-/// positive value or any weight is negative.
-pub fn weighted_mean(xs: &[f64], ws: &[f64]) -> Result<f64> {
-    if xs.len() != ws.len() {
-        return Err(NumericsError::ShapeMismatch {
-            expected: format!("{} weights", xs.len()),
-            found: format!("{} weights", ws.len()),
-        });
-    }
-    if ws.iter().any(|&w| w < 0.0) {
-        return Err(NumericsError::InvalidArgument(
-            "weights must be non-negative".into(),
-        ));
-    }
-    let wsum: f64 = ws.iter().sum();
-    if wsum <= 0.0 {
-        return Err(NumericsError::InvalidArgument(
-            "weights must sum to a positive value".into(),
-        ));
-    }
-    Ok(xs.iter().zip(ws).map(|(x, w)| x * w).sum::<f64>() / wsum)
-}
-
-/// Pearson correlation coefficient.
-///
-/// # Errors
-///
-/// Returns an error if either series is degenerate (constant) or the
-/// lengths differ; see [`linear_fit`] for the validation rules.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> Result<f64> {
-    if xs.len() != ys.len() {
-        return Err(NumericsError::ShapeMismatch {
-            expected: format!("{} values", xs.len()),
-            found: format!("{} values", ys.len()),
-        });
-    }
-    if xs.len() < 2 {
-        return Err(NumericsError::InvalidArgument(
-            "correlation requires at least two points".into(),
-        ));
-    }
-    let mx = mean(xs)?;
-    let my = mean(ys)?;
-    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
-    let syy: f64 = ys.iter().map(|y| (y - my) * (y - my)).sum();
-    if sxx == 0.0 || syy == 0.0 {
-        return Err(NumericsError::InvalidArgument(
-            "correlation undefined for a constant series".into(),
-        ));
-    }
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-    Ok(sxy / (sxx * syy).sqrt())
 }
 
 /// Running mean/variance accumulator (Welford's algorithm) for streaming
@@ -250,82 +117,36 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs).unwrap(), 5.0);
         assert!((variance(&xs).unwrap() - 32.0 / 7.0).abs() < 1e-12);
-        assert!((std_dev(&xs).unwrap() - (32.0_f64 / 7.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn empty_and_short_inputs_rejected() {
         assert!(mean(&[]).is_err());
         assert!(variance(&[1.0]).is_err());
-        assert!(linear_fit(&[1.0], &[1.0]).is_err());
-        assert!(pearson(&[1.0], &[1.0]).is_err());
-    }
-
-    #[test]
-    fn linear_fit_exact_line() {
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys: Vec<f64> = xs.iter().map(|&x| -1.5 * x + 4.0).collect();
-        let fit = linear_fit(&xs, &ys).unwrap();
-        assert!((fit.slope + 1.5).abs() < 1e-12);
-        assert!((fit.intercept - 4.0).abs() < 1e-12);
-        assert!((fit.r_squared - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_fit_rejects_vertical() {
-        assert!(linear_fit(&[1.0, 1.0], &[0.0, 1.0]).is_err());
-    }
-
-    #[test]
-    fn linear_fit_r_squared_reflects_noise() {
-        let xs: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| 2.0 * x + if i % 2 == 0 { 3.0 } else { -3.0 })
-            .collect();
-        let fit = linear_fit(&xs, &ys).unwrap();
-        assert!(fit.r_squared < 1.0);
-        assert!(fit.r_squared > 0.9); // signal still dominates
-        assert!((fit.slope - 2.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn weighted_mean_basics() {
-        assert_eq!(weighted_mean(&[1.0, 3.0], &[1.0, 1.0]).unwrap(), 2.0);
-        assert_eq!(weighted_mean(&[1.0, 3.0], &[3.0, 1.0]).unwrap(), 1.5);
-        assert!(weighted_mean(&[1.0], &[0.0]).is_err());
-        assert!(weighted_mean(&[1.0], &[-1.0]).is_err());
-        assert!(weighted_mean(&[1.0, 2.0], &[1.0]).is_err());
-    }
-
-    #[test]
-    fn pearson_perfect_and_anti() {
-        let xs = [1.0, 2.0, 3.0];
-        assert!((pearson(&xs, &[2.0, 4.0, 6.0]).unwrap() - 1.0).abs() < 1e-12);
-        assert!((pearson(&xs, &[3.0, 2.0, 1.0]).unwrap() + 1.0).abs() < 1e-12);
-        assert!(pearson(&xs, &[1.0, 1.0, 1.0]).is_err());
     }
 
     #[test]
     fn running_stats_matches_batch() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let rs: RunningStats = xs.iter().copied().collect();
-        assert_eq!(rs.count(), 8);
+        let mut rs = RunningStats::new();
+        for x in xs {
+            rs.push(x);
+        }
         assert!((rs.mean().unwrap() - mean(&xs).unwrap()).abs() < 1e-12);
         assert!((rs.variance().unwrap() - variance(&xs).unwrap()).abs() < 1e-12);
+        assert!((rs.std_dev().unwrap() - variance(&xs).unwrap().sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn running_stats_empty_behaviour() {
         let rs = RunningStats::new();
-        assert_eq!(rs.count(), 0);
         assert!(rs.mean().is_none());
         assert!(rs.variance().is_none());
         let mut one = RunningStats::new();
         one.push(5.0);
         assert_eq!(one.mean(), Some(5.0));
         assert!(one.variance().is_none());
+        assert!(one.std_dev().is_none());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests of the numerical substrate.
 
 use proptest::prelude::*;
-use rumor_numerics::interp::{LinearInterp, PchipInterp};
-use rumor_numerics::lu::{det, solve, Lu};
+use rumor_numerics::interp::LinearInterp;
+use rumor_numerics::lu::{det, Lu};
 use rumor_numerics::matrix::{vecops, Matrix};
 use rumor_numerics::quadrature::{simpson, trapezoid, trapezoid_sampled};
 use rumor_numerics::roots::{bisect, brent, RootConfig};
@@ -18,7 +18,7 @@ fn dominant_system(n: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
 }
 
 fn to_dominant_matrix(n: usize, raw: &[f64]) -> Matrix {
-    let mut m = Matrix::from_vec(n, n, raw.to_vec()).expect("shape");
+    let mut m = Matrix::from_fn(n, n, |i, j| raw[i * n + j]);
     for i in 0..n {
         // Row dominance: diagonal exceeds the absolute row sum.
         let row_sum: f64 = (0..n).filter(|&j| j != i).map(|j| m[(i, j)].abs()).sum();
@@ -31,21 +31,22 @@ proptest! {
     #[test]
     fn lu_solve_roundtrip((raw, b) in dominant_system(6)) {
         let a = to_dominant_matrix(6, &raw);
-        let x = solve(&a, &b).expect("solvable");
+        let x = Lu::decompose(&a).expect("decompose").solve(&b).expect("solvable");
         let back = a.matvec(&x).expect("shape");
-        let err = vecops::dist_inf(&back, &b);
+        let err = back.iter().zip(&b).fold(0.0_f64, |m, (p, q)| m.max((p - q).abs()));
         prop_assert!(err < 1e-8, "residual {err}");
     }
 
     #[test]
-    fn lu_det_matches_inverse_product((raw, _b) in dominant_system(5)) {
+    fn lu_det_flips_sign_under_a_row_swap((raw, _b) in dominant_system(5)) {
         let a = to_dominant_matrix(5, &raw);
-        let lu = Lu::decompose(&a).expect("decompose");
-        let d = lu.det();
+        let d = Lu::decompose(&a).expect("decompose").det();
         prop_assert!(d.abs() > 0.5, "dominant matrices stay far from singular");
-        let inv = lu.inverse().expect("invert");
-        let d_inv = det(&inv).expect("det");
-        prop_assert!((d * d_inv - 1.0).abs() < 1e-6, "det(A)·det(A⁻¹) = {}", d * d_inv);
+        prop_assert_eq!(det(&a).expect("det"), d);
+        let mut swapped = a.clone();
+        swapped.swap_rows(0, 3);
+        let d_swapped = det(&swapped).expect("det");
+        prop_assert!((d + d_swapped).abs() < 1e-9 * d.abs(), "det {d} vs swapped {d_swapped}");
     }
 
     #[test]
@@ -70,21 +71,6 @@ proptest! {
         let lo = ys.iter().cloned().fold(f64::INFINITY, f64::min);
         let up = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(v >= lo - 1e-12 && v <= up + 1e-12);
-    }
-
-    #[test]
-    fn pchip_never_overshoots_data_range(
-        ys in proptest::collection::vec(0.0..1.0_f64, 3..15),
-        q in 0.0..1.0_f64,
-    ) {
-        let xs: Vec<f64> = (0..ys.len()).map(|i| i as f64).collect();
-        let hi = xs[xs.len() - 1];
-        let p = PchipInterp::new(xs, ys.clone()).expect("grid");
-        let v = p.eval(q * hi);
-        let lo = ys.iter().cloned().fold(f64::INFINITY, f64::min);
-        let up = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        // Monotone-preserving cubic: values stay within the data range.
-        prop_assert!(v >= lo - 1e-9 && v <= up + 1e-9, "v = {v} outside [{lo}, {up}]");
     }
 
     #[test]
@@ -132,7 +118,10 @@ proptest! {
     fn running_stats_equals_batch_stats(
         xs in proptest::collection::vec(-100.0..100.0_f64, 2..50),
     ) {
-        let rs: RunningStats = xs.iter().copied().collect();
+        let mut rs = RunningStats::new();
+        for &x in &xs {
+            rs.push(x);
+        }
         let m = mean(&xs).expect("mean");
         let v = variance(&xs).expect("variance");
         prop_assert!((rs.mean().expect("mean") - m).abs() < 1e-9);

@@ -117,11 +117,6 @@ impl FaultSchedule {
     pub fn faults(&self) -> &[Fault] {
         &self.faults
     }
-
-    /// Whether any fault is active at `t`.
-    pub fn any_active_at(&self, t: f64) -> bool {
-        self.faults.iter().any(|f| f.active_at(t))
-    }
 }
 
 /// An [`OdeSystem`] wrapper that applies a [`FaultSchedule`] to the

@@ -107,11 +107,6 @@ impl<S: Stepper> FixedStep<S> {
         FixedStep { stepper, h }
     }
 
-    /// The configured step magnitude.
-    pub fn step_size(&self) -> f64 {
-        self.h
-    }
-
     /// Integrates from `(t0, y0)` to `tf`, recording every step.
     ///
     /// # Errors
@@ -209,24 +204,6 @@ impl<S: Stepper> FixedStep<S> {
             accepted: n_steps,
             rejected: 0,
         })
-    }
-
-    /// Integrates and samples the trajectory at the caller's `grid`
-    /// (each grid time must lie within `[t0, tf]`, in either direction).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FixedStep::integrate`].
-    pub fn integrate_grid(
-        &mut self,
-        sys: &(impl OdeSystem + ?Sized),
-        t0: f64,
-        y0: &[f64],
-        tf: f64,
-        grid: &[f64],
-    ) -> Result<Vec<Vec<f64>>> {
-        let sol = self.integrate(sys, t0, y0, tf)?;
-        sol.sample_grid(grid)
     }
 }
 
@@ -502,23 +479,6 @@ impl Adaptive {
             rejected,
         })
     }
-
-    /// Integrates and samples the trajectory at the caller's `grid`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Adaptive::integrate`].
-    pub fn integrate_grid(
-        &mut self,
-        sys: &(impl OdeSystem + ?Sized),
-        t0: f64,
-        y0: &[f64],
-        tf: f64,
-        grid: &[f64],
-    ) -> Result<Vec<Vec<f64>>> {
-        let sol = self.integrate(sys, t0, y0, tf)?;
-        sol.sample_grid(grid)
-    }
 }
 
 #[cfg(test)]
@@ -607,11 +567,11 @@ mod tests {
 
     #[test]
     fn fixed_step_grid_sampling() {
-        let grid = [0.0, 0.25, 0.5, 1.0];
-        let samples = FixedStep::new(Rk4::new(), 0.005)
-            .integrate_grid(&decay(), 0.0, &[1.0], 1.0, &grid)
+        let sol = FixedStep::new(Rk4::new(), 0.005)
+            .integrate(&decay(), 0.0, &[1.0], 1.0)
             .unwrap();
-        for (t, s) in grid.iter().zip(&samples) {
+        for t in [0.0, 0.25, 0.5, 1.0] {
+            let s = sol.sample(t).unwrap();
             assert!((s[0] - (-t).exp()).abs() < 1e-4, "at t = {t}");
         }
     }

@@ -197,15 +197,6 @@ impl Solution {
         Ok(())
     }
 
-    /// Samples the solution at every time in `grid`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Solution::sample`] errors.
-    pub fn sample_grid(&self, grid: &[f64]) -> Result<Vec<Vec<f64>>, OdeError> {
-        grid.iter().map(|&t| self.sample(t)).collect()
-    }
-
     /// Appends every record of `other` from `from` onward (an index into
     /// `other`); used to stitch trajectory segments without re-copying
     /// through intermediate `Vec<f64>` states.
@@ -323,15 +314,6 @@ mod tests {
         sol.push(1.0, &[7.0]);
         assert_eq!(sol.sample(0.0).unwrap(), vec![7.0]);
         assert_eq!(sol.sample(2.0).unwrap(), vec![7.0]);
-    }
-
-    #[test]
-    fn sample_grid_maps_each_time() {
-        let sol = linear_solution();
-        let grid = [0.0, 0.5, 1.0, 2.0];
-        let samples = sol.sample_grid(&grid).unwrap();
-        assert_eq!(samples.len(), 4);
-        assert_eq!(samples[1], vec![0.5, 1.0]);
     }
 
     #[test]

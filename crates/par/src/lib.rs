@@ -3,8 +3,8 @@
 //! Two executors, one determinism contract:
 //!
 //! - **Replica-level**: a chunked scoped-thread executor over
-//!   [`std::thread::scope`] exposing [`par_map`] and [`par_map_indexed`]
-//!   with **ordered, deterministic result collection** — results come
+//!   [`std::thread::scope`] exposing [`par_map_indexed`] with
+//!   **ordered, deterministic result collection** — results come
 //!   back in input order regardless of which worker computed what or in
 //!   which order workers finished. One spawn per call, which is cheap at
 //!   ensemble granularity.
@@ -204,22 +204,6 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Maps `f` over `items` with up to `threads` workers, returning results
-/// in input order. Equivalent to `items.iter().map(f).collect()` for
-/// every thread count (for pure `f`).
-///
-/// # Panics
-///
-/// Re-raises any panic from `f` on the calling thread.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed(items.len(), threads, |i| f(&items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,7 +232,7 @@ mod tests {
         let items: Vec<f64> = (0..64).map(|i| i as f64 * 0.1).collect();
         let serial: Vec<f64> = items.iter().map(|x| x.sin()).collect();
         for threads in [1, 2, 4, 8] {
-            let par = par_map(&items, threads, |x| x.sin());
+            let par = par_map_indexed(items.len(), threads, |i| items[i].sin());
             // Bit-identical, not merely approximately equal.
             assert!(
                 serial

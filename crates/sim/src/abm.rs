@@ -53,7 +53,10 @@ impl Default for AbmConfig {
     }
 }
 
-fn validate(cfg: &AbmConfig) -> Result<()> {
+/// Checks an [`AbmConfig`] for both simulators. The ensemble drivers
+/// call it once, before any replica runs, so a rejected configuration is
+/// reported as such rather than as every replica failing.
+pub(crate) fn validate(cfg: &AbmConfig) -> Result<()> {
     if !(cfg.dt > 0.0) || !(cfg.tf > 0.0) || cfg.dt > cfg.tf {
         return Err(SimError::InvalidConfig(format!(
             "need 0 < dt <= tf, got dt = {}, tf = {}",

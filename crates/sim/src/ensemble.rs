@@ -79,8 +79,9 @@ fn run_replica(
 ///
 /// # Errors
 ///
-/// * [`SimError::InvalidConfig`] if `n_runs == 0` or runs record on
-///   different grids.
+/// * [`SimError::InvalidConfig`] if `n_runs == 0`, `cfg` is rejected
+///   (checked once, before any replica runs) or runs record on different
+///   grids.
 /// * Propagated per-run failures.
 pub fn run_ensemble(
     graph: &Graph,
@@ -94,6 +95,7 @@ pub fn run_ensemble(
     if n_runs == 0 {
         return Err(SimError::InvalidConfig("need at least one run".into()));
     }
+    crate::abm::validate(cfg)?;
     let workers = rumor_par::resolve_threads(threads);
     let mut ens_span = rumor_obs::span("sim.ensemble");
     if ens_span.active() {
@@ -352,11 +354,13 @@ where
 
 /// Fault-isolated variant of [`run_ensemble`]: one failed or poisoned
 /// replica is excluded and recorded, and the ensemble continues as long
-/// as the quorum holds.
+/// as the quorum holds. The configuration is checked once, before any
+/// replica runs.
 ///
 /// # Errors
 ///
-/// See [`run_ensemble_isolated_with`].
+/// * [`SimError::InvalidConfig`] for a rejected `cfg`.
+/// * See [`run_ensemble_isolated_with`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_ensemble_isolated(
     graph: &Graph,
@@ -368,6 +372,7 @@ pub fn run_ensemble_isolated(
     policy: &IsolationPolicy,
     threads: Option<usize>,
 ) -> Result<IsolatedEnsemble> {
+    crate::abm::validate(cfg)?;
     run_ensemble_isolated_with(n_runs, base_seed, policy, threads, |_, seed| {
         run_replica(graph, params, cfg, simulator, seed)
     })
@@ -531,6 +536,23 @@ mod tests {
     fn zero_runs_rejected() {
         let (g, p) = setup(100, 0.5);
         assert!(run_ensemble(&g, &p, &cfg(), Simulator::Synchronous, 0, 0, None).is_err());
+    }
+
+    #[test]
+    fn invalid_config_is_rejected_before_any_replica_runs() {
+        let (g, p) = setup(100, 0.5);
+        let bad = AbmConfig {
+            initial_infected: 2.0,
+            ..cfg()
+        };
+        let policy = IsolationPolicy::default();
+        for sim in [Simulator::Synchronous, Simulator::Gillespie] {
+            let err = run_ensemble_isolated(&g, &p, &bad, sim, 8, 0, &policy, None).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig(m) if m.contains("initial infected")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   conserving convention.
 
 use crate::abm::{build_tables, seed_states, AbmConfig};
-use crate::{NodeState, Result, SimError, SimTrajectory};
+use crate::{NodeState, Result, SimTrajectory};
 use rand::Rng;
 use rumor_core::params::ModelParams;
 use rumor_net::graph::Graph;
@@ -101,21 +101,7 @@ pub fn run(
     cfg: &AbmConfig,
     rng: &mut impl Rng,
 ) -> Result<SimTrajectory> {
-    if !(cfg.dt > 0.0) || !(cfg.tf > 0.0) || cfg.dt > cfg.tf {
-        return Err(SimError::InvalidConfig(format!(
-            "need 0 < dt <= tf, got dt = {}, tf = {}",
-            cfg.dt, cfg.tf
-        )));
-    }
-    if cfg.eps1 < 0.0 || cfg.eps2 < 0.0 || cfg.alpha < 0.0 {
-        return Err(SimError::InvalidConfig("rates must be non-negative".into()));
-    }
-    if !(cfg.initial_infected > 0.0 && cfg.initial_infected <= 1.0) {
-        return Err(SimError::InvalidConfig(format!(
-            "initial infected fraction must lie in (0, 1], got {}",
-            cfg.initial_infected
-        )));
-    }
+    crate::abm::validate(cfg)?;
     let tables = build_tables(graph, params)?;
     let n = graph.node_count();
     let mut states = seed_states(graph, cfg.initial_infected, rng);

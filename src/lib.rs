@@ -12,12 +12,12 @@
 //! | [`core`] | the heterogeneous SIR rumor model, threshold `r0`, equilibria, stability |
 //! | [`compartments`] | the compartment-model contract, with the paper model as one instance |
 //! | [`control`] | Pontryagin-optimized countermeasures (FBSM) and the heuristic baseline |
-//! | [`net`] | CSR graphs, scale-free generators, degree classes, metrics |
+//! | [`net`] | CSR graphs, scale-free generators, degree classes, connected components |
 //! | [`datasets`] | the calibrated Digg2009-equivalent dataset and edge-list I/O |
 //! | [`sim`] | agent-based Monte Carlo validation (synchronous ABM + Gillespie SSA) |
-//! | [`models`] | baselines: homogeneous SIR, Daley–Kendall, Maki–Thompson, SIS |
+//! | [`models`] | baselines (homogeneous SIR, Daley–Kendall, Maki–Thompson) and the two-rumor and tie-strength scenarios |
 //! | [`ode`] | ODE integration substrate (Euler/Heun/RK4/DOPRI5/implicit Euler) |
-//! | [`numerics`] | dense linear algebra, eigenvalues, roots, quadrature, interpolation |
+//! | [`numerics`] | LU, eigenvalues, Brent roots, trapezoid sums, linear interpolation, running statistics |
 //! | [`par`] | std-only parallel executor with deterministic ordered collection |
 //! | [`serve`] | std-only HTTP/1.1 JSON service with admission control and result caching |
 //!
@@ -104,7 +104,7 @@ pub mod prelude {
     pub use rumor_net::graph::{EdgeKind, Graph};
     pub use rumor_ode::fault::{FaultSchedule, FaultyRhs};
     pub use rumor_ode::recovery::{Guarded, GuardedRun, RecoveryPolicy, RecoveryReport};
-    pub use rumor_par::{par_map, par_map_indexed, resolve_threads, set_thread_override};
+    pub use rumor_par::{par_map_indexed, resolve_threads, set_thread_override};
     pub use rumor_sim::ensemble::{run_ensemble_isolated, IsolatedEnsemble, IsolationPolicy};
 }
 

@@ -4,6 +4,7 @@
 
 use rumor_repro::control::heuristic;
 use rumor_repro::prelude::*;
+use std::sync::OnceLock;
 
 fn fig4_setup() -> (ModelParams, NetworkState, ControlBounds, CostWeights) {
     let dataset = DiggDataset::synthesize(DiggConfig {
@@ -24,33 +25,41 @@ fn fig4_setup() -> (ModelParams, NetworkState, ControlBounds, CostWeights) {
     (params, initial, bounds, CostWeights::paper_default())
 }
 
-fn quick_sweep(
-    params: &ModelParams,
-    initial: &NetworkState,
-    bounds: &ControlBounds,
-    weights: &CostWeights,
-    tf: f64,
-) -> MultiSweepResult {
-    optimize_compartments(
-        &PaperSir::from_params(params, weights.c1, weights.c2).unwrap(),
-        &initial.to_flat(),
-        tf,
-        &MultiControlBounds::from(*bounds),
-        &MultiFbsmOptions {
-            n_nodes: 61,
-            max_iterations: 250,
-            tolerance: 1e-4,
-            relaxation: 0.3,
-            ..Default::default()
-        },
-    )
-    .expect("sweep")
+/// The horizons the tests below read, each solved once per test binary.
+const HORIZONS: [f64; 3] = [30.0, 40.0, 60.0];
+
+/// The sweep on the [`fig4_setup`] problem at horizon `tf` (one of
+/// [`HORIZONS`]). It is deterministic, so every test that reads a horizon
+/// shares one solve.
+fn quick_sweep(tf: f64) -> &'static MultiSweepResult {
+    static SWEEPS: [OnceLock<MultiSweepResult>; 3] =
+        [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    let slot = HORIZONS
+        .iter()
+        .position(|&h| h == tf)
+        .expect("a memoized horizon");
+    SWEEPS[slot].get_or_init(|| {
+        let (params, initial, bounds, weights) = fig4_setup();
+        optimize_compartments(
+            &PaperSir::from_params(&params, weights.c1, weights.c2).unwrap(),
+            &initial.to_flat(),
+            tf,
+            &MultiControlBounds::from(bounds),
+            &MultiFbsmOptions {
+                n_nodes: 61,
+                max_iterations: 250,
+                tolerance: 1e-4,
+                relaxation: 0.3,
+                ..Default::default()
+            },
+        )
+        .expect("sweep")
+    })
 }
 
 #[test]
 fn fig4a_shape_truth_early_blocking_late() {
-    let (params, initial, bounds, weights) = fig4_setup();
-    let result = quick_sweep(&params, &initial, &bounds, &weights, 60.0);
+    let result = quick_sweep(60.0);
     let e1 = result.control.values(0);
     let e2 = result.control.values(1);
     let n = e1.len();
@@ -74,7 +83,7 @@ fn fig4a_shape_truth_early_blocking_late() {
 fn fig4c_optimized_beats_heuristic_across_horizons() {
     let (params, initial, bounds, weights) = fig4_setup();
     for tf in [30.0, 60.0] {
-        let opt = quick_sweep(&params, &initial, &bounds, &weights, tf);
+        let opt = quick_sweep(tf);
         let target = opt.cost.terminal.max(1e-6);
         let heur = heuristic::tune(&params, &initial, tf, &bounds, &weights, target, 61)
             .expect("heuristic tune");
@@ -91,9 +100,9 @@ fn fig4c_optimized_beats_heuristic_across_horizons() {
 
 #[test]
 fn optimized_control_suppresses_infection() {
-    let (params, initial, bounds, weights) = fig4_setup();
+    let (params, initial, _, weights) = fig4_setup();
     let tf = 60.0;
-    let result = quick_sweep(&params, &initial, &bounds, &weights, tf);
+    let result = quick_sweep(tf);
     let free = simulate_compartments(
         &PaperSir::from_params(&params, weights.c1, weights.c2).unwrap(),
         ConstantMultiControl::none(2),
@@ -112,8 +121,8 @@ fn optimized_control_suppresses_infection() {
 
 #[test]
 fn cost_accounting_is_consistent() {
-    let (params, initial, bounds, weights) = fig4_setup();
-    let result = quick_sweep(&params, &initial, &bounds, &weights, 30.0);
+    let (params, _, _, weights) = fig4_setup();
+    let result = quick_sweep(30.0);
     // Re-evaluating the final schedule reproduces the reported cost.
     let model = PaperSir::from_params(&params, weights.c1, weights.c2).unwrap();
     let re = evaluate_compartments(&model, &result.trajectory, &result.control).unwrap();
@@ -129,7 +138,7 @@ fn cost_accounting_is_consistent() {
 fn sweep_improves_on_initial_guess() {
     let (params, initial, bounds, weights) = fig4_setup();
     let tf = 40.0;
-    let result = quick_sweep(&params, &initial, &bounds, &weights, tf);
+    let result = quick_sweep(tf);
     // The initial guess is the constant mid-box schedule.
     let guess =
         MultiPiecewiseControl::constant(tf, 61, &[bounds.eps1_max / 2.0, bounds.eps2_max / 2.0])
