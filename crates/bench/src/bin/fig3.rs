@@ -12,11 +12,7 @@
 //! cargo run --release -p rumor-bench --bin fig3
 //! ```
 
-use rumor_bench::{digg_dataset, fig3_regime, random_initial_conditions, write_csv, Scale};
-use rumor_compartments::model::CompartmentModel;
-use rumor_compartments::paper::PaperSir;
-use rumor_compartments::schedule::ConstantMultiControl;
-use rumor_compartments::simulate::{simulate_compartments, CompartmentSimOptions};
+use rumor_bench::{digg_dataset, fig3_regime, run_convergence_figure, ConvergenceFigure, Scale};
 use rumor_core::equilibrium::positive_equilibrium;
 
 fn main() {
@@ -34,73 +30,22 @@ fn main() {
         "endemic equilibrium: mean I+ per class = {:.4} (paper Fig. 3c: ~0.1-0.45)",
         eplus.total_infected() / params.n_classes() as f64
     );
-    let model = PaperSir::from_params(params, 5.0, 10.0).expect("paper model");
-    let control = ConstantMultiControl::new(vec![eps1, eps2]);
-    let tf = 3000.0;
-    let opts = CompartmentSimOptions {
-        n_out: 151,
-        ..Default::default()
-    };
-
-    // --- Fig. 3(a): Dist+(t) under 10 random initial conditions.
-    let initials = random_initial_conditions(params.n_classes(), 10, 0xF1630);
-    let mut dist_rows: Vec<Vec<f64>> = Vec::new();
-    let mut all_final = Vec::new();
-    for (run, init) in initials.iter().enumerate() {
-        let traj = simulate_compartments(&model, &control, &init.to_flat(), tf, &opts)
-            .expect("fig3a simulation");
-        let dist = traj.dist_series(&eplus.to_flat()).expect("dist series");
-        if run == 0 {
-            dist_rows = traj.times().iter().map(|&t| vec![t]).collect();
-        }
-        for (row, d) in dist_rows.iter_mut().zip(&dist) {
-            row.push(*d);
-        }
-        all_final.push(*dist.last().expect("non-empty"));
-    }
-    let header = {
-        let runs: Vec<String> = (1..=10).map(|i| format!("distplus_run{i}")).collect();
-        format!("t,{}", runs.join(","))
-    };
-    let path = write_csv("fig3a.csv", &header, &dist_rows);
-    println!(
-        "\nfig3(a): Dist+(t) under 10 initial conditions -> {}",
-        path.display()
-    );
-    println!("   t      min(Dist+)  max(Dist+)");
-    for row in dist_rows.iter().step_by(25) {
-        let (min, max) = row[1..]
-            .iter()
-            .fold((f64::INFINITY, 0.0_f64), |(lo, hi), &d| {
-                (lo.min(d), hi.max(d))
-            });
-        println!("{:7.1}   {:9.5}   {:9.5}", row[0], min, max);
-    }
-    let worst = all_final.iter().fold(0.0_f64, |m, &d| m.max(d));
-    println!("all 10 runs converge to E+: max final Dist+ = {worst:.2e}");
-    assert!(worst < 5e-3, "persistence must reach E+");
-
-    // --- Fig. 3(b,c,d): the 20 lowest-degree classes, one initial condition.
-    let init = model.layout().initial_uniform(0.1).expect("init");
-    let traj =
-        simulate_compartments(&model, &control, &init, tf, &opts).expect("fig3bcd simulation");
     let picks: Vec<usize> = (0..params.n_classes().min(20)).collect();
-    let mut rows: Vec<Vec<f64>> = traj.times().iter().map(|&t| vec![t]).collect();
-    let mut headers = vec!["t".to_string()];
-    for &class in &picks {
-        let k = params.classes().degree(class);
-        headers.push(format!("S_k{k}"));
-        headers.push(format!("I_k{k}"));
-        headers.push(format!("R_k{k}"));
-        for (idx, row) in rows.iter_mut().enumerate() {
-            row.extend((0..3).map(|c| traj.band(idx, c)[class]));
-        }
-    }
-    let path = write_csv("fig3bcd.csv", &headers.join(","), &rows);
-    println!(
-        "\nfig3(b,c,d): S/I/R for classes 1..=20 -> {}",
-        path.display()
-    );
+    let traj = run_convergence_figure(&ConvergenceFigure {
+        name: "fig3",
+        regime: &regime,
+        target: &eplus,
+        symbol: "+",
+        column: "distplus",
+        tf: 3000.0,
+        n_out: 151,
+        seed: 0xF1630,
+        table_step: 25,
+        time_width: 7,
+        max_final_dist: 5e-3,
+        picks: &picks,
+        picks_label: "classes 1..=20",
+    });
 
     // Shape summary: infection persists and matches E+ per class.
     let last = traj.len() - 1;

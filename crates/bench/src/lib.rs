@@ -15,6 +15,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rumor_compartments::model::CompartmentModel;
+use rumor_compartments::paper::PaperSir;
+use rumor_compartments::schedule::ConstantMultiControl;
+use rumor_compartments::simulate::{
+    simulate_compartments, CompartmentSimOptions, CompartmentTrajectory,
+};
 use rumor_core::equilibrium::calibrate_acceptance;
 use rumor_core::functions::{AcceptanceRate, Infectivity};
 use rumor_core::params::ModelParams;
@@ -81,20 +87,7 @@ pub struct Regime {
 ///
 /// Panics on calibration failure (static configuration).
 pub fn fig2_regime(dataset: &DiggDataset) -> Regime {
-    let base = ModelParams::builder(dataset.classes().clone())
-        .alpha(0.01)
-        .acceptance(AcceptanceRate::LinearInDegree { lambda0: 1.0 })
-        .infectivity(Infectivity::paper_default())
-        .build()
-        .expect("fig2 base params");
-    let (eps1, eps2) = (0.2, 0.05);
-    let (params, _) = calibrate_acceptance(&base, 0.7220, eps1, eps2).expect("fig2 calibration");
-    Regime {
-        params,
-        eps1,
-        eps2,
-        target_r0: 0.7220,
-    }
+    calibrated_regime(dataset, 0.01, 0.2, 0.05, 0.7220)
 }
 
 /// The Fig. 3 persistence regime: `α = 0.002, ε1 = 0.002`, calibrated so
@@ -110,20 +103,162 @@ pub fn fig2_regime(dataset: &DiggDataset) -> Regime {
 ///
 /// Panics on calibration failure (static configuration).
 pub fn fig3_regime(dataset: &DiggDataset) -> Regime {
+    calibrated_regime(dataset, 0.002, 0.002, 0.004, 2.1661)
+}
+
+/// The constant-control regime `(α, ε1, ε2)` with `λ(k) = λ0·k`
+/// calibrated so the threshold is `target_r0`.
+fn calibrated_regime(
+    dataset: &DiggDataset,
+    alpha: f64,
+    eps1: f64,
+    eps2: f64,
+    target_r0: f64,
+) -> Regime {
     let base = ModelParams::builder(dataset.classes().clone())
-        .alpha(0.002)
+        .alpha(alpha)
         .acceptance(AcceptanceRate::LinearInDegree { lambda0: 1.0 })
         .infectivity(Infectivity::paper_default())
         .build()
-        .expect("fig3 base params");
-    let (eps1, eps2) = (0.002, 0.004);
-    let (params, _) = calibrate_acceptance(&base, 2.1661, eps1, eps2).expect("fig3 calibration");
+        .expect("regime base params");
+    let (params, _) =
+        calibrate_acceptance(&base, target_r0, eps1, eps2).expect("regime calibration");
     Regime {
         params,
         eps1,
         eps2,
-        target_r0: 2.1661,
+        target_r0,
     }
+}
+
+/// A constant-control convergence figure (Figs. 2 and 3): panel (a)
+/// runs 10 random initial conditions and tracks their distance to the
+/// equilibrium `target`; panels (b–d) export the per-class S/I/R curves
+/// of one uniform start.
+pub struct ConvergenceFigure<'a> {
+    /// Figure name: the CSVs are `results/<name>a.csv` and
+    /// `results/<name>bcd.csv`.
+    pub name: &'static str,
+    /// The calibrated regime.
+    pub regime: &'a Regime,
+    /// The equilibrium every run converges to.
+    pub target: &'a NetworkState,
+    /// The equilibrium's symbol in the printout (`0` for `E0`, `+` for
+    /// `E+`).
+    pub symbol: &'static str,
+    /// Column prefix of the distance CSV.
+    pub column: &'static str,
+    /// Horizon.
+    pub tf: f64,
+    /// Output samples over `[0, tf]`.
+    pub n_out: usize,
+    /// Seed of the random initial conditions.
+    pub seed: u64,
+    /// Every `table_step`-th sample goes into the printed min/max table.
+    pub table_step: usize,
+    /// Width of the printed time column.
+    pub time_width: usize,
+    /// Bound every run's final distance must fall below.
+    pub max_final_dist: f64,
+    /// Classes whose S/I/R curves are exported.
+    pub picks: &'a [usize],
+    /// How the printout names the picked classes.
+    pub picks_label: &'a str,
+}
+
+/// Runs a [`ConvergenceFigure`]: writes both CSVs, prints the min/max
+/// distance table, asserts the final distance and returns the
+/// trajectory of the uniform start for the figure's shape summary.
+///
+/// # Panics
+///
+/// Panics on a failed simulation or CSV write, or if a run ends farther
+/// than `max_final_dist` from the target.
+pub fn run_convergence_figure(fig: &ConvergenceFigure<'_>) -> CompartmentTrajectory {
+    let params = &fig.regime.params;
+    let model = PaperSir::from_params(params, 5.0, 10.0).expect("paper model");
+    let control = ConstantMultiControl::new(vec![fig.regime.eps1, fig.regime.eps2]);
+    let opts = CompartmentSimOptions {
+        n_out: fig.n_out,
+        ..Default::default()
+    };
+    let (name, symbol) = (fig.name, fig.symbol);
+
+    // Panel (a): the distance to the target under 10 initial conditions.
+    let initials = random_initial_conditions(params.n_classes(), 10, fig.seed);
+    let mut dist_rows: Vec<Vec<f64>> = Vec::new();
+    let mut all_final = Vec::new();
+    for (run, init) in initials.iter().enumerate() {
+        let traj = simulate_compartments(&model, &control, &init.to_flat(), fig.tf, &opts)
+            .expect("panel (a) simulation");
+        let dist = traj
+            .dist_series(&fig.target.to_flat())
+            .expect("dist series");
+        if run == 0 {
+            dist_rows = traj.times().iter().map(|&t| vec![t]).collect();
+        }
+        for (row, d) in dist_rows.iter_mut().zip(&dist) {
+            row.push(*d);
+        }
+        all_final.push(*dist.last().expect("non-empty"));
+    }
+    let header = {
+        let runs: Vec<String> = (1..=10).map(|i| format!("{}_run{i}", fig.column)).collect();
+        format!("t,{}", runs.join(","))
+    };
+    let path = write_csv(&format!("{name}a.csv"), &header, &dist_rows);
+    println!(
+        "\n{name}(a): Dist{symbol}(t) under 10 initial conditions -> {}",
+        path.display()
+    );
+    println!(
+        "{:<width$}   min(Dist{symbol})  max(Dist{symbol})",
+        "   t",
+        width = fig.time_width
+    );
+    for row in dist_rows.iter().step_by(fig.table_step) {
+        let (min, max) = row[1..]
+            .iter()
+            .fold((f64::INFINITY, 0.0_f64), |(lo, hi), &d| {
+                (lo.min(d), hi.max(d))
+            });
+        println!(
+            "{:width$.1}   {:9.5}   {:9.5}",
+            row[0],
+            min,
+            max,
+            width = fig.time_width
+        );
+    }
+    let worst = all_final.iter().fold(0.0_f64, |m, &d| m.max(d));
+    println!("all 10 runs converge to E{symbol}: max final Dist{symbol} = {worst:.2e}");
+    assert!(
+        worst < fig.max_final_dist,
+        "{name}: every run must reach E{symbol}"
+    );
+
+    // Panels (b, c, d): per-class S/I/R curves from one initial condition.
+    let init = model.layout().initial_uniform(0.1).expect("init");
+    let traj = simulate_compartments(&model, &control, &init, fig.tf, &opts)
+        .expect("panels (b-d) simulation");
+    let mut rows: Vec<Vec<f64>> = traj.times().iter().map(|&t| vec![t]).collect();
+    let mut headers = vec!["t".to_string()];
+    for &class in fig.picks {
+        let k = params.classes().degree(class);
+        headers.push(format!("S_k{k}"));
+        headers.push(format!("I_k{k}"));
+        headers.push(format!("R_k{k}"));
+        for (idx, row) in rows.iter_mut().enumerate() {
+            row.extend((0..3).map(|c| traj.band(idx, c)[class]));
+        }
+    }
+    let path = write_csv(&format!("{name}bcd.csv"), &headers.join(","), &rows);
+    println!(
+        "\n{name}(b,c,d): S/I/R for {} -> {}",
+        fig.picks_label,
+        path.display()
+    );
+    traj
 }
 
 /// The Fig. 4 optimal-control setting: an aggressive supercritical rumor

@@ -83,6 +83,35 @@ fn model_params(args: &Args, classes: DegreeClasses) -> Result<ModelParams, CliE
         .build()?)
 }
 
+/// Reads the constant countermeasure rates `--eps1` and `--eps2`. A
+/// negative or non-finite rate is a rejected configuration, checked here
+/// because the schedule constructors assert on it.
+fn countermeasures(args: &Args) -> Result<(f64, f64), CliError> {
+    let rate = |key: &str, default: f64| -> Result<f64, CliError> {
+        let v = args.get_f64(key, default)?;
+        if v >= 0.0 && v.is_finite() {
+            Ok(v)
+        } else {
+            Err(CliError::config(format!(
+                "--{key} must be non-negative and finite, got {v}"
+            )))
+        }
+    };
+    Ok((rate("eps1", 0.2)?, rate("eps2", 0.05)?))
+}
+
+/// Reads the horizon `--tf`, which must be positive and finite.
+fn horizon(args: &Args, default: f64) -> Result<f64, CliError> {
+    let tf = args.get_f64("tf", default)?;
+    if tf > 0.0 && tf.is_finite() {
+        Ok(tf)
+    } else {
+        Err(CliError::config(format!(
+            "--tf must be positive and finite, got {tf}"
+        )))
+    }
+}
+
 /// Which propagation model `--model` selects (simulate/optimize only;
 /// the threshold theory and the ABM only speak the paper model).
 enum CliModelKind {
@@ -151,7 +180,8 @@ enum CompartmentKindModel {
 pub fn analyze(args: &Args) -> CliResult {
     let net = load_network(args, false)?;
     let params = model_params(args, net.classes)?;
-    let (eps1, eps2) = (args.get_f64("eps1", 0.2)?, args.get_f64("eps2", 0.05)?);
+    let (eps1, eps2) = countermeasures(args)?;
+    let (threshold, verdict, consistent) = theorem2_consistency(&params, eps1, eps2)?;
 
     println!("{}", net.summary);
     println!(
@@ -159,7 +189,6 @@ pub fn analyze(args: &Args) -> CliResult {
         params.alpha(),
         args.get_f64("lambda0", 0.02)?
     );
-    let (threshold, verdict, consistent) = theorem2_consistency(&params, eps1, eps2)?;
     println!("countermeasures: eps1 = {eps1}, eps2 = {eps2}");
     println!("\nthreshold r0 = {threshold:.4}");
     println!(
@@ -231,7 +260,7 @@ fn simulate_model<M: CompartmentModel>(
     model: &M,
     paper: Option<&ModelParams>,
 ) -> CliResult {
-    let (eps1, eps2) = (args.get_f64("eps1", 0.2)?, args.get_f64("eps2", 0.05)?);
+    let (eps1, eps2) = countermeasures(args)?;
     let tf = args.get_f64("tf", 150.0)?;
     let i0 = args.get_f64("i0", 0.1)?;
     let traj = simulate_compartments(
@@ -308,31 +337,34 @@ pub fn simulate(args: &Args) -> CliResult {
     }
 }
 
+/// The forward–backward sweep settings of `optimize` for every kind,
+/// with `--max-iters` capping the iterations, checked before any output.
+fn sweep_options(args: &Args) -> Result<MultiFbsmOptions, CliError> {
+    let options = MultiFbsmOptions {
+        n_nodes: 101,
+        max_iterations: args.get_usize("max-iters", 300)?,
+        tolerance: 1e-4,
+        relaxation: 0.3,
+        ..Default::default()
+    };
+    options.validate()?;
+    Ok(options)
+}
+
 /// Optimize path for the compartment-model kinds: the multi-control
 /// forward–backward sweep, with `--epsmax` bounding every channel.
 fn optimize_compartment_kind<M: CompartmentModel>(args: &Args, model: &M) -> CliResult {
-    let tf = args.get_f64("tf", 100.0)?;
+    let tf = horizon(args, 100.0)?;
     let y0 = model.layout().initial_uniform(args.get_f64("i0", 0.05)?)?;
     let epsmax = args.get_f64("epsmax", 0.7)?;
     let bounds = MultiControlBounds::new(vec![epsmax; model.n_controls()])?;
+    let options = sweep_options(args)?;
     println!(
         "multi-control sweep: {} classes, channels ({}) over (0, {tf}], bounds {epsmax}...",
         model.n_classes(),
         model.control_names().join(", ")
     );
-    let result = optimize_compartments_monitored(
-        model,
-        &y0,
-        tf,
-        &bounds,
-        &MultiFbsmOptions {
-            n_nodes: 101,
-            max_iterations: args.get_usize("max-iters", 300)?,
-            tolerance: 1e-4,
-            relaxation: 0.3,
-            ..Default::default()
-        },
-    )?;
+    let result = optimize_compartments_monitored(model, &y0, tf, &bounds, &options)?;
     if !result.converged && args.has_flag("strict") {
         return Err(CliError::degraded(format!(
             "multi-control sweep did not converge in {} iterations under --strict",
@@ -397,13 +429,17 @@ pub fn optimize(args: &Args) -> CliResult {
             }
         };
     }
-    // The paper kind runs the watchdog, which validates its own weights.
-    let tf = args.get_f64("tf", 100.0)?;
+    let tf = horizon(args, 100.0)?;
     let i0 = args.get_f64("i0", 0.05)?;
     let weights = CostWeights::new(c1, c2)?;
     let epsmax = args.get_f64("epsmax", 0.7)?;
     let bounds = ControlBounds::new(epsmax, epsmax)?;
     let initial = NetworkState::initial_uniform(params.n_classes(), i0)?;
+    let options = WatchdogOptions {
+        fbsm: sweep_options(args)?,
+        ..Default::default()
+    };
+    options.validate()?;
 
     println!(
         "sweeping {} classes over (0, {tf}] with c1 = {}, c2 = {}, bounds {epsmax}...",
@@ -411,23 +447,7 @@ pub fn optimize(args: &Args) -> CliResult {
         weights.c1,
         weights.c2
     );
-    let guarded = optimize_guarded(
-        &params,
-        &initial,
-        tf,
-        &bounds,
-        &weights,
-        &WatchdogOptions {
-            fbsm: MultiFbsmOptions {
-                n_nodes: 101,
-                max_iterations: args.get_usize("max-iters", 300)?,
-                tolerance: 1e-4,
-                relaxation: 0.3,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    )?;
+    let guarded = optimize_guarded(&params, &initial, tf, &bounds, &weights, &options)?;
     for ev in &guarded.restarts {
         println!(
             "watchdog: attempt {} (relaxation {:.4}{}) diverged [{}]: {}",
@@ -494,12 +514,13 @@ pub fn abm(args: &Args) -> CliResult {
     // degrees, so rebuild the partition from the graph itself.
     let classes = DegreeClasses::from_graph(&graph)?;
     let params = model_params(args, classes)?;
+    let (eps1, eps2) = countermeasures(args)?;
     let cfg = AbmConfig {
         alpha: params.alpha(),
         dt: 0.1,
         tf: args.get_f64("tf", 40.0)?,
-        eps1: args.get_f64("eps1", 0.2)?,
-        eps2: args.get_f64("eps2", 0.05)?,
+        eps1,
+        eps2,
         initial_infected: args.get_f64("i0", 0.05)?,
         record_every: 10,
     };
@@ -508,6 +529,11 @@ pub fn abm(args: &Args) -> CliResult {
     let policy = IsolationPolicy {
         quorum: args.get_f64("quorum", 0.5)?,
     };
+    cfg.validate()?;
+    policy.validate()?;
+    if runs == 0 {
+        return Err(CliError::config("--runs must be at least 1"));
+    }
     println!(
         "running {runs} synchronous ABM realizations on {} nodes...",
         graph.node_count()
@@ -823,8 +849,8 @@ pub fn selftest(args: &Args) -> CliResult {
 
     let net = load_network(args, false)?;
     let params = model_params(args, net.classes)?;
-    let (eps1, eps2) = (args.get_f64("eps1", 0.2)?, args.get_f64("eps2", 0.05)?);
-    let tf = args.get_f64("tf", 40.0)?;
+    let (eps1, eps2) = countermeasures(args)?;
+    let tf = horizon(args, 40.0)?;
     let i0 = args.get_f64("i0", 0.05)?;
     let initial = NetworkState::initial_uniform(params.n_classes(), i0)?;
     let sys = RumorModel::new(&params, ConstantControl::new(eps1, eps2));

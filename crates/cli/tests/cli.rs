@@ -208,6 +208,73 @@ fn invalid_abm_config_exits_three_before_any_replica_runs() {
     assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("tf = 0"), "stderr: {}", stderr(&out));
     assert!(!stderr(&out).contains("quorum"), "stderr: {}", stderr(&out));
+    assert_eq!(stdout(&out), "", "a rejected run announces no work");
+
+    for (flag, value, named) in [("--quorum", "1.5", "quorum"), ("--runs", "0", "--runs")] {
+        let out = rumor(&["abm", "--nodes", "50", flag, value]);
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "{flag} {value}: {}",
+            stderr(&out)
+        );
+        assert!(
+            stderr(&out).contains(named),
+            "{flag} {value}: {}",
+            stderr(&out)
+        );
+        assert_eq!(stdout(&out), "", "{flag} {value}");
+    }
+}
+
+/// A countermeasure rate or horizon read from the command line is
+/// outside input: a bad one is a rejected configuration (exit 3) naming
+/// its flag, never a panic, and `selftest` never passes a drill on an
+/// empty horizon.
+#[test]
+fn bad_rates_and_horizons_exit_three_without_a_panic() {
+    let cases: [(&[&str], &str); 7] = [
+        (&["simulate", "--eps1", "-1"], "--eps1"),
+        (&["simulate", "--eps2", "nan"], "--eps2"),
+        (
+            &["simulate", "--model", "tie_strength", "--eps1", "inf"],
+            "--eps1",
+        ),
+        (&["selftest", "--eps1", "-1"], "--eps1"),
+        (&["selftest", "--tf", "0"], "--tf"),
+        (&["selftest", "--tf", "-1"], "--tf"),
+        (&["selftest", "--tf", "nan"], "--tf"),
+    ];
+    for (args, flag) in cases {
+        let mut argv = args.to_vec();
+        argv.extend(["--nodes", "200"]);
+        let out = rumor(&argv);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(3), "{argv:?}: {err}");
+        assert!(err.contains(flag), "{argv:?}: {err}");
+        assert!(!err.contains("panicked"), "{argv:?}: {err}");
+        assert_eq!(stdout(&out), "", "{argv:?}");
+    }
+}
+
+/// `optimize` and `analyze` check their whole configuration before the
+/// first line of output, so a rejected run prints nothing.
+#[test]
+fn rejected_configurations_print_nothing() {
+    let cases: [&[&str]; 5] = [
+        &["optimize", "--tf", "0"],
+        &["optimize", "--max-iters", "0"],
+        &["optimize", "--model", "two_rumor", "--tf", "0"],
+        &["optimize", "--model", "tie_strength", "--max-iters", "0"],
+        &["analyze", "--eps1", "-1"],
+    ];
+    for args in cases {
+        let mut argv = args.to_vec();
+        argv.extend(["--nodes", "200"]);
+        let out = rumor(&argv);
+        assert_eq!(out.status.code(), Some(3), "{argv:?}: {}", stderr(&out));
+        assert_eq!(stdout(&out), "", "{argv:?}");
+    }
 }
 
 #[test]

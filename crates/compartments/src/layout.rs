@@ -99,82 +99,6 @@ impl CompartmentLayout {
         &flat[c * self.n_classes..(c + 1) * self.n_classes]
     }
 
-    /// Mutable band `c` of a flat state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= n_compartments` or the slice is too short.
-    pub fn band_mut<'a>(&self, flat: &'a mut [f64], c: usize) -> &'a mut [f64] {
-        assert!(c < self.n_compartments, "band {c} out of range");
-        &mut flat[c * self.n_classes..(c + 1) * self.n_classes]
-    }
-
-    /// Packs per-compartment bands into the flat form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::DimensionMismatch`] on a wrong band count or
-    /// band length, and [`CoreError::InvalidParameter`] on a negative or
-    /// non-finite density (same contract as
-    /// [`rumor_core::state::NetworkState::new`]).
-    pub fn pack(&self, bands: &[Vec<f64>]) -> Result<Vec<f64>> {
-        if bands.len() != self.n_compartments {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.n_compartments,
-                found: bands.len(),
-            });
-        }
-        let mut flat = Vec::with_capacity(self.flat_dim());
-        for band in bands {
-            if band.len() != self.n_classes {
-                return Err(CoreError::DimensionMismatch {
-                    expected: self.n_classes,
-                    found: band.len(),
-                });
-            }
-            if band.iter().any(|x| !x.is_finite() || *x < 0.0) {
-                return Err(CoreError::InvalidParameter {
-                    name: "density",
-                    message: "compartment band contains a negative or non-finite value".into(),
-                });
-            }
-            flat.extend_from_slice(band);
-        }
-        Ok(flat)
-    }
-
-    /// Unpacks a flat state into per-compartment bands, clamping tiny
-    /// integrator-induced negatives to zero — the generalized analogue of
-    /// [`rumor_core::state::NetworkState::from_flat`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::DimensionMismatch`] on a malformed length and
-    /// [`CoreError::InvalidParameter`] on non-finite values.
-    pub fn unpack(&self, flat: &[f64]) -> Result<Vec<Vec<f64>>> {
-        if flat.len() != self.flat_dim() {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.flat_dim(),
-                found: flat.len(),
-            });
-        }
-        if flat.iter().any(|x| !x.is_finite()) {
-            return Err(CoreError::InvalidParameter {
-                name: "flat",
-                message: "state contains non-finite values".into(),
-            });
-        }
-        let n = self.n_classes;
-        Ok((0..self.n_compartments)
-            .map(|c| {
-                flat[c * n..(c + 1) * n]
-                    .iter()
-                    .map(|x| x.max(0.0))
-                    .collect()
-            })
-            .collect())
-    }
-
     /// Validates a flat state in place: length must match, values must be
     /// finite, and tiny negatives are clamped to zero with exactly the
     /// `x.max(0.0)` rule of
@@ -229,32 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_round_trip() {
-        let l = CompartmentLayout::new(3, 2).unwrap();
-        let bands = vec![vec![0.1, 0.2, 0.3], vec![0.4, 0.5, 0.6]];
-        let flat = l.pack(&bands).unwrap();
-        assert_eq!(flat, vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6]);
-        assert_eq!(l.unpack(&flat).unwrap(), bands);
-    }
-
-    #[test]
-    fn pack_rejects_bad_shapes_and_values() {
-        let l = CompartmentLayout::new(2, 2).unwrap();
-        assert!(l.pack(&[vec![0.1, 0.2]]).is_err());
-        assert!(l.pack(&[vec![0.1], vec![0.2, 0.3]]).is_err());
-        assert!(l.pack(&[vec![0.1, -0.2], vec![0.2, 0.3]]).is_err());
-        assert!(l.pack(&[vec![0.1, f64::NAN], vec![0.2, 0.3]]).is_err());
-    }
-
-    #[test]
-    fn unpack_rejects_malformed_lengths() {
-        let l = CompartmentLayout::new(2, 2).unwrap();
-        assert!(l.unpack(&[0.1; 3]).is_err());
-        assert!(l.unpack(&[]).is_err());
-        assert!(l.unpack(&[0.1, 0.2, 0.3, f64::INFINITY]).is_err());
-    }
-
-    #[test]
     fn initial_uniform_fills_the_first_two_bands() {
         let l = CompartmentLayout::new(2, 4).unwrap();
         assert_eq!(
@@ -272,10 +170,8 @@ mod tests {
     }
 
     #[test]
-    fn unpack_and_sanitize_clamp_negatives() {
+    fn sanitize_clamps_negatives() {
         let l = CompartmentLayout::new(1, 3).unwrap();
-        let bands = l.unpack(&[-1e-12, 0.5, 0.5]).unwrap();
-        assert_eq!(bands[0][0], 0.0);
         let mut flat = [-1e-12, 0.5, 0.5];
         l.sanitize(&mut flat).unwrap();
         assert_eq!(flat[0], 0.0);

@@ -200,11 +200,6 @@ impl<'m, M: CompartmentModel, C: MultiControlSchedule> CompartmentOde<'m, M, C> 
         self.pool = pool;
         self
     }
-
-    /// The bound model.
-    pub fn model(&self) -> &M {
-        self.model
-    }
 }
 
 impl<M: CompartmentModel, C: MultiControlSchedule> OdeSystem for CompartmentOde<'_, M, C> {

@@ -27,7 +27,6 @@ pub struct PaperSir {
     alpha: f64,
     c1: f64,
     c2: f64,
-    convention: MassConvention,
 }
 
 impl PaperSir {
@@ -90,15 +89,7 @@ impl PaperSir {
             alpha,
             c1,
             c2,
-            convention: MassConvention::default(),
         })
-    }
-
-    /// Selects the `R`-inflow convention (default: mass-conserving, the
-    /// same default as `RumorModel`).
-    pub fn with_convention(mut self, convention: MassConvention) -> Self {
-        self.convention = convention;
-        self
     }
 
     /// The per-class acceptance rates `λ(k_i)`.
@@ -153,7 +144,7 @@ impl CompartmentModel for PaperSir {
             &self.lambda,
             &self.theta_w,
             self.alpha,
-            self.convention,
+            MassConvention::default(),
             u[0],
             u[1],
             y,
@@ -390,15 +381,11 @@ mod tests {
     }
 
     #[test]
-    fn mass_convention_switches_recycle_term() {
+    fn rhs_conserves_class_mass() {
         let m = PaperSir::from_parts(vec![0.5], vec![1.0], 0.01, 5.0, 10.0).unwrap();
         let y = [0.8, 0.15, 0.05];
         let mut d = [0.0; 3];
         m.rhs(&y, &[0.1, 0.2], None, &mut d);
-        // Conserving: class mass derivative sums to zero.
         assert!((d[0] + d[1] + d[2]).abs() < 1e-15);
-        let printed = m.clone().with_convention(MassConvention::AsPrinted);
-        printed.rhs(&y, &[0.1, 0.2], None, &mut d);
-        assert!((d[0] + d[1] + d[2] - 0.01).abs() < 1e-15);
     }
 }

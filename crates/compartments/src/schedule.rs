@@ -50,16 +50,6 @@ impl ConstantMultiControl {
         );
         ConstantMultiControl { levels }
     }
-
-    /// All channels off.
-    pub fn none(n_controls: usize) -> Self {
-        Self::new(vec![0.0; n_controls.max(1)])
-    }
-
-    /// The constant levels.
-    pub fn levels(&self) -> &[f64] {
-        &self.levels
-    }
 }
 
 impl MultiControlSchedule for ConstantMultiControl {
@@ -85,7 +75,6 @@ mod tests {
             c.eval_into(t, &mut u);
             assert_eq!(u, [0.3, 0.1, 0.0]);
         }
-        assert_eq!(ConstantMultiControl::none(2).levels(), &[0.0, 0.0]);
         // The blanket `&C` impl forwards.
         fn channels<C: MultiControlSchedule>(c: C) -> usize {
             c.n_controls()

@@ -86,11 +86,6 @@ impl CompartmentTrajectory {
         Ok(Self::from_parts(layout, grid.to_vec(), states))
     }
 
-    /// The state layout.
-    pub fn layout(&self) -> CompartmentLayout {
-        self.layout
-    }
-
     /// Sample times.
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -298,7 +293,7 @@ mod tests {
     #[test]
     fn grid_validation() {
         let m = model();
-        let c = ConstantMultiControl::none(2);
+        let c = ConstantMultiControl::new(vec![0.0; 2]);
         let opts = CompartmentSimOptions::default();
         assert!(simulate_compartments_grid(&m, &c, &y0(), &[0.0], &opts).is_err());
         assert!(simulate_compartments_grid(&m, &c, &y0(), &[1.0, 2.0], &opts).is_err());

@@ -1,6 +1,6 @@
-//! Property coverage for the generalized flat layout: pack/unpack round
-//! trips across the kernel-relevant class counts and structured errors
-//! on malformed flat lengths.
+//! Property coverage for the generalized flat layout: compartment-major
+//! band order across the kernel-relevant class counts, and structured
+//! errors on malformed flat lengths and non-finite values.
 
 use proptest::prelude::*;
 use rumor_compartments::layout::CompartmentLayout;
@@ -28,25 +28,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn pack_unpack_round_trips(
+    fn bands_tile_the_flat_state(
         size_idx in 0usize..CLASS_COUNTS.len(),
         n_compartments in 1usize..6,
         seed in 0u64..u64::MAX,
     ) {
         let n = CLASS_COUNTS[size_idx];
         let layout = CompartmentLayout::new(n, n_compartments).unwrap();
-        let flat_src = fill(seed, layout.flat_dim());
-        let bands: Vec<Vec<f64>> = (0..n_compartments)
-            .map(|c| flat_src[c * n..(c + 1) * n].to_vec())
+        let flat = fill(seed, layout.flat_dim());
+        // Band views follow the compartment-major order, back to back.
+        let joined: Vec<f64> = (0..n_compartments)
+            .flat_map(|c| layout.band(&flat, c).iter().copied())
             .collect();
-        let flat = layout.pack(&bands).unwrap();
-        prop_assert_eq!(flat.len(), layout.flat_dim());
-        let back = layout.unpack(&flat).unwrap();
-        prop_assert_eq!(&back, &bands);
-        // Band views agree with the packed order.
-        for (c, band) in bands.iter().enumerate() {
-            prop_assert_eq!(layout.band(&flat, c), band.as_slice());
-        }
+        prop_assert_eq!(joined, flat);
     }
 
     #[test]
@@ -62,10 +56,8 @@ proptest! {
         let dim = layout.flat_dim();
         let len = if longer == 1 { dim + delta } else { dim.saturating_sub(delta) };
         prop_assume!(len != dim);
-        let flat = vec![value; len];
-        prop_assert!(layout.unpack(&flat).is_err());
-        let mut buf = flat;
-        prop_assert!(layout.sanitize(&mut buf).is_err());
+        let mut flat = vec![value; len];
+        prop_assert!(layout.sanitize(&mut flat).is_err());
     }
 
     #[test]
@@ -78,7 +70,7 @@ proptest! {
         let mut flat = vec![0.25; layout.flat_dim()];
         let at = poison_num % flat.len();
         flat[at] = f64::NAN;
-        prop_assert!(layout.unpack(&flat).is_err());
+        prop_assert!(layout.sanitize(&mut flat).is_err());
         flat[at] = f64::INFINITY;
         prop_assert!(layout.sanitize(&mut flat).is_err());
     }

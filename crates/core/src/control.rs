@@ -60,14 +60,6 @@ impl ConstantControl {
         );
         ConstantControl { eps1, eps2 }
     }
-
-    /// The no-countermeasure schedule `(0, 0)`.
-    pub fn none() -> Self {
-        ConstantControl {
-            eps1: 0.0,
-            eps2: 0.0,
-        }
-    }
 }
 
 impl ControlSchedule for ConstantControl {
@@ -91,13 +83,6 @@ mod tests {
             assert_eq!(c.eps1(t), 0.3);
             assert_eq!(c.eps2(t), 0.1);
         }
-    }
-
-    #[test]
-    fn none_is_zero() {
-        let c = ConstantControl::none();
-        assert_eq!(c.eps1(0.0), 0.0);
-        assert_eq!(c.eps2(0.0), 0.0);
     }
 
     #[test]

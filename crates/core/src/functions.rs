@@ -26,15 +26,6 @@ pub enum AcceptanceRate {
         /// Scale factor applied to the degree.
         lambda0: f64,
     },
-    /// Acceptance saturates at `λ_max` with half-saturation degree `κ`:
-    /// `λ(k) = λ_max · k / (k + κ)`. Keeps `λ(k) < 1` for every degree,
-    /// honouring the paper's Section II constraint `0 < λ(k) < 1`.
-    Saturating {
-        /// Supremum of the acceptance rate.
-        lambda_max: f64,
-        /// Degree at which half of `lambda_max` is reached.
-        half_k: f64,
-    },
 }
 
 impl AcceptanceRate {
@@ -44,7 +35,6 @@ impl AcceptanceRate {
         match *self {
             AcceptanceRate::Constant { lambda0 } => lambda0,
             AcceptanceRate::LinearInDegree { lambda0 } => lambda0 * kf,
-            AcceptanceRate::Saturating { lambda_max, half_k } => lambda_max * kf / (kf + half_k),
         }
     }
 
@@ -58,10 +48,6 @@ impl AcceptanceRate {
             },
             AcceptanceRate::LinearInDegree { lambda0 } => AcceptanceRate::LinearInDegree {
                 lambda0: lambda0 * factor,
-            },
-            AcceptanceRate::Saturating { lambda_max, half_k } => AcceptanceRate::Saturating {
-                lambda_max: lambda_max * factor,
-                half_k,
             },
         }
     }
@@ -78,16 +64,6 @@ impl AcceptanceRate {
                     return Err(format!(
                         "lambda0 must be positive and finite, got {lambda0}"
                     ));
-                }
-            }
-            AcceptanceRate::Saturating { lambda_max, half_k } => {
-                if !(lambda_max > 0.0) || !lambda_max.is_finite() {
-                    return Err(format!(
-                        "lambda_max must be positive and finite, got {lambda_max}"
-                    ));
-                }
-                if !(half_k > 0.0) || !half_k.is_finite() {
-                    return Err(format!("half_k must be positive and finite, got {half_k}"));
                 }
             }
         }
@@ -170,24 +146,6 @@ mod tests {
     fn acceptance_families_evaluate() {
         assert_eq!(AcceptanceRate::Constant { lambda0: 0.3 }.eval(10), 0.3);
         assert_eq!(AcceptanceRate::LinearInDegree { lambda0: 0.1 }.eval(5), 0.5);
-        let s = AcceptanceRate::Saturating {
-            lambda_max: 0.8,
-            half_k: 10.0,
-        };
-        assert!((s.eval(10) - 0.4).abs() < 1e-12);
-        assert!(s.eval(100_000) < 0.8);
-    }
-
-    #[test]
-    fn saturating_acceptance_bounded_below_max() {
-        let s = AcceptanceRate::Saturating {
-            lambda_max: 0.9,
-            half_k: 5.0,
-        };
-        for k in 1..1000 {
-            let v = s.eval(k);
-            assert!(v > 0.0 && v < 0.9);
-        }
     }
 
     #[test]
@@ -197,11 +155,6 @@ mod tests {
             assert!((a.scaled(f).eval(7) - f * a.eval(7)).abs() < 1e-12);
             let c = AcceptanceRate::Constant { lambda0: 0.2 };
             assert!((c.scaled(f).eval(7) - f * c.eval(7)).abs() < 1e-12);
-            let s = AcceptanceRate::Saturating {
-                lambda_max: 0.4,
-                half_k: 3.0,
-            };
-            assert!((s.scaled(f).eval(7) - f * s.eval(7)).abs() < 1e-12);
         }
     }
 
@@ -214,12 +167,6 @@ mod tests {
         assert!(AcceptanceRate::LinearInDegree { lambda0: -1.0 }
             .validate()
             .is_err());
-        assert!(AcceptanceRate::Saturating {
-            lambda_max: 0.5,
-            half_k: 0.0
-        }
-        .validate()
-        .is_err());
         assert!(AcceptanceRate::Constant { lambda0: f64::NAN }
             .validate()
             .is_err());

@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn dimension_is_three_per_class() {
         let p = tiny_params();
-        let m = RumorModel::new(&p, ConstantControl::none());
+        let m = RumorModel::new(&p, ConstantControl::new(0.0, 0.0));
         assert_eq!(m.dim(), 9);
     }
 
@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn no_rumor_without_infected() {
         let p = tiny_params();
-        let m = RumorModel::new(&p, ConstantControl::none());
+        let m = RumorModel::new(&p, ConstantControl::new(0.0, 0.0));
         let y = NetworkState::initial_from_infected(vec![0.0; 3])
             .unwrap()
             .to_flat();
@@ -290,7 +290,7 @@ mod tests {
     #[test]
     fn higher_degree_class_infects_faster() {
         let p = tiny_params(); // degrees 1, 2, 4; λ ∝ k
-        let m = RumorModel::new(&p, ConstantControl::none());
+        let m = RumorModel::new(&p, ConstantControl::new(0.0, 0.0));
         let y = NetworkState::initial_uniform(3, 0.1).unwrap().to_flat();
         let mut d = vec![0.0; 9];
         m.rhs(0.0, &y, &mut d);
@@ -343,7 +343,7 @@ mod tests {
     #[test]
     fn theta_flat_agrees_with_state_theta() {
         let p = tiny_params();
-        let m = RumorModel::new(&p, ConstantControl::none());
+        let m = RumorModel::new(&p, ConstantControl::new(0.0, 0.0));
         let st = NetworkState::initial_uniform(3, 0.37).unwrap();
         let t1 = m.theta_flat(&st.to_flat());
         let t2 = st.theta(&p).unwrap();

@@ -117,7 +117,7 @@ mod tests {
         let sol = Adaptive::new()
             .integrate(&m, 0.0, &[0.9, 0.1, 0.0], 50.0)
             .unwrap();
-        let xs = sol.component(0);
+        let xs: Vec<f64> = sol.states().map(|s| s[0]).collect();
         for w in xs.windows(2) {
             assert!(w[1] <= w[0] + 1e-12);
         }

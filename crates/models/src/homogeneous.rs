@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn no_infection_without_contact() {
-        let m = HomogeneousSir::new(0.0, 0.0, ConstantControl::none());
+        let m = HomogeneousSir::new(0.0, 0.0, ConstantControl::new(0.0, 0.0));
         let mut d = [0.0; 3];
         m.rhs(0.0, &[0.9, 0.1, 0.0], &mut d);
         assert_eq!(d, [0.0, 0.0, 0.0]);
@@ -113,6 +113,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_rate_panics() {
-        let _ = HomogeneousSir::new(-0.1, 0.5, ConstantControl::none());
+        let _ = HomogeneousSir::new(-0.1, 0.5, ConstantControl::new(0.0, 0.0));
     }
 }

@@ -554,8 +554,14 @@ mod tests {
             n_out: 41,
             ..Default::default()
         };
-        let free =
-            simulate_compartments(&m, ConstantMultiControl::none(2), &y0(6), 30.0, &opts).unwrap();
+        let free = simulate_compartments(
+            &m,
+            ConstantMultiControl::new(vec![0.0; 2]),
+            &y0(6),
+            30.0,
+            &opts,
+        )
+        .unwrap();
         let seeded = simulate_compartments(
             &m,
             ConstantMultiControl::new(vec![0.3, 0.0]),

@@ -11,7 +11,6 @@
 
 use crate::matrix::Matrix;
 use crate::{NumericsError, Result};
-use std::fmt;
 
 /// A complex number with `f64` components.
 ///
@@ -34,27 +33,6 @@ impl Complex {
     /// Creates a purely real complex number.
     pub fn real(re: f64) -> Self {
         Complex { re, im: 0.0 }
-    }
-
-    /// Modulus `sqrt(re² + im²)`.
-    pub fn abs(&self) -> f64 {
-        self.re.hypot(self.im)
-    }
-
-    /// Returns `true` if the imaginary part is negligible relative to the
-    /// modulus.
-    pub fn is_approx_real(&self, tol: f64) -> bool {
-        self.im.abs() <= tol * self.abs().max(1.0)
-    }
-}
-
-impl fmt::Display for Complex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.im >= 0.0 {
-            write!(f, "{}+{}i", self.re, self.im)
-        } else {
-            write!(f, "{}{}i", self.re, self.im)
-        }
     }
 }
 
@@ -704,15 +682,6 @@ mod tests {
         let eigs = eigenvalues(a).unwrap();
         assert_eq!(eigs.len(), 1);
         assert_eq!(eigs[0].re, 7.0);
-    }
-
-    #[test]
-    fn complex_display_and_helpers() {
-        let c = Complex::new(3.0, -4.0);
-        assert_eq!(c.abs(), 5.0);
-        assert!(format!("{c}").contains("-4"));
-        assert!(Complex::real(1.0).is_approx_real(1e-12));
-        assert!(!c.is_approx_real(1e-12));
     }
 
     #[test]

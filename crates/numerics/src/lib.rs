@@ -3,7 +3,7 @@
 //! This crate holds the numerical building blocks the rest of the
 //! workspace calls:
 //!
-//! * [`matrix`] — a small dense row-major [`matrix::Matrix`] for the
+//! * [`matrix`] — a small dense row-major [`matrix::Matrix`] holding the
 //!   Jacobians of the implicit Euler stepper and of Theorem 2.
 //! * [`lu`] — LU decomposition with partial pivoting: the implicit Euler
 //!   stepper's Newton solves, and determinants.
@@ -13,8 +13,7 @@
 //! * [`roots`] — Brent's method for the `E+` fixed point and the `λ0` and
 //!   Digg2009 calibrations (with bisection as its test reference).
 //! * [`quadrature`] — trapezoid integration of sampled trajectories, for
-//!   the cost functional `J`, and composite and Gauss–Legendre rules on
-//!   functions.
+//!   the cost functional `J`.
 //! * [`interp`] — piecewise-linear interpolation on grids, for the control
 //!   schedules.
 //! * [`stats`] — the running mean/variance accumulator of the Monte Carlo

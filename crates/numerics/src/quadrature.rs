@@ -1,177 +1,8 @@
-//! Numerical integration.
-//!
-//! Provides composite trapezoid and Simpson rules, adaptive Simpson,
-//! fixed-order Gauss–Legendre quadrature, and integration of *sampled*
-//! trajectories (used to evaluate the countermeasure cost functional
-//! `∫ Σ (c1 ε1² S² + c2 ε2² I²) dt` along an ODE solution in
-//! `rumor-control`).
+//! Trapezoid integration of *sampled* trajectories, used to evaluate the
+//! countermeasure cost functional `∫ Σ (c1 ε1² S² + c2 ε2² I²) dt` along
+//! an ODE solution in `rumor-control`.
 
 use crate::{NumericsError, Result};
-
-/// Composite trapezoid rule with `n` subintervals on `[a, b]`.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::InvalidArgument`] if `n == 0` or `a > b`.
-pub fn trapezoid(mut f: impl FnMut(f64) -> f64, a: f64, b: f64, n: usize) -> Result<f64> {
-    check_interval(a, b, n)?;
-    let h = (b - a) / n as f64;
-    let mut sum = 0.5 * (f(a) + f(b));
-    for i in 1..n {
-        sum += f(a + i as f64 * h);
-    }
-    Ok(sum * h)
-}
-
-/// Composite Simpson rule with `n` subintervals (`n` is rounded up to the
-/// next even number).
-///
-/// # Errors
-///
-/// Returns [`NumericsError::InvalidArgument`] if `n == 0` or `a > b`.
-pub fn simpson(mut f: impl FnMut(f64) -> f64, a: f64, b: f64, n: usize) -> Result<f64> {
-    check_interval(a, b, n)?;
-    let n = if n % 2 == 0 { n } else { n + 1 };
-    let h = (b - a) / n as f64;
-    let mut sum = f(a) + f(b);
-    for i in 1..n {
-        let w = if i % 2 == 1 { 4.0 } else { 2.0 };
-        sum += w * f(a + i as f64 * h);
-    }
-    Ok(sum * h / 3.0)
-}
-
-/// Adaptive Simpson integration to absolute tolerance `tol`.
-///
-/// # Errors
-///
-/// * [`NumericsError::InvalidArgument`] if `a > b` or `tol <= 0`.
-/// * [`NumericsError::NoConvergence`] if the recursion depth limit is hit.
-pub fn adaptive_simpson(f: &mut impl FnMut(f64) -> f64, a: f64, b: f64, tol: f64) -> Result<f64> {
-    if a > b {
-        return Err(NumericsError::InvalidArgument(format!(
-            "interval start {a} exceeds end {b}"
-        )));
-    }
-    if tol <= 0.0 {
-        return Err(NumericsError::InvalidArgument(
-            "tolerance must be positive".into(),
-        ));
-    }
-    if a == b {
-        return Ok(0.0);
-    }
-    let fa = f(a);
-    let fb = f(b);
-    let m = 0.5 * (a + b);
-    let fm = f(m);
-    let whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb);
-    adaptive_step(f, a, b, fa, fb, fm, whole, tol, 50)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn adaptive_step(
-    f: &mut impl FnMut(f64) -> f64,
-    a: f64,
-    b: f64,
-    fa: f64,
-    fb: f64,
-    fm: f64,
-    whole: f64,
-    tol: f64,
-    depth: usize,
-) -> Result<f64> {
-    if depth == 0 {
-        return Err(NumericsError::NoConvergence {
-            algorithm: "adaptive simpson",
-            iterations: 50,
-        });
-    }
-    let m = 0.5 * (a + b);
-    let lm = 0.5 * (a + m);
-    let rm = 0.5 * (m + b);
-    let flm = f(lm);
-    let frm = f(rm);
-    let left = (m - a) / 6.0 * (fa + 4.0 * flm + fm);
-    let right = (b - m) / 6.0 * (fm + 4.0 * frm + fb);
-    let delta = left + right - whole;
-    if delta.abs() <= 15.0 * tol {
-        Ok(left + right + delta / 15.0)
-    } else {
-        let l = adaptive_step(f, a, m, fa, fm, flm, left, tol / 2.0, depth - 1)?;
-        let r = adaptive_step(f, m, b, fm, fb, frm, right, tol / 2.0, depth - 1)?;
-        Ok(l + r)
-    }
-}
-
-/// Gauss–Legendre quadrature with a fixed number of nodes (supported
-/// orders: 2, 3, 4, 5).
-///
-/// # Errors
-///
-/// Returns [`NumericsError::InvalidArgument`] for unsupported orders or if
-/// `a > b`.
-pub fn gauss_legendre(mut f: impl FnMut(f64) -> f64, a: f64, b: f64, order: usize) -> Result<f64> {
-    if a > b {
-        return Err(NumericsError::InvalidArgument(format!(
-            "interval start {a} exceeds end {b}"
-        )));
-    }
-    // Nodes/weights on [-1, 1].
-    let (nodes, weights): (&[f64], &[f64]) = match order {
-        2 => (
-            &[-0.577_350_269_189_625_7, 0.577_350_269_189_625_7],
-            &[1.0, 1.0],
-        ),
-        3 => (
-            &[-0.774_596_669_241_483_4, 0.0, 0.774_596_669_241_483_4],
-            &[5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0],
-        ),
-        4 => (
-            &[
-                -0.861_136_311_594_052_6,
-                -0.339_981_043_584_856_26,
-                0.339_981_043_584_856_26,
-                0.861_136_311_594_052_6,
-            ],
-            &[
-                0.347_854_845_137_453_85,
-                0.652_145_154_862_546_2,
-                0.652_145_154_862_546_2,
-                0.347_854_845_137_453_85,
-            ],
-        ),
-        5 => (
-            &[
-                -0.906_179_845_938_664,
-                -0.538_469_310_105_683,
-                0.0,
-                0.538_469_310_105_683,
-                0.906_179_845_938_664,
-            ],
-            &[
-                0.236_926_885_056_189_08,
-                0.478_628_670_499_366_47,
-                0.568_888_888_888_888_9,
-                0.478_628_670_499_366_47,
-                0.236_926_885_056_189_08,
-            ],
-        ),
-        other => {
-            return Err(NumericsError::InvalidArgument(format!(
-                "unsupported gauss-legendre order {other} (supported: 2-5)"
-            )))
-        }
-    };
-    let half = 0.5 * (b - a);
-    let mid = 0.5 * (a + b);
-    Ok(half
-        * nodes
-            .iter()
-            .zip(weights)
-            .map(|(&x, &w)| w * f(mid + half * x))
-            .sum::<f64>())
-}
 
 /// Trapezoid integration of a *sampled* trajectory: `ts` are strictly
 /// increasing sample times, `ys` the corresponding values.
@@ -206,90 +37,9 @@ pub fn trapezoid_sampled(ts: &[f64], ys: &[f64]) -> Result<f64> {
     Ok(sum)
 }
 
-fn check_interval(a: f64, b: f64, n: usize) -> Result<()> {
-    if n == 0 {
-        return Err(NumericsError::InvalidArgument(
-            "number of subintervals must be positive".into(),
-        ));
-    }
-    if a > b {
-        return Err(NumericsError::InvalidArgument(format!(
-            "interval start {a} exceeds end {b}"
-        )));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trapezoid_linear_is_exact() {
-        let v = trapezoid(|x| 3.0 * x + 1.0, 0.0, 2.0, 1).unwrap();
-        assert!((v - 8.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn simpson_cubic_is_exact() {
-        // Simpson is exact for cubics.
-        let v = simpson(|x| x.powi(3) - x, 0.0, 2.0, 2).unwrap();
-        assert!((v - 2.0).abs() < 1e-13);
-    }
-
-    #[test]
-    fn simpson_rounds_odd_n_up() {
-        let v = simpson(|x| x * x, 0.0, 1.0, 3).unwrap();
-        assert!((v - 1.0 / 3.0).abs() < 1e-13);
-    }
-
-    #[test]
-    fn adaptive_simpson_oscillatory() {
-        let mut f = |x: f64| (10.0 * x).sin();
-        let v = adaptive_simpson(&mut f, 0.0, 1.0, 1e-10).unwrap();
-        let exact = (1.0 - (10.0_f64).cos()) / 10.0;
-        assert!((v - exact).abs() < 1e-8);
-    }
-
-    #[test]
-    fn adaptive_simpson_zero_width() {
-        let mut f = |x: f64| x;
-        assert_eq!(adaptive_simpson(&mut f, 1.0, 1.0, 1e-10).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn adaptive_simpson_rejects_bad_args() {
-        let mut f = |x: f64| x;
-        assert!(adaptive_simpson(&mut f, 1.0, 0.0, 1e-10).is_err());
-        assert!(adaptive_simpson(&mut f, 0.0, 1.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn gauss_legendre_polynomial_exactness() {
-        // Order-n GL is exact for degree 2n-1.
-        let v = gauss_legendre(|x| x.powi(5) + x.powi(2), -1.0, 1.0, 3).unwrap();
-        assert!((v - 2.0 / 3.0).abs() < 1e-13);
-        let v4 = gauss_legendre(|x| x.powi(7), 0.0, 1.0, 4).unwrap();
-        assert!((v4 - 0.125).abs() < 1e-13);
-    }
-
-    #[test]
-    fn gauss_legendre_all_orders_on_exp() {
-        let exact = 1.0_f64.exp() - 1.0;
-        for order in 2..=5 {
-            let v = gauss_legendre(f64::exp, 0.0, 1.0, order).unwrap();
-            assert!((v - exact).abs() < 1e-3, "order {order}: {v} vs {exact}");
-        }
-        // Higher order must be at least as accurate on a smooth function.
-        let e2 = (gauss_legendre(f64::exp, 0.0, 1.0, 2).unwrap() - exact).abs();
-        let e5 = (gauss_legendre(f64::exp, 0.0, 1.0, 5).unwrap() - exact).abs();
-        assert!(e5 < e2);
-    }
-
-    #[test]
-    fn gauss_legendre_unsupported_order() {
-        assert!(gauss_legendre(|x| x, 0.0, 1.0, 7).is_err());
-    }
 
     #[test]
     fn trapezoid_sampled_matches_uniform() {
@@ -316,19 +66,17 @@ mod tests {
     }
 
     #[test]
-    fn interval_validation() {
-        assert!(trapezoid(|x| x, 0.0, 1.0, 0).is_err());
-        assert!(simpson(|x| x, 1.0, 0.0, 4).is_err());
-        assert!(gauss_legendre(|x| x, 1.0, 0.0, 3).is_err());
-    }
-
-    #[test]
     fn convergence_order_of_trapezoid() {
         // Halving h should quarter the error (second-order method).
         let exact = 2.0; // ∫0^π sin = 2
-        let e1 = (trapezoid(f64::sin, 0.0, std::f64::consts::PI, 50).unwrap() - exact).abs();
-        let e2 = (trapezoid(f64::sin, 0.0, std::f64::consts::PI, 100).unwrap() - exact).abs();
-        let ratio = e1 / e2;
+        let error = |n: usize| {
+            let ts: Vec<f64> = (0..=n)
+                .map(|i| std::f64::consts::PI * i as f64 / n as f64)
+                .collect();
+            let ys: Vec<f64> = ts.iter().map(|t| t.sin()).collect();
+            (trapezoid_sampled(&ts, &ys).unwrap() - exact).abs()
+        };
+        let ratio = error(50) / error(100);
         assert!(ratio > 3.5 && ratio < 4.5, "ratio {ratio}");
     }
 }

@@ -55,11 +55,6 @@ impl RunningStats {
         self.m2 += delta * (x - self.mean);
     }
 
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
     /// Mean of the observations so far (`None` when empty).
     pub fn mean(&self) -> Option<f64> {
         (self.n > 0).then_some(self.mean)
@@ -73,38 +68,6 @@ impl RunningStats {
     /// Sample standard deviation (`None` with fewer than two samples).
     pub fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        *self = RunningStats { n, mean, m2 };
-    }
-}
-
-impl Extend<f64> for RunningStats {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
-
-impl FromIterator<f64> for RunningStats {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut rs = RunningStats::new();
-        rs.extend(iter);
-        rs
     }
 }
 
@@ -147,25 +110,5 @@ mod tests {
         assert_eq!(one.mean(), Some(5.0));
         assert!(one.variance().is_none());
         assert!(one.std_dev().is_none());
-    }
-
-    #[test]
-    fn running_stats_merge_matches_concatenation() {
-        let a: Vec<f64> = (0..10).map(|i| i as f64 * 0.7).collect();
-        let b: Vec<f64> = (0..15).map(|i| 3.0 - i as f64 * 0.2).collect();
-        let mut ra: RunningStats = a.iter().copied().collect();
-        let rb: RunningStats = b.iter().copied().collect();
-        ra.merge(&rb);
-        let all: Vec<f64> = a.iter().chain(&b).copied().collect();
-        assert_eq!(ra.count() as usize, all.len());
-        assert!((ra.mean().unwrap() - mean(&all).unwrap()).abs() < 1e-12);
-        assert!((ra.variance().unwrap() - variance(&all).unwrap()).abs() < 1e-12);
-        // Merging an empty accumulator is a no-op in either direction.
-        let mut empty = RunningStats::new();
-        empty.merge(&ra);
-        assert_eq!(empty.count(), ra.count());
-        let snapshot = ra;
-        ra.merge(&RunningStats::new());
-        assert_eq!(ra, snapshot);
     }
 }

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use rumor_numerics::interp::LinearInterp;
 use rumor_numerics::lu::{det, Lu};
-use rumor_numerics::matrix::{vecops, Matrix};
-use rumor_numerics::quadrature::{simpson, trapezoid, trapezoid_sampled};
+use rumor_numerics::matrix::Matrix;
+use rumor_numerics::quadrature::trapezoid_sampled;
 use rumor_numerics::roots::{bisect, brent, RootConfig};
 use rumor_numerics::stats::{mean, variance, RunningStats};
 
@@ -50,16 +50,6 @@ proptest! {
     }
 
     #[test]
-    fn matmul_transpose_identity((raw, _b) in dominant_system(4)) {
-        // (A·B)ᵀ = Bᵀ·Aᵀ with B = Aᵀ.
-        let a = to_dominant_matrix(4, &raw);
-        let b = a.transpose();
-        let left = a.matmul(&b).expect("shape").transpose();
-        let right = b.transpose().matmul(&a.transpose()).expect("shape");
-        prop_assert!(left.approx_eq(&right, 1e-9));
-    }
-
-    #[test]
     fn linear_interp_is_bounded_by_node_values(
         ys in proptest::collection::vec(-5.0..5.0_f64, 2..20),
         q in 0.0..1.0_f64,
@@ -76,20 +66,14 @@ proptest! {
     #[test]
     fn quadrature_is_linear_in_the_integrand(a in -3.0..3.0_f64, b in -3.0..3.0_f64) {
         // ∫(a·f + b·g) = a∫f + b∫g for f = x², g = sin x on [0, 2].
-        let f = |x: f64| x * x;
-        let g = |x: f64| x.sin();
-        let combo = trapezoid(|x| a * f(x) + b * g(x), 0.0, 2.0, 400).expect("quad");
-        let parts = a * trapezoid(f, 0.0, 2.0, 400).expect("quad")
-            + b * trapezoid(g, 0.0, 2.0, 400).expect("quad");
+        let ts: Vec<f64> = (0..=400).map(|i| 2.0 * i as f64 / 400.0).collect();
+        let f: Vec<f64> = ts.iter().map(|x| x * x).collect();
+        let g: Vec<f64> = ts.iter().map(|x| x.sin()).collect();
+        let mixed: Vec<f64> = f.iter().zip(&g).map(|(fx, gx)| a * fx + b * gx).collect();
+        let combo = trapezoid_sampled(&ts, &mixed).expect("quad");
+        let parts = a * trapezoid_sampled(&ts, &f).expect("quad")
+            + b * trapezoid_sampled(&ts, &g).expect("quad");
         prop_assert!((combo - parts).abs() < 1e-9);
-    }
-
-    #[test]
-    fn simpson_at_least_as_accurate_as_trapezoid_on_smooth(k in 1.0..4.0_f64) {
-        let exact = (k * 2.0).sin() / k; // ∫0^2 cos(kx) dx
-        let t = (trapezoid(|x| (k * x).cos(), 0.0, 2.0, 64).expect("quad") - exact).abs();
-        let s = (simpson(|x| (k * x).cos(), 0.0, 2.0, 64).expect("quad") - exact).abs();
-        prop_assert!(s <= t + 1e-12, "simpson {s} vs trapezoid {t}");
     }
 
     #[test]
@@ -126,35 +110,5 @@ proptest! {
         let v = variance(&xs).expect("variance");
         prop_assert!((rs.mean().expect("mean") - m).abs() < 1e-9);
         prop_assert!((rs.variance().expect("var") - v).abs() / v.max(1.0) < 1e-9);
-    }
-
-    #[test]
-    fn running_stats_merge_is_order_independent(
-        xs in proptest::collection::vec(-10.0..10.0_f64, 1..20),
-        ys in proptest::collection::vec(-10.0..10.0_f64, 1..20),
-    ) {
-        let a: RunningStats = xs.iter().copied().collect();
-        let b: RunningStats = ys.iter().copied().collect();
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        prop_assert_eq!(ab.count(), ba.count());
-        prop_assert!((ab.mean().expect("m") - ba.mean().expect("m")).abs() < 1e-9);
-        if let (Some(va), Some(vb)) = (ab.variance(), ba.variance()) {
-            prop_assert!((va - vb).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn vecops_axpy_matches_manual(
-        alpha in -3.0..3.0_f64,
-        x in proptest::collection::vec(-5.0..5.0_f64, 1..10),
-    ) {
-        let mut y = vec![1.0; x.len()];
-        vecops::axpy(alpha, &x, &mut y);
-        for (yi, xi) in y.iter().zip(&x) {
-            prop_assert!((yi - (1.0 + alpha * xi)).abs() < 1e-12);
-        }
     }
 }

@@ -120,16 +120,6 @@ impl Solution {
         self.state(self.len() - 1)
     }
 
-    /// Extracts component `j` across all records as a time series.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= dim`.
-    pub fn component(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.dim, "component index {j} out of bounds");
-        self.states().map(|s| s[j]).collect()
-    }
-
     /// Linearly interpolates the state at time `t`.
     ///
     /// Works for both forward and backward trajectories; `t` outside the
@@ -246,7 +236,6 @@ mod tests {
         assert_eq!(sol.last_time(), 2.0);
         assert_eq!(sol.last_state(), &[2.0, 4.0]);
         assert_eq!(sol.state(1), &[1.0, 2.0]);
-        assert_eq!(sol.component(1), vec![0.0, 2.0, 4.0]);
         assert_eq!(sol.iter().count(), 3);
         assert_eq!(sol.states().count(), 3);
         assert_eq!(sol.flat_states(), &[0.0, 0.0, 1.0, 2.0, 2.0, 4.0]);

@@ -53,31 +53,40 @@ impl Default for AbmConfig {
     }
 }
 
-/// Checks an [`AbmConfig`] for both simulators. The ensemble drivers
-/// call it once, before any replica runs, so a rejected configuration is
-/// reported as such rather than as every replica failing.
-pub(crate) fn validate(cfg: &AbmConfig) -> Result<()> {
-    if !(cfg.dt > 0.0) || !(cfg.tf > 0.0) || cfg.dt > cfg.tf {
-        return Err(SimError::InvalidConfig(format!(
-            "need 0 < dt <= tf, got dt = {}, tf = {}",
-            cfg.dt, cfg.tf
-        )));
+impl AbmConfig {
+    /// Checks the configuration for both simulators. The ensemble
+    /// drivers call it once, before any replica runs, so a rejected
+    /// configuration is reported as such rather than as every replica
+    /// failing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] unless `0 < dt <= tf`, the
+    /// rates are non-negative, the initial infected fraction lies in
+    /// `(0, 1]` and `record_every` is positive.
+    pub fn validate(&self) -> Result<()> {
+        if !(self.dt > 0.0) || !(self.tf > 0.0) || self.dt > self.tf {
+            return Err(SimError::InvalidConfig(format!(
+                "need 0 < dt <= tf, got dt = {}, tf = {}",
+                self.dt, self.tf
+            )));
+        }
+        if self.eps1 < 0.0 || self.eps2 < 0.0 || self.alpha < 0.0 {
+            return Err(SimError::InvalidConfig("rates must be non-negative".into()));
+        }
+        if !(self.initial_infected > 0.0 && self.initial_infected <= 1.0) {
+            return Err(SimError::InvalidConfig(format!(
+                "initial infected fraction must lie in (0, 1], got {}",
+                self.initial_infected
+            )));
+        }
+        if self.record_every == 0 {
+            return Err(SimError::InvalidConfig(
+                "record_every must be positive".into(),
+            ));
+        }
+        Ok(())
     }
-    if cfg.eps1 < 0.0 || cfg.eps2 < 0.0 || cfg.alpha < 0.0 {
-        return Err(SimError::InvalidConfig("rates must be non-negative".into()));
-    }
-    if !(cfg.initial_infected > 0.0 && cfg.initial_infected <= 1.0) {
-        return Err(SimError::InvalidConfig(format!(
-            "initial infected fraction must lie in (0, 1], got {}",
-            cfg.initial_infected
-        )));
-    }
-    if cfg.record_every == 0 {
-        return Err(SimError::InvalidConfig(
-            "record_every must be positive".into(),
-        ));
-    }
-    Ok(())
 }
 
 /// Precomputed per-node rate tables shared by both simulators.
@@ -181,7 +190,7 @@ pub fn run(
     cfg: &AbmConfig,
     rng: &mut impl Rng,
 ) -> Result<SimTrajectory> {
-    validate(cfg)?;
+    cfg.validate()?;
     let tables = build_tables(graph, params)?;
     let mut arena = StateArena::new(seed_states(graph, cfg.initial_infected, rng));
     let n = graph.node_count();

@@ -9,7 +9,7 @@
 //! large-scale numbers be compared directly with every pre-arena
 //! baseline.
 
-use super::{build_tables, record, seed_states, validate, AbmConfig};
+use super::{build_tables, record, seed_states, AbmConfig};
 use crate::{NodeState, Result, SimTrajectory};
 use rand::Rng;
 use rumor_core::params::ModelParams;
@@ -22,7 +22,7 @@ fn run_reference(
     cfg: &AbmConfig,
     rng: &mut impl Rng,
 ) -> Result<SimTrajectory> {
-    validate(cfg)?;
+    cfg.validate()?;
     let tables = build_tables(graph, params)?;
     let mut states = seed_states(graph, cfg.initial_infected, rng);
     let n = graph.node_count();

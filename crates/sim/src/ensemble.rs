@@ -95,7 +95,7 @@ pub fn run_ensemble(
     if n_runs == 0 {
         return Err(SimError::InvalidConfig("need at least one run".into()));
     }
-    crate::abm::validate(cfg)?;
+    cfg.validate()?;
     let workers = rumor_par::resolve_threads(threads);
     let mut ens_span = rumor_obs::span("sim.ensemble");
     if ens_span.active() {
@@ -372,7 +372,7 @@ pub fn run_ensemble_isolated(
     policy: &IsolationPolicy,
     threads: Option<usize>,
 ) -> Result<IsolatedEnsemble> {
-    crate::abm::validate(cfg)?;
+    cfg.validate()?;
     run_ensemble_isolated_with(n_runs, base_seed, policy, threads, |_, seed| {
         run_replica(graph, params, cfg, simulator, seed)
     })

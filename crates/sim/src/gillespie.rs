@@ -101,7 +101,7 @@ pub fn run(
     cfg: &AbmConfig,
     rng: &mut impl Rng,
 ) -> Result<SimTrajectory> {
-    crate::abm::validate(cfg)?;
+    cfg.validate()?;
     let tables = build_tables(graph, params)?;
     let n = graph.node_count();
     let mut states = seed_states(graph, cfg.initial_infected, rng);
@@ -156,9 +156,7 @@ pub fn run(
                        pools: &mut Vec<Vec<usize>>,
                        pos: &mut Vec<usize>,
                        tree: &mut RateTree,
-                       class: &[usize],
-                       class_size: &[usize]| {
-        let _ = class_size;
+                       class: &[usize]| {
         let c = class[u];
         let idx = pos[u];
         let last = *pools[c].last().expect("pool non-empty");
@@ -205,7 +203,6 @@ pub fn run(
                 &mut pool_pos,
                 &mut tree,
                 &tables.class,
-                &tables.class_size,
             );
             states[u] = NodeState::Susceptible;
             counts.transition(&tables, u, NodeState::Recovered, NodeState::Susceptible);

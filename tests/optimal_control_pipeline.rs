@@ -105,7 +105,7 @@ fn optimized_control_suppresses_infection() {
     let result = quick_sweep(tf);
     let free = simulate_compartments(
         &PaperSir::from_params(&params, weights.c1, weights.c2).unwrap(),
-        ConstantMultiControl::none(2),
+        ConstantMultiControl::new(vec![0.0; 2]),
         &initial.to_flat(),
         tf,
         &CompartmentSimOptions::default(),
