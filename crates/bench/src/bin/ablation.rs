@@ -341,14 +341,7 @@ impl CompartmentModel for PaperDiagonal {
         self.0.rhs(y, u, pool, dydt)
     }
 
-    fn adjoint_rhs(
-        &self,
-        state: &[f64],
-        p: &[f64],
-        u: &[f64],
-        pool: Option<&InnerPool>,
-        dpdt: &mut [f64],
-    ) {
+    fn adjoint_rhs(&self, state: &[f64], p: &[f64], u: &[f64], dpdt: &mut [f64]) {
         let n = self.0.n_classes();
         let lambda = self.0.lambda();
         let theta_w = self.0.theta_weights();
@@ -356,7 +349,7 @@ impl CompartmentModel for PaperDiagonal {
         let (eps1, eps2) = (u[0], u[1]);
         let (s, i) = (&state[..n], &state[n..2 * n]);
         // Θ through the same partitioned reduction as the exact adjoint.
-        let theta = self.0.theta_flat(state, pool);
+        let theta = self.0.theta_flat(state);
         let (psi, phi) = p.split_at(n);
         let (dpsi, dphi) = dpdt.split_at_mut(n);
         let c1e1sq2 = 2.0 * c1 * eps1 * eps1;

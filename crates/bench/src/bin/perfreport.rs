@@ -61,13 +61,14 @@
 //!    residual <= 1e-4 is pinned in the committed report). Runs on
 //!    every invocation (and so on every PR).
 //! 9. **intra_scaling** — the deterministic intra-replica thread table:
-//!    the 848-class RHS and the 848-class costate RHS at 1/2/4/8
-//!    inner-pool threads, each row asserting bitwise identity against
-//!    the serial kernel, plus one `t1` row timing a million-agent
-//!    `abm::run` step (the ABM has no intra-replica pool). On a
-//!    single-core host the parallel rows measure dispatch overhead,
-//!    not speedup; the table is keyed `t1`/`t2`/... so the perf gate
-//!    can watch the serial row on any host.
+//!    the 848-class RHS at 1/2/4/8 inner-pool threads, each row
+//!    asserting bitwise identity against the serial kernel, plus one
+//!    `t1` row each timing the serial 848-class costate RHS and a
+//!    million-agent `abm::run` step. Production solves run serially;
+//!    the pooled `rhs_848` rows only measure what the pool would cost.
+//!    On a single-core host the parallel rows measure dispatch
+//!    overhead, not speedup; the table is keyed `t1`/`t2`/... so the
+//!    perf gate can watch the serial row on any host.
 //! 10. **ingest_sparse** — streaming two-pass CSR ingest of an edge
 //!     list whose node ids all sit at or above the interner's 2^24
 //!     direct-map limit, exercising the hash fallback and its geometric
@@ -121,7 +122,7 @@ use rumor_sim::ensemble::{run_ensemble, EnsembleResult, Simulator};
 use std::fmt::Write as _;
 use std::io::{Read, Write as _};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -179,6 +180,21 @@ fn parse_args() -> Config {
 
 fn main() {
     let config = parse_args();
+    // Relative --out/--check paths land at the workspace root (two up
+    // from CARGO_MANIFEST_DIR = crates/bench); `join` keeps an absolute
+    // path verbatim.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(|p| p.parent())
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("."));
+    let resolve = |path: &PathBuf| root.join(path);
+    let baseline = config.check.as_ref().map(|path| {
+        load_baseline(&resolve(path)).unwrap_or_else(|e| {
+            eprintln!("perf gate: {e}");
+            std::process::exit(1);
+        })
+    });
     // Span rollups (not the line sink) are on for the whole report: the
     // near-zero-cost aggregation path the workloads would run with in
     // production, surfaced as a `span_rollup` section at the end.
@@ -321,15 +337,13 @@ fn main() {
     // (with the final residual) separately from the timed sweep so the
     // gate metric keeps its fixed-size meaning; three continuation
     // rounds settle it, pinned in crates/bench/tests/fbsm_small_tier.rs.
-    // `inner_threads` is pinned to 1 on every gated sweep so the wall
-    // time the perf gate watches stays comparable across hosts with
-    // different core counts (and to the single-core baseline).
+    // Single solves run serially, so the wall time the perf gate watches
+    // stays comparable across hosts with different core counts.
     let options = MultiFbsmOptions {
         n_nodes: 81,
         max_iterations: 150,
         tolerance: 1e-4,
         relaxation: 0.3,
-        inner_threads: Some(1),
         ..Default::default()
     };
     let tf = 40.0;
@@ -565,7 +579,6 @@ fn main() {
         max_iterations: 60,
         tolerance: 1e-4,
         relaxation: 0.3,
-        inner_threads: Some(1),
         ..Default::default()
     };
     // The capped timed sweep stays the fixed-size gate workload; the
@@ -631,34 +644,13 @@ fn main() {
 
     let _ = writeln!(
         json,
-        "  \"notes\": [\n    \"parallel ensemble output is bit-identical to the serial run at every thread count (asserted above)\",\n    \"speedups are physical: on a host with {cores} available core(s), thread counts beyond {cores} measure scheduling overhead rather than parallel speedup\",\n    \"intra_scaling rows beyond t{cores} on this host measure pool dispatch overhead, not parallel speedup; bit-identity is asserted for every row regardless\",\n    \"gated fbsm sweeps pin inner_threads = 1 so their wall times stay host-comparable; production solves resolve the inner budget from --inner-threads / RUMOR_INNER_THREADS, else run serially\",\n    \"serve latencies are end-to-end over a real localhost socket, one connection per request\",\n    \"the admission workload intentionally overloads a queue_depth=8 pool: 503s are the bounded queue working, not a failure\"\n  ]"
+        "  \"notes\": [\n    \"parallel ensemble output is bit-identical to the serial run at every thread count (asserted above)\",\n    \"speedups are physical: on a host with {cores} available core(s), thread counts beyond {cores} measure scheduling overhead rather than parallel speedup\",\n    \"intra_scaling.rhs_848 rows beyond t{cores} on this host measure pool dispatch overhead, not parallel speedup; bit-identity is asserted for every row regardless\",\n    \"fbsm sweeps run serially, as every production solve does, so their wall times stay host-comparable\",\n    \"serve latencies are end-to-end over a real localhost socket, one connection per request\",\n    \"the admission workload intentionally overloads a queue_depth=8 pool: 503s are the bounded queue working, not a failure\"\n  ]"
     );
     json.push_str("}\n");
 
-    // Relative --out paths land at the workspace root (two up from
-    // CARGO_MANIFEST_DIR = crates/bench), absolute paths go verbatim.
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-    let path = if config.out.is_absolute() {
-        config.out.clone()
-    } else {
-        root.join(&config.out)
-    };
-    std::fs::write(&path, &json).expect("write report");
-    println!("wrote {}", path.display());
-
-    if let Some(baseline_path) = &config.check {
-        let baseline_path = if baseline_path.is_absolute() {
-            baseline_path.clone()
-        } else {
-            root.join(baseline_path)
-        };
-        if !gate(&json, &baseline_path, config.tolerance) {
-            std::process::exit(1);
-        }
+    let out = resolve(&config.out);
+    if !write_and_gate(&json, &out, baseline.as_ref(), config.tolerance) {
+        std::process::exit(1);
     }
 }
 
@@ -829,12 +821,13 @@ fn synthetic_graph_in_process(n: usize, out_degree: usize) -> Graph {
     graph
 }
 
-/// The intra-replica scaling table: the 848-class RHS and the 848-class
-/// costate RHS, each at inner-pool sizes 1/2/4/8 with bitwise identity
-/// against the serial kernel asserted per row, plus a million-agent
-/// `abm::run` step as the single row `abm_1m.t1`. Keyed
-/// `t1`/`t2`/`t4`/`t8` so the gate can watch the serial row by dotted
-/// path on any host.
+/// The intra-replica scaling table: the 848-class RHS at inner-pool
+/// sizes 1/2/4/8 with bitwise identity against the serial kernel
+/// asserted per row, the serial 848-class costate RHS as the single row
+/// `costate_848.t1`, and a million-agent `abm::run` step as the single
+/// row `abm_1m.t1`. Keyed `t1`/`t2`/`t4`/`t8` so the gate can watch the
+/// serial row by dotted path on any host. The `rhs_848` rows are the
+/// only perfreport path that builds an [`InnerPool`].
 fn intra_scaling_section(full_params: &ModelParams) -> String {
     let n = full_params.n_classes();
     let mut json = String::from("{\n");
@@ -894,48 +887,19 @@ fn intra_scaling_section(full_params: &ModelParams) -> String {
     .expect("forward solve for costate bench");
     let weights = CostWeights::paper_default();
     let port = PaperSir::from_params(full_params, weights.c1, weights.c2).expect("model");
-    let serial_costate = CompartmentAdjoint::new(&port, &forward, &control);
-    let yc = serial_costate.weighted_terminal_condition(1.0);
-    let mut dc_serial = vec![0.0; yc.len()];
-    serial_costate.rhs(20.0, &yc, &mut dc_serial);
-    let _ = writeln!(json, "    \"costate_848\": {{");
-    let mut t1_rate = 0.0f64;
-    for (pos, &threads) in THREAD_COUNTS.iter().enumerate() {
-        let pool = Arc::new(InnerPool::new(threads));
-        let costate =
-            CompartmentAdjoint::new(&port, &forward, &control).with_pool(Some(Arc::clone(&pool)));
-        let mut dydt = vec![0.0; yc.len()];
+    let costate = CompartmentAdjoint::new(&port, &forward, &control);
+    let yc = costate.weighted_terminal_condition(1.0);
+    let mut dydt = vec![0.0; yc.len()];
+    for _ in 0..50 {
         costate.rhs(20.0, &yc, &mut dydt);
-        let identical = dydt
-            .iter()
-            .zip(&dc_serial)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(
-            identical,
-            "pooled costate RHS diverged at {threads} thread(s)"
-        );
-        for _ in 0..50 {
-            costate.rhs(20.0, &yc, &mut dydt);
-        }
-        let (evals, wall, rate) = best_rate_window(100, || costate.rhs(20.0, &yc, &mut dydt));
-        if threads == 1 {
-            t1_rate = rate;
-        }
-        println!(
-            "intra costate_848: {threads} thread(s): {evals} evals in {wall:.3} s = {rate:.0} evals/s, speedup vs t1 {:.2}x, bit-identical: {identical}",
-            rate / t1_rate
-        );
-        let comma = if pos + 1 == THREAD_COUNTS.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            json,
-            "      \"t{threads}\": {{ \"evals\": {evals}, \"wall_s\": {wall:.4}, \"evals_per_s\": {rate:.1}, \"speedup_vs_t1\": {:.3}, \"bit_identical_to_serial\": {identical} }}{comma}",
-            rate / t1_rate
-        );
     }
+    let (evals, wall, rate) = best_rate_window(100, || costate.rhs(20.0, &yc, &mut dydt));
+    println!("intra costate_848: 1 thread: {evals} evals in {wall:.3} s = {rate:.0} evals/s");
+    let _ = writeln!(json, "    \"costate_848\": {{");
+    let _ = writeln!(
+        json,
+        "      \"t1\": {{ \"evals\": {evals}, \"wall_s\": {wall:.4}, \"evals_per_s\": {rate:.1} }}"
+    );
     let _ = writeln!(json, "    }},");
 
     // -- Million-agent synchronous ABM stepping (one thread). ---------
@@ -1193,7 +1157,6 @@ fn two_rumor_section() -> String {
             atol: 1e-8,
             ..Default::default()
         },
-        inner_threads: Some(1),
         ..Default::default()
     };
     let tf = 40.0;
@@ -1261,6 +1224,33 @@ fn lookup_metric(value: &wire::Value, path: &str) -> Option<f64> {
     None
 }
 
+/// A `--check` baseline, read and parsed before the first workload
+/// runs: `--out` may name the same file, and a report gated against
+/// its own copy would read +0.0% on every metric.
+struct Baseline {
+    path: PathBuf,
+    report: wire::Value,
+}
+
+fn load_baseline(path: &Path) -> Result<Baseline, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
+    let report = wire::parse(&text)
+        .map_err(|e| format!("baseline {} is not valid JSON: {e}", path.display()))?;
+    Ok(Baseline {
+        path: path.to_path_buf(),
+        report,
+    })
+}
+
+/// Writes the fresh report to `out`, then gates it against `baseline`
+/// (when given). Returns false if any gated metric regressed.
+fn write_and_gate(json: &str, out: &Path, baseline: Option<&Baseline>, tolerance: f64) -> bool {
+    std::fs::write(out, json).expect("write report");
+    println!("wrote {}", out.display());
+    baseline.is_none_or(|baseline| gate(json, baseline, tolerance))
+}
+
 /// Compares the fresh report against the committed baseline. Every
 /// watched metric is evaluated and printed as one diff row — the gate
 /// never stops at the first offender — and the function returns false
@@ -1268,31 +1258,11 @@ fn lookup_metric(value: &wire::Value, path: &str) -> Option<f64> {
 /// absent from either report are reported and skipped so the gate keeps
 /// working across report-format growth and across the per-PR/nightly
 /// tier split.
-fn gate(current_json: &str, baseline_path: &std::path::Path, tolerance: f64) -> bool {
-    let baseline_text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "perf gate: cannot read baseline {}: {e}",
-                baseline_path.display()
-            );
-            return false;
-        }
-    };
-    let baseline = match wire::parse(&baseline_text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!(
-                "perf gate: baseline {} is not valid JSON: {e}",
-                baseline_path.display()
-            );
-            return false;
-        }
-    };
+fn gate(current_json: &str, baseline: &Baseline, tolerance: f64) -> bool {
     let current = wire::parse(current_json).expect("fresh report is valid JSON");
     println!(
         "perf gate: comparing against {} (tolerance {tolerance})",
-        baseline_path.display()
+        baseline.path.display()
     );
     println!(
         "  {:<34} {:>14} {:>14} {:>9} {:>14}  verdict",
@@ -1300,7 +1270,7 @@ fn gate(current_json: &str, baseline_path: &std::path::Path, tolerance: f64) -> 
     );
     let mut regressions: Vec<String> = Vec::new();
     for (path, higher_is_better) in GATE_METRICS {
-        let Some(base) = lookup_metric(&baseline, path) else {
+        let Some(base) = lookup_metric(&baseline.report, path) else {
             println!("  {path:<34} not in baseline, skipped");
             continue;
         };
@@ -1358,4 +1328,29 @@ fn raw_request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str)
     let mut response = Vec::new();
     stream.read_to_end(&mut response).ok()?;
     Some(String::from_utf8_lossy(&response).into_owned())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gate_reads_the_baseline_before_the_report_overwrites_it() {
+        let path =
+            std::env::temp_dir().join(format!("perfreport_gate_{}.json", std::process::id()));
+        std::fs::write(&path, r#"{"rhs": {"evals_per_s": 1000.0}}"#).unwrap();
+        let baseline = load_baseline(&path).unwrap();
+        // `--out` names the baseline file: 100 evals/s is below the
+        // 0.25 × 1000 floor, and only a gate that re-read the file would
+        // compare the run with itself and pass it.
+        let slow = r#"{"rhs": {"evals_per_s": 100.0}}"#;
+        let slow_passed = write_and_gate(slow, &path, Some(&baseline), 0.25);
+        let written = std::fs::read_to_string(&path);
+        let fast = r#"{"rhs": {"evals_per_s": 900.0}}"#;
+        let fast_passed = write_and_gate(fast, &path, Some(&baseline), 0.25);
+        std::fs::remove_file(&path).unwrap();
+        assert!(!slow_passed, "a metric below its floor passed the gate");
+        assert_eq!(written.unwrap(), slow);
+        assert!(fast_passed, "a metric above its floor failed the gate");
+    }
 }

@@ -51,7 +51,6 @@ fn options() -> MultiFbsmOptions {
             atol: 1e-8,
             ..Default::default()
         },
-        inner_threads: Some(1),
         ..Default::default()
     }
 }

@@ -37,7 +37,6 @@ fn small_tier_bench_sweep_converges_under_warm_continuation() {
         max_iterations: 150,
         tolerance: 1e-4,
         relaxation: 0.3,
-        inner_threads: Some(1),
         ..Default::default()
     };
     let mut sweep = optimize_compartments_monitored(&model, &y0, 40.0, &bounds, &options)

@@ -518,7 +518,7 @@ pub fn abm(args: &Args) -> CliResult {
     let cfg = AbmConfig {
         alpha: params.alpha(),
         dt: 0.1,
-        tf: args.get_f64("tf", 40.0)?,
+        tf: horizon(args, 40.0)?,
         eps1,
         eps2,
         initial_infected: args.get_f64("i0", 0.05)?,

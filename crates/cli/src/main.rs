@@ -73,12 +73,6 @@ PERFORMANCE:
     --threads N      worker threads for ensemble replicas (default: the
                      RUMOR_THREADS env var, else all available cores);
                      results are bit-identical for every thread count
-    --inner-threads N
-                     intra-solve worker threads for the Theta/RHS and
-                     costate kernels of a single ODE solve
-                     (default: the RUMOR_INNER_THREADS env var, else 1:
-                     single solves run serially unless asked); results
-                     are bit-identical for every inner thread count
 
 OBSERVABILITY (all commands):
     --log-format F   trace output: off (default), text, or json; spans
@@ -160,7 +154,6 @@ fn main() -> ExitCode {
         "runs",
         "quorum",
         "threads",
-        "inner-threads",
         "addr",
         "queue-depth",
         "cache-entries",
@@ -217,16 +210,6 @@ fn main() -> ExitCode {
         // machine's available parallelism.
         Ok(0) => {}
         Ok(t) => rumor_par::set_thread_override(Some(t)),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    }
-    match parsed.get_usize("inner-threads", 0) {
-        // 0 = "not given": leave resolution to RUMOR_INNER_THREADS,
-        // else a serial solve.
-        Ok(0) => {}
-        Ok(t) => rumor_par::set_inner_thread_override(Some(t)),
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(EXIT_USAGE);

@@ -167,6 +167,11 @@ fn usage_errors_exit_two() {
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("unknown command"));
 
+    // There is no intra-solve thread option: single solves run serially.
+    let out = rumor(&["optimize", "--inner-threads", "2"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("unknown option"));
+
     let out = rumor(&[]);
     assert_eq!(out.status.code(), Some(2));
 }
@@ -206,7 +211,11 @@ fn initial_infection_outside_the_unit_interval_exits_three() {
 fn invalid_abm_config_exits_three_before_any_replica_runs() {
     let out = rumor(&["abm", "--nodes", "50", "--tf", "0"]);
     assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr(&out));
-    assert!(stderr(&out).contains("tf = 0"), "stderr: {}", stderr(&out));
+    assert!(
+        stderr(&out).contains("--tf must be positive and finite, got 0"),
+        "stderr: {}",
+        stderr(&out)
+    );
     assert!(!stderr(&out).contains("quorum"), "stderr: {}", stderr(&out));
     assert_eq!(stdout(&out), "", "a rejected run announces no work");
 
@@ -233,7 +242,7 @@ fn invalid_abm_config_exits_three_before_any_replica_runs() {
 /// empty horizon.
 #[test]
 fn bad_rates_and_horizons_exit_three_without_a_panic() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["simulate", "--eps1", "-1"], "--eps1"),
         (&["simulate", "--eps2", "nan"], "--eps2"),
         (
@@ -244,6 +253,8 @@ fn bad_rates_and_horizons_exit_three_without_a_panic() {
         (&["selftest", "--tf", "0"], "--tf"),
         (&["selftest", "--tf", "-1"], "--tf"),
         (&["selftest", "--tf", "nan"], "--tf"),
+        (&["abm", "--tf", "inf"], "--tf"),
+        (&["abm", "--tf", "nan"], "--tf"),
     ];
     for (args, flag) in cases {
         let mut argv = args.to_vec();

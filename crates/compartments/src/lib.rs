@@ -16,10 +16,9 @@
 //! * [`model::CompartmentModel`] — the model trait: compartment count,
 //!   control channels, RHS coupling terms, adjoint system, stationary
 //!   controls, and cost integrands are all model-defined. Kernels stay
-//!   on the hot path: implementations receive an optional
-//!   [`rumor_par::InnerPool`] and are expected to route reductions
-//!   through the partitioned `rumor_core::kernels` so results stay
-//!   bit-identical at every thread count.
+//!   on the hot path: implementations are expected to route reductions
+//!   through the partitioned `rumor_core::kernels`, which fix one
+//!   association order per class count.
 //! * [`model::CompartmentOde`] / [`model::CompartmentAdjoint`] — the
 //!   adapters that bind a model plus a [`schedule::MultiControlSchedule`]
 //!   into [`rumor_ode::system::OdeSystem`]s for the forward and backward

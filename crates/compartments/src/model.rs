@@ -19,11 +19,11 @@ use std::sync::Arc;
 /// * **Controls** arrive pre-evaluated as a slice `u[..n_controls]`, so
 ///   the model never touches schedules or time directly and the ODE hot
 ///   loop stays allocation-free.
-/// * **Kernels** stay on the hot path: both RHS methods receive an
-///   optional [`InnerPool`] and implementations are expected to route
-///   their Θ-style reductions and element-wise bodies through the
-///   partitioned `rumor_core::kernels`, which keeps every trajectory
-///   bit-identical at any thread count.
+/// * **Kernels** stay on the hot path: implementations are expected to
+///   route their Θ-style reductions and element-wise bodies through the
+///   partitioned `rumor_core::kernels`. The forward RHS's optional
+///   [`InnerPool`] gives the serial bits; production solves never pass
+///   one, only the benchmark probes do.
 /// * **Adjoint** (`n_costates` bands) plus the stationary controls and
 ///   the per-channel cost integrands are what the forward–backward sweep
 ///   in `rumor-control` iterates on.
@@ -78,14 +78,7 @@ pub trait CompartmentModel {
 
     /// Adjoint derivative `dp/dt` at forward state `state`, costate `p`,
     /// controls `u`.
-    fn adjoint_rhs(
-        &self,
-        state: &[f64],
-        p: &[f64],
-        u: &[f64],
-        pool: Option<&InnerPool>,
-        dpdt: &mut [f64],
-    );
+    fn adjoint_rhs(&self, state: &[f64], p: &[f64], u: &[f64], dpdt: &mut [f64]);
 
     /// Transversality condition at `tf` for terminal weight `w`, written
     /// into `out[..costate_dim]`.
@@ -133,15 +126,8 @@ impl<M: CompartmentModel + ?Sized> CompartmentModel for &M {
         (**self).rhs(y, u, pool, dydt)
     }
 
-    fn adjoint_rhs(
-        &self,
-        state: &[f64],
-        p: &[f64],
-        u: &[f64],
-        pool: Option<&InnerPool>,
-        dpdt: &mut [f64],
-    ) {
-        (**self).adjoint_rhs(state, p, u, pool, dpdt)
+    fn adjoint_rhs(&self, state: &[f64], p: &[f64], u: &[f64], dpdt: &mut [f64]) {
+        (**self).adjoint_rhs(state, p, u, dpdt)
     }
 
     fn terminal_condition(&self, weight: f64, out: &mut [f64]) {
@@ -167,8 +153,8 @@ impl<M: CompartmentModel + ?Sized> CompartmentModel for &M {
 pub struct CompartmentOde<'m, M, C> {
     model: &'m M,
     control: C,
-    /// Optional intra-replica worker pool, forwarded to the model's
-    /// kernels; bit-identical with and without a pool at every size.
+    /// Optional worker pool for the model's forward kernels; see
+    /// [`CompartmentOde::with_pool`].
     pool: Option<Arc<InnerPool>>,
     /// Scratch for the evaluated control vector (no allocation in `rhs`).
     u_scratch: RefCell<Vec<f64>>,
@@ -196,6 +182,7 @@ impl<'m, M: CompartmentModel, C: MultiControlSchedule> CompartmentOde<'m, M, C> 
     }
 
     /// Attaches (or detaches, with `None`) an intra-replica worker pool.
+    /// Only the benchmark probes reach it.
     pub fn with_pool(mut self, pool: Option<Arc<InnerPool>>) -> Self {
         self.pool = pool;
         self
@@ -226,7 +213,6 @@ pub struct CompartmentAdjoint<'a, M, C> {
     model: &'a M,
     forward: &'a Solution,
     control: C,
-    pool: Option<Arc<InnerPool>>,
     u_scratch: RefCell<Vec<f64>>,
     /// Scratch for sampling the forward state inside `rhs` without
     /// allocating.
@@ -258,16 +244,9 @@ impl<'a, M: CompartmentModel, C: MultiControlSchedule> CompartmentAdjoint<'a, M,
             model,
             forward,
             control,
-            pool: None,
             u_scratch: RefCell::new(vec![0.0; n_controls]),
             state_scratch: RefCell::new(vec![0.0; dim]),
         }
-    }
-
-    /// Attaches (or detaches, with `None`) an intra-replica worker pool.
-    pub fn with_pool(mut self, pool: Option<Arc<InnerPool>>) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// The transversality condition at `tf` for terminal weight `w`.
@@ -290,8 +269,7 @@ impl<M: CompartmentModel, C: MultiControlSchedule> OdeSystem for CompartmentAdjo
         self.forward
             .sample_into(t, &mut state)
             .expect("forward trajectory must cover the adjoint's time span");
-        self.model
-            .adjoint_rhs(&state, y, &u, self.pool.as_deref(), dydt);
+        self.model.adjoint_rhs(&state, y, &u, dydt);
     }
 }
 

@@ -109,8 +109,8 @@ impl PaperSir {
 
     /// `Θ` from a flat state, through the same
     /// [`rumor_core::model::flat_theta`] as `RumorModel::theta_flat`.
-    pub fn theta_flat(&self, y: &[f64], pool: Option<&InnerPool>) -> f64 {
-        flat_theta(&self.theta_w, y, pool)
+    pub fn theta_flat(&self, y: &[f64]) -> f64 {
+        flat_theta(&self.theta_w, y, None)
     }
 }
 
@@ -153,64 +153,31 @@ impl CompartmentModel for PaperSir {
         );
     }
 
-    fn adjoint_rhs(
-        &self,
-        state: &[f64],
-        p: &[f64],
-        u: &[f64],
-        pool: Option<&InnerPool>,
-        dpdt: &mut [f64],
-    ) {
+    fn adjoint_rhs(&self, state: &[f64], p: &[f64], u: &[f64], dpdt: &mut [f64]) {
         let n = self.lambda.len();
         let (eps1, eps2) = (u[0], u[1]);
         let s = &state[..n];
         let i = &state[n..2 * n];
-        let theta = self.theta_flat(state, pool);
+        let theta = self.theta_flat(state);
         let (psi, phi) = p.split_at(n);
         let (dpsi, dphi) = dpdt.split_at_mut(n);
-        let c1e1sq2 = 2.0 * self.c1 * eps1 * eps1;
-        let c2e2sq2 = 2.0 * self.c2 * eps2 * eps2;
-        match pool {
-            Some(pool) => {
-                let coupling = kernels::coupling_sum_pooled(pool, psi, phi, &self.lambda, s);
-                kernels::costate_rhs_pooled(
-                    pool,
-                    s,
-                    i,
-                    psi,
-                    phi,
-                    &self.lambda,
-                    &self.theta_w,
-                    theta,
-                    coupling,
-                    c1e1sq2,
-                    c2e2sq2,
-                    eps1,
-                    eps2,
-                    dpsi,
-                    dphi,
-                );
-            }
-            None => {
-                let coupling = kernels::coupling_sum_partitioned(psi, phi, &self.lambda, s);
-                kernels::costate_rhs(
-                    s,
-                    i,
-                    psi,
-                    phi,
-                    &self.lambda,
-                    &self.theta_w,
-                    theta,
-                    coupling,
-                    c1e1sq2,
-                    c2e2sq2,
-                    eps1,
-                    eps2,
-                    dpsi,
-                    dphi,
-                );
-            }
-        }
+        let coupling = kernels::coupling_sum_partitioned(psi, phi, &self.lambda, s);
+        kernels::costate_rhs(
+            s,
+            i,
+            psi,
+            phi,
+            &self.lambda,
+            &self.theta_w,
+            theta,
+            coupling,
+            2.0 * self.c1 * eps1 * eps1,
+            2.0 * self.c2 * eps2 * eps2,
+            eps1,
+            eps2,
+            dpsi,
+            dphi,
+        );
     }
 
     fn terminal_condition(&self, weight: f64, out: &mut [f64]) {

@@ -155,9 +155,7 @@ impl CompartmentTrajectory {
 
 /// Simulates a compartment model on an explicit output grid
 /// (`grid[0] == 0`, non-decreasing), sampled by
-/// [`CompartmentTrajectory::from_solution`]. Single solves run serially:
-/// a caller that wants an inner pool binds [`CompartmentOde::with_pool`]
-/// itself, with the same bits.
+/// [`CompartmentTrajectory::from_solution`].
 ///
 /// # Errors
 ///

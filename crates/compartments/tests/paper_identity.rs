@@ -68,7 +68,7 @@ fn rhs_is_bit_identical_to_rumor_model() {
         // Θ agrees too.
         assert_eq!(
             legacy.theta_flat(&y).to_bits(),
-            port.theta_flat(&y, None).to_bits(),
+            port.theta_flat(&y).to_bits(),
             "theta at n = {n}"
         );
     }

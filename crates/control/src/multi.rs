@@ -270,12 +270,6 @@ pub struct MultiFbsmOptions {
     /// the previous point's optimum typically cuts the iteration count by
     /// an integer factor — neighboring problems have neighboring optima.
     pub initial_control: Option<MultiPiecewiseControl>,
-    /// Intra-replica thread count for the forward/backward kernels,
-    /// resolved through [`rumor_par::resolve_inner_threads`] (`None`
-    /// runs serially unless the `--inner-threads` override or
-    /// `RUMOR_INNER_THREADS` asks for a pool); bit-identical at every
-    /// count.
-    pub inner_threads: Option<usize>,
 }
 
 impl Default for MultiFbsmOptions {
@@ -294,7 +288,6 @@ impl Default for MultiFbsmOptions {
             guard_ode: None,
             terminal_weight: 1.0,
             initial_control: None,
-            inner_threads: None,
         }
     }
 }
@@ -505,7 +498,6 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
             model.state_dim()
         )));
     }
-    let n = model.n_classes();
     let mut sweep_span = rumor_obs::span("control.fbsm_sweep");
 
     let grid: Vec<f64> = (0..options.n_nodes)
@@ -552,27 +544,13 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
     // contracts, cautiously restore it toward the configured value.
     let mut delta = options.relaxation;
 
-    // Intra-replica pool for the forward/backward kernels, per the
-    // resolved inner-thread budget. Skipped when the class count fits a
-    // single kernel partition — the pool could never dispatch. The
-    // partitioned kernels are bit-identical with and without the pool,
-    // so the resolved count can never change the optimum.
-    let inner_threads = rumor_par::resolve_inner_threads(options.inner_threads);
-    let pool = if inner_threads > 1 && rumor_core::kernels::partition_count(n) > 1 {
-        Some(std::sync::Arc::new(rumor_par::InnerPool::new(
-            inner_threads,
-        )))
-    } else {
-        None
-    };
-
     // One forward solve serves twice: it prices the control it was run
     // for (the diagnostic cost) and, unchanged, it is the next
     // iteration's forward pass — same model, control, `y0`, horizon and
-    // tolerances, and the pool never changes the bits. So an iteration
-    // costs two solves, backward and forward, plus the first forward.
+    // tolerances. So an iteration costs two solves, backward and
+    // forward, plus the first forward.
     let forward_pass = |control: &MultiPiecewiseControl| {
-        let sys = CompartmentOde::new(model, control).with_pool(pool.clone());
+        let sys = CompartmentOde::new(model, control);
         integrate_pass(options, &sys, 0.0, y0, tf)
     };
     // (i) Forward pass of the first iterate.
@@ -582,7 +560,7 @@ pub fn optimize_compartments_monitored<M: CompartmentModel>(
     for iter in 1..=options.max_iterations {
         iterations = iter;
         // (ii) Backward pass.
-        let adjoint = CompartmentAdjoint::new(model, &forward, &control).with_pool(pool.clone());
+        let adjoint = CompartmentAdjoint::new(model, &forward, &control);
         let terminal = adjoint.weighted_terminal_condition(options.terminal_weight);
         let backward = integrate_pass(options, &adjoint, tf, &terminal, 0.0)?;
 

@@ -98,13 +98,12 @@ fn params_from(degrees: &[usize], lambda0: f64) -> ModelParams {
         .unwrap()
 }
 
-fn options(inner_threads: usize) -> MultiFbsmOptions {
+fn options() -> MultiFbsmOptions {
     MultiFbsmOptions {
         n_nodes: 21,
         max_iterations: 5,
         tolerance: 1e-3,
         relaxation: 0.5,
-        inner_threads: Some(inner_threads),
         ..Default::default()
     }
 }
@@ -122,7 +121,7 @@ fn sweep(p: &ModelParams, tf: f64, opts: &MultiFbsmOptions) -> Frozen {
 #[test]
 fn serial_prefix_is_frozen() {
     assert_eq!(
-        sweep(&params_for(30), 10.0, &options(1)),
+        sweep(&params_for(30), 10.0, &options()),
         Frozen {
             iterations: 5,
             converged: false,
@@ -140,51 +139,45 @@ fn serial_prefix_is_frozen() {
 }
 
 #[test]
-fn inner_thread_counts_reproduce_the_frozen_prefix() {
+fn single_and_multi_partition_prefixes_are_frozen() {
     // `params_for(300)`: 40 distinct classes, one kernel partition.
-    let frozen_n300 = Frozen {
-        iterations: 5,
-        converged: false,
-        backoffs: 0,
-        restored: false,
-        final_relaxation: 0x3fe0000000000000,
-        change_history: 0x9e1adbfd6b577229,
-        cost_history: 0xcd81e5bbe3ac8269,
-        eps1: 0x68b2a15f7664b180,
-        eps2: 0xe9a4df309cb4d3a7,
-        cost: 0x400255330ecc17f4,
-        cost_parts: 0x9e44a4bb17f19a39,
-    };
-    // 300 distinct classes span several kernel partitions, so the inner
-    // pool genuinely dispatches at 2 and 4 threads.
-    let frozen_pooled = Frozen {
-        iterations: 5,
-        converged: false,
-        backoffs: 0,
-        restored: false,
-        final_relaxation: 0x3fe0000000000000,
-        change_history: 0x5ffcc119c1358343,
-        cost_history: 0x5d2e7549c7589ed6,
-        eps1: 0x5971a65914753ace,
-        eps2: 0x6af1d735c2b1af85,
-        cost: 0x40313077741b9533,
-        cost_parts: 0x85075a995f2355d3,
-    };
+    assert_eq!(
+        sweep(&params_for(300), 10.0, &options()),
+        Frozen {
+            iterations: 5,
+            converged: false,
+            backoffs: 0,
+            restored: false,
+            final_relaxation: 0x3fe0000000000000,
+            change_history: 0x9e1adbfd6b577229,
+            cost_history: 0xcd81e5bbe3ac8269,
+            eps1: 0x68b2a15f7664b180,
+            eps2: 0xe9a4df309cb4d3a7,
+            cost: 0x400255330ecc17f4,
+            cost_parts: 0x9e44a4bb17f19a39,
+        }
+    );
+    // 300 distinct classes span two kernel partitions, so every Θ and
+    // coupling reduction folds per-partition partials.
     let distinct: Vec<usize> = (1..=300).collect();
-    let pooled = params_from(&distinct, 0.002);
-    assert!(rumor_core::kernels::partition_count(pooled.n_classes()) > 1);
-    for threads in [1usize, 2, 4] {
-        assert_eq!(
-            sweep(&params_for(300), 10.0, &options(threads)),
-            frozen_n300,
-            "threads = {threads}"
-        );
-        assert_eq!(
-            sweep(&pooled, 10.0, &options(threads)),
-            frozen_pooled,
-            "pooled, threads = {threads}"
-        );
-    }
+    let multi = params_from(&distinct, 0.002);
+    assert!(rumor_core::kernels::partition_count(multi.n_classes()) > 1);
+    assert_eq!(
+        sweep(&multi, 10.0, &options()),
+        Frozen {
+            iterations: 5,
+            converged: false,
+            backoffs: 0,
+            restored: false,
+            final_relaxation: 0x3fe0000000000000,
+            change_history: 0x5ffcc119c1358343,
+            cost_history: 0x5d2e7549c7589ed6,
+            eps1: 0x5971a65914753ace,
+            eps2: 0x6af1d735c2b1af85,
+            cost: 0x40313077741b9533,
+            cost_parts: 0x85075a995f2355d3,
+        }
+    );
 }
 
 #[test]
@@ -196,7 +189,7 @@ fn warm_started_prefix_is_frozen() {
     .unwrap();
     let opts = MultiFbsmOptions {
         initial_control: Some(prior),
-        ..options(1)
+        ..options()
     };
     assert_eq!(
         sweep(&params_for(30), 10.0, &opts),
@@ -221,7 +214,7 @@ fn full_convergence_is_frozen() {
     let opts = MultiFbsmOptions {
         max_iterations: 120,
         tolerance: 1e-4,
-        ..options(1)
+        ..options()
     };
     assert_eq!(
         sweep(&params_for(12), 16.0, &opts),
@@ -294,7 +287,6 @@ fn capped_options() -> MultiFbsmOptions {
         max_iterations: 8,
         tolerance: 1e-6,
         relaxation: 0.4,
-        inner_threads: Some(1),
         ..Default::default()
     }
 }

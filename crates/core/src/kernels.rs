@@ -23,12 +23,13 @@
 //! independence.
 //!
 //! On top of the lane-chunked kernels sits the **partitioned** layer
-//! (`*_partitioned`, `*_pooled`): fixed [`PART_CHUNK`]-wide partitions
-//! whose boundaries depend only on the class count, with per-chunk
-//! partials folded in chunk order. The same plan runs serially or on a
-//! [`rumor_par::InnerPool`], so a solve is bit-identical at 1..N
-//! threads; for `n <= PART_CHUNK` the partitioned reductions equal the
-//! plain chunked kernels bit for bit.
+//! (`*_partitioned`): fixed [`PART_CHUNK`]-wide partitions whose
+//! boundaries depend only on the class count, with per-chunk partials
+//! folded in chunk order (for `n <= PART_CHUNK`, the plain kernels' bits).
+//! Production solves run it serially. [`dot_pooled`] and
+//! [`sir_rhs_pooled`] run the same plan, with the same bits, on a
+//! [`rumor_par::InnerPool`] that only the benchmark probes and
+//! perfreport's `intra_scaling.rhs_848` rows build.
 
 /// Fixed vector width of every chunked kernel (f64 lanes). Eight lanes
 /// fill one AVX-512 register or two AVX2 registers — wide enough to
@@ -204,39 +205,30 @@ pub fn costate_rhs(
     }
 }
 
-/// Fixed partition width (in classes) of the intra-replica work-sharding
-/// layer — a multiple of [`LANES`] so every full chunk keeps the 8-lane
-/// association intact. Partition boundaries depend only on the problem
-/// size, never on the thread count, so the reduction tree (per-chunk
-/// lane-wise partials folded in chunk order) is identical at 1..N
-/// threads. For `n <= PART_CHUNK` the partitioned reductions collapse to
-/// a single chunk and are bit-identical to [`dot`]/[`coupling_sum`];
-/// 848 classes (full-scale Digg) split into 4 chunks.
+/// Fixed partition width (in classes) of the partitioned reductions — a
+/// multiple of [`LANES`] so every full chunk keeps the 8-lane
+/// association intact. For `n <= PART_CHUNK` the partitioned reductions
+/// collapse to a single chunk and are bit-identical to
+/// [`dot`]/[`coupling_sum`]; 848 classes (full-scale Digg) split into 4.
 pub const PART_CHUNK: usize = 256;
 
-/// Largest partition count the pooled reductions handle on the stack
+/// Largest partition count [`dot_pooled`] handles on the stack
 /// (`MAX_PARTIALS × PART_CHUNK = 32768` classes); beyond that the
 /// partitioned *serial* path runs — same chunk plan, same bits.
 pub const MAX_PARTIALS: usize = 128;
 
 /// Number of fixed [`PART_CHUNK`]-wide partitions covering `n` classes.
+/// Outside the serial plan only the pooled forward paths read it, and
+/// only the benchmark probes and perfreport's `intra_scaling.rhs_848`
+/// rows reach those.
 pub const fn partition_count(n: usize) -> usize {
     rumor_par::chunk_count(n, PART_CHUNK)
 }
 
 /// Folds per-chunk partials in chunk order: `p[0] + p[1] + …` (0.0 when
-/// empty). This is the ordered reduction tree shared by the serial and
-/// pooled partitioned paths.
+/// empty), the same tree as the serial partitioned fold.
 fn combine_partials(partials: &[f64]) -> f64 {
-    let mut iter = partials.iter();
-    let Some(&first) = iter.next() else {
-        return 0.0;
-    };
-    let mut total = first;
-    for &p in iter {
-        total += p;
-    }
-    total
+    partials.iter().copied().reduce(|a, b| a + b).unwrap_or(0.0)
 }
 
 /// Serial reduction over the fixed partition plan: evaluates
@@ -267,7 +259,9 @@ pub fn dot_partitioned(a: &[f64], b: &[f64]) -> f64 {
 /// Pooled [`dot_partitioned`]: chunk partials are computed on the pool's
 /// threads into per-chunk slots and folded in chunk order on the calling
 /// thread. The chunk plan is thread-count independent, so the result is
-/// bit-identical to the serial partitioned form at every pool size.
+/// bit-identical to the serial partitioned form at every pool size. Only
+/// the benchmark probes and perfreport's `intra_scaling.rhs_848` rows
+/// reach it.
 pub fn dot_pooled(pool: &rumor_par::InnerPool, a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
     let chunks = partition_count(n);
@@ -290,31 +284,11 @@ pub fn coupling_sum_partitioned(a: &[f64], b: &[f64], w: &[f64], s: &[f64]) -> f
     })
 }
 
-/// Pooled [`coupling_sum_partitioned`]; see [`dot_pooled`].
-pub fn coupling_sum_pooled(
-    pool: &rumor_par::InnerPool,
-    a: &[f64],
-    b: &[f64],
-    w: &[f64],
-    s: &[f64],
-) -> f64 {
-    let n = a.len();
-    let chunks = partition_count(n);
-    if pool.threads() <= 1 || chunks <= 1 || chunks > MAX_PARTIALS {
-        return coupling_sum_partitioned(a, b, w, s);
-    }
-    let mut partials = [0.0f64; MAX_PARTIALS];
-    pool.map_into(&mut partials[..chunks], |c| {
-        let (lo, hi) = rumor_par::chunk_bounds(n, PART_CHUNK, c);
-        coupling_sum(&a[lo..hi], &b[lo..hi], &w[lo..hi], &s[lo..hi])
-    });
-    combine_partials(&partials[..chunks])
-}
-
 /// Pooled [`sir_rhs`]: class chunks are computed on the pool's threads
 /// into disjoint output sub-slices. Element-wise maps carry no
 /// reduction, so the output is bit-identical to the serial kernel at
-/// every pool size and chunking level.
+/// every pool size and chunking level. Only the benchmark probes and
+/// perfreport's `intra_scaling.rhs_848` rows reach it.
 #[allow(clippy::too_many_arguments)]
 pub fn sir_rhs_pooled(
     pool: &rumor_par::InnerPool,
@@ -357,58 +331,6 @@ pub fn sir_rhs_pooled(
             ds_c,
             di_c,
             dr_c,
-        );
-    });
-}
-
-/// Pooled [`costate_rhs`]; see [`sir_rhs_pooled`].
-#[allow(clippy::too_many_arguments)]
-pub fn costate_rhs_pooled(
-    pool: &rumor_par::InnerPool,
-    s: &[f64],
-    inf: &[f64],
-    psi: &[f64],
-    phi: &[f64],
-    lambda: &[f64],
-    theta_w: &[f64],
-    theta: f64,
-    coupling: f64,
-    c1e1sq2: f64,
-    c2e2sq2: f64,
-    eps1: f64,
-    eps2: f64,
-    dpsi: &mut [f64],
-    dphi: &mut [f64],
-) {
-    let n = s.len();
-    if pool.threads() <= 1 || partition_count(n) <= 1 {
-        costate_rhs(
-            s, inf, psi, phi, lambda, theta_w, theta, coupling, c1e1sq2, c2e2sq2, eps1, eps2, dpsi,
-            dphi,
-        );
-        return;
-    }
-    let chunks: Vec<(&mut [f64], &mut [f64])> = dpsi[..n]
-        .chunks_mut(PART_CHUNK)
-        .zip(dphi[..n].chunks_mut(PART_CHUNK))
-        .collect();
-    pool.scatter(chunks, |c, (dpsi_c, dphi_c)| {
-        let (lo, hi) = rumor_par::chunk_bounds(n, PART_CHUNK, c);
-        costate_rhs(
-            &s[lo..hi],
-            &inf[lo..hi],
-            &psi[lo..hi],
-            &phi[lo..hi],
-            &lambda[lo..hi],
-            &theta_w[lo..hi],
-            theta,
-            coupling,
-            c1e1sq2,
-            c2e2sq2,
-            eps1,
-            eps2,
-            dpsi_c,
-            dphi_c,
         );
     });
 }
@@ -572,16 +494,10 @@ mod tests {
             let a = fill(31, n, -2.0, 2.0);
             let b = fill(32, n, -1.0, 3.0);
             let w = fill(33, n, 0.0, 2.0);
-            let s = fill(34, n, 0.0, 1.0);
             let dot_serial = dot_partitioned(&a, &b);
-            let coup_serial = coupling_sum_partitioned(&a, &b, &w, &s);
             let (mut ds, mut di, mut dr) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
             sir_rhs(
                 &a, &b, &w, 0.3, 0.01, 0.2, 0.05, 0.01, &mut ds, &mut di, &mut dr,
-            );
-            let (mut dp, mut df) = (vec![0.0; n], vec![0.0; n]);
-            costate_rhs(
-                &a, &b, &w, &s, &w, &s, 0.2, 0.7, 0.4, 0.8, 0.1, 0.2, &mut dp, &mut df,
             );
             for threads in [1usize, 2, 4, 8] {
                 let pool = rumor_par::InnerPool::new(threads);
@@ -590,25 +506,14 @@ mod tests {
                     dot_serial.to_bits(),
                     "dot n = {n}, threads = {threads}"
                 );
-                assert_eq!(
-                    coupling_sum_pooled(&pool, &a, &b, &w, &s).to_bits(),
-                    coup_serial.to_bits(),
-                    "coupling n = {n}, threads = {threads}"
-                );
                 let (mut ds2, mut di2, mut dr2) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
                 sir_rhs_pooled(
                     &pool, &a, &b, &w, 0.3, 0.01, 0.2, 0.05, 0.01, &mut ds2, &mut di2, &mut dr2,
-                );
-                let (mut dp2, mut df2) = (vec![0.0; n], vec![0.0; n]);
-                costate_rhs_pooled(
-                    &pool, &a, &b, &w, &s, &w, &s, 0.2, 0.7, 0.4, 0.8, 0.1, 0.2, &mut dp2, &mut df2,
                 );
                 for i in 0..n {
                     assert_eq!(ds[i].to_bits(), ds2[i].to_bits(), "dS n = {n}, i = {i}");
                     assert_eq!(di[i].to_bits(), di2[i].to_bits(), "dI n = {n}, i = {i}");
                     assert_eq!(dr[i].to_bits(), dr2[i].to_bits(), "dR n = {n}, i = {i}");
-                    assert_eq!(dp[i].to_bits(), dp2[i].to_bits(), "dψ n = {n}, i = {i}");
-                    assert_eq!(df[i].to_bits(), df2[i].to_bits(), "dφ n = {n}, i = {i}");
                 }
             }
         }

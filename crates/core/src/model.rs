@@ -62,10 +62,8 @@ pub struct RumorModel<'p, C> {
     params: &'p ModelParams,
     control: C,
     convention: MassConvention,
-    /// Optional intra-replica worker pool for the Θ reduction and the
-    /// element-wise RHS map. The partitioned kernels are bit-identical
-    /// with and without a pool (see `kernels::PART_CHUNK`), so this only
-    /// affects wall-clock, never results.
+    /// Optional worker pool for the Θ reduction and the RHS map; see
+    /// [`RumorModel::with_pool`].
     pool: Option<Arc<InnerPool>>,
 }
 
@@ -93,7 +91,9 @@ impl<'p, C: ControlSchedule> RumorModel<'p, C> {
 
     /// Attaches (or detaches, with `None`) an intra-replica worker pool.
     /// Splits the per-class kernels across the pool's threads; output is
-    /// bit-identical to the pool-less model at every pool size.
+    /// bit-identical to the pool-less model at every pool size. Only the
+    /// benchmark probes and perfreport's `intra_scaling.rhs_848` rows
+    /// reach it.
     pub fn with_pool(mut self, pool: Option<Arc<InnerPool>>) -> Self {
         self.pool = pool;
         self

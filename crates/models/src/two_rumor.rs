@@ -26,9 +26,10 @@
 //! `rumor_control::multi`.
 //!
 //! All Θ reductions and adjoint couplings route through the partitioned
-//! `rumor_core::kernels`, and the element-wise bodies shard over the
-//! same `PART_CHUNK` grid as the S/I/R kernels, so trajectories and
-//! sweeps are bit-identical at every inner-thread count.
+//! `rumor_core::kernels`, the same `PART_CHUNK` plan as the S/I/R
+//! kernels. Production solves run serially; the forward RHS can also
+//! shard its element-wise body over that plan on an inner pool, with the
+//! same bits.
 
 use rumor_compartments::model::CompartmentModel;
 use rumor_compartments::CoreError;
@@ -191,7 +192,8 @@ impl TwoRumorModel {
 
     /// Element-wise forward stencil on one class range `[lo, hi)`. The
     /// pooled path scatters this same function over `PART_CHUNK` chunks,
-    /// so sharding never changes per-element arithmetic.
+    /// so sharding never changes per-element arithmetic. Only the
+    /// benchmark probes reach the pooled path.
     #[allow(clippy::too_many_arguments)]
     fn rhs_chunk(
         &self,
@@ -218,45 +220,6 @@ impl TwoRumorModel {
             di1[o] = force1 - self.gamma1 * i1[o] - u2 * i1[o] - convert;
             di2[o] = force2 + u1 * s[o] + convert - self.gamma2 * i2[o];
             dr[o] = self.gamma1 * i1[o] + u2 * i1[o] + self.gamma2 * i2[o] - self.alpha;
-        }
-    }
-
-    /// Element-wise adjoint stencil on one class range `[lo, hi)`.
-    #[allow(clippy::too_many_arguments)]
-    fn adjoint_chunk(
-        &self,
-        lo: usize,
-        hi: usize,
-        s: &[f64],
-        i1: &[f64],
-        psi: &[f64],
-        phi: &[f64],
-        chi: &[f64],
-        theta1: f64,
-        theta2: f64,
-        coupling1: f64,
-        coupling_a: f64,
-        coupling_b: f64,
-        c1u1sq2: f64,
-        c2u2sq2: f64,
-        u1: f64,
-        u2: f64,
-        dpsi: &mut [f64],
-        dphi: &mut [f64],
-        dchi: &mut [f64],
-    ) {
-        for j in lo..hi {
-            let o = j - lo;
-            let l1t1 = self.lambda1[j] * theta1;
-            let l2t2 = self.lambda2[j] * theta2;
-            dpsi[o] = -c1u1sq2 * s[o] + psi[o] * (l1t1 + l2t2 + u1)
-                - phi[o] * l1t1
-                - chi[o] * (l2t2 + u1);
-            dphi[o] = -c2u2sq2 * i1[o]
-                + self.theta_w[j] * coupling1
-                + phi[o] * (self.gamma1 + u2 + self.mu * l2t2)
-                - chi[o] * self.mu * l2t2;
-            dchi[o] = self.theta_w[j] * (coupling_a + self.mu * coupling_b) + chi[o] * self.gamma2;
         }
     }
 }
@@ -295,12 +258,8 @@ impl CompartmentModel for TwoRumorModel {
         let (ds, rest) = dydt.split_at_mut(n);
         let (di1, rest) = rest.split_at_mut(n);
         let (di2, dr) = rest.split_at_mut(n);
-        let chunked = match pool {
-            Some(pool) if pool.threads() > 1 && kernels::partition_count(n) > 1 => Some(pool),
-            _ => None,
-        };
-        match chunked {
-            Some(pool) => {
+        match pool {
+            Some(pool) if pool.threads() > 1 && kernels::partition_count(n) > 1 => {
                 #[allow(clippy::type_complexity)]
                 let chunks: Vec<(&mut [f64], &mut [f64], &mut [f64], &mut [f64])> = ds
                     .chunks_mut(kernels::PART_CHUNK)
@@ -328,88 +287,40 @@ impl CompartmentModel for TwoRumorModel {
                     );
                 });
             }
-            None => {
+            _ => {
                 self.rhs_chunk(0, n, s, i1, i2, theta1, theta2, u1, u2, ds, di1, di2, dr);
             }
         }
     }
 
-    fn adjoint_rhs(
-        &self,
-        state: &[f64],
-        p: &[f64],
-        u: &[f64],
-        pool: Option<&InnerPool>,
-        dpdt: &mut [f64],
-    ) {
+    fn adjoint_rhs(&self, state: &[f64], p: &[f64], u: &[f64], dpdt: &mut [f64]) {
         let n = self.theta_w.len();
         let (u1, u2) = (u[0], u[1]);
-        let (theta1, theta2) = self.thetas(state, pool);
+        let (theta1, theta2) = self.thetas(state, None);
         let s = &state[..n];
         let i1 = &state[n..2 * n];
         let (psi, rest) = p.split_at(n);
         let (phi, chi) = (&rest[..n], &rest[n..2 * n]);
         // Cross-Θ couplings: the rumor's debunked spreaders and both
         // stories' shared susceptibles tie every class to every other.
-        let (coupling1, coupling_a, coupling_b) = match pool {
-            Some(pool) => (
-                kernels::coupling_sum_pooled(pool, psi, phi, &self.lambda1, s),
-                kernels::coupling_sum_pooled(pool, psi, chi, &self.lambda2, s),
-                kernels::coupling_sum_pooled(pool, phi, chi, &self.lambda2, i1),
-            ),
-            None => (
-                kernels::coupling_sum_partitioned(psi, phi, &self.lambda1, s),
-                kernels::coupling_sum_partitioned(psi, chi, &self.lambda2, s),
-                kernels::coupling_sum_partitioned(phi, chi, &self.lambda2, i1),
-            ),
-        };
+        let coupling1 = kernels::coupling_sum_partitioned(psi, phi, &self.lambda1, s);
+        let coupling_a = kernels::coupling_sum_partitioned(psi, chi, &self.lambda2, s);
+        let coupling_b = kernels::coupling_sum_partitioned(phi, chi, &self.lambda2, i1);
         let c1u1sq2 = 2.0 * self.c1 * u1 * u1;
         let c2u2sq2 = 2.0 * self.c2 * u2 * u2;
         let (dpsi, rest) = dpdt.split_at_mut(n);
         let (dphi, dchi) = rest.split_at_mut(n);
-        let chunked = match pool {
-            Some(pool) if pool.threads() > 1 && kernels::partition_count(n) > 1 => Some(pool),
-            _ => None,
-        };
-        match chunked {
-            Some(pool) => {
-                let chunks: Vec<(&mut [f64], &mut [f64], &mut [f64])> = dpsi
-                    .chunks_mut(kernels::PART_CHUNK)
-                    .zip(dphi.chunks_mut(kernels::PART_CHUNK))
-                    .zip(dchi.chunks_mut(kernels::PART_CHUNK))
-                    .map(|((a, b), c)| (a, b, c))
-                    .collect();
-                pool.scatter(chunks, |c, (dpsi_c, dphi_c, dchi_c)| {
-                    let (lo, hi) = rumor_par::chunk_bounds(n, kernels::PART_CHUNK, c);
-                    self.adjoint_chunk(
-                        lo,
-                        hi,
-                        &s[lo..hi],
-                        &i1[lo..hi],
-                        &psi[lo..hi],
-                        &phi[lo..hi],
-                        &chi[lo..hi],
-                        theta1,
-                        theta2,
-                        coupling1,
-                        coupling_a,
-                        coupling_b,
-                        c1u1sq2,
-                        c2u2sq2,
-                        u1,
-                        u2,
-                        dpsi_c,
-                        dphi_c,
-                        dchi_c,
-                    );
-                });
-            }
-            None => {
-                self.adjoint_chunk(
-                    0, n, s, i1, psi, phi, chi, theta1, theta2, coupling1, coupling_a, coupling_b,
-                    c1u1sq2, c2u2sq2, u1, u2, dpsi, dphi, dchi,
-                );
-            }
+        for j in 0..n {
+            let l1t1 = self.lambda1[j] * theta1;
+            let l2t2 = self.lambda2[j] * theta2;
+            dpsi[j] = -c1u1sq2 * s[j] + psi[j] * (l1t1 + l2t2 + u1)
+                - phi[j] * l1t1
+                - chi[j] * (l2t2 + u1);
+            dphi[j] = -c2u2sq2 * i1[j]
+                + self.theta_w[j] * coupling1
+                + phi[j] * (self.gamma1 + u2 + self.mu * l2t2)
+                - chi[j] * self.mu * l2t2;
+            dchi[j] = self.theta_w[j] * (coupling_a + self.mu * coupling_b) + chi[j] * self.gamma2;
         }
     }
 
@@ -585,33 +496,18 @@ mod tests {
     }
 
     #[test]
-    fn pooled_rhs_and_adjoint_are_bit_identical() {
+    fn pooled_rhs_is_bit_identical() {
         for n in [7usize, 264, 848] {
             let m = model(n);
             let y = y0(n);
-            let mut p = vec![0.0; 3 * n];
-            for j in 0..3 * n {
-                p[j] = 0.1 + 0.001 * (j % 13) as f64;
-            }
             let mut d_serial = vec![0.0; 4 * n];
-            let mut a_serial = vec![0.0; 3 * n];
             m.rhs(&y, &[0.15, 0.07], None, &mut d_serial);
-            m.adjoint_rhs(&y, &p, &[0.15, 0.07], None, &mut a_serial);
             for threads in [2usize, 4] {
                 let pool = Arc::new(InnerPool::new(threads));
                 let mut d_pooled = vec![0.0; 4 * n];
-                let mut a_pooled = vec![0.0; 3 * n];
                 m.rhs(&y, &[0.15, 0.07], Some(&pool), &mut d_pooled);
-                m.adjoint_rhs(&y, &p, &[0.15, 0.07], Some(&pool), &mut a_pooled);
                 for (a, b) in d_serial.iter().zip(&d_pooled) {
                     assert_eq!(a.to_bits(), b.to_bits(), "rhs n = {n}, threads = {threads}");
-                }
-                for (a, b) in a_serial.iter().zip(&a_pooled) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "adjoint n = {n}, threads = {threads}"
-                    );
                 }
             }
         }

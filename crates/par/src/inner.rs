@@ -141,6 +141,8 @@ struct Shared {
 
 /// A persistent worker pool for splitting *one* solve across cores. See
 /// the module docs for the determinism contract and safety argument.
+/// No production path builds one: only the benchmark probes and
+/// perfreport's `intra_scaling.rhs_848` rows reach it.
 ///
 /// A pool of `threads <= 1` spawns no workers and runs every dispatch
 /// inline on the calling thread, so serial and parallel callers share

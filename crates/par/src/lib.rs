@@ -8,13 +8,14 @@
 //!   back in input order regardless of which worker computed what or in
 //!   which order workers finished. One spawn per call, which is cheap at
 //!   ensemble granularity.
-//! - **Intra-replica**: a persistent worker pool ([`InnerPool`]) for
-//!   splitting a *single* ODE solve (the RHS and costate kernels)
-//!   across cores without paying thread-spawn per ODE step. Task
-//!   boundaries are derived from the problem size alone and partial
-//!   results are folded in task order on the caller, so every
-//!   floating-point association is fixed by the chunk plan — a pool of
-//!   1..N threads is bit-identical to serial.
+//! - **Intra-replica**: a persistent worker pool ([`InnerPool`]) that
+//!   splits one forward RHS evaluation across cores, with task
+//!   boundaries derived from the problem size alone and partials folded
+//!   in task order, so a pool of 1..N threads is bit-identical to
+//!   serial. No production path builds one: single solves run serially,
+//!   because the pooled kernels ran at 0.15–0.64× of serial on every
+//!   host measured. Only the benchmark probes and perfreport's
+//!   `intra_scaling.rhs_848` rows reach it.
 //!
 //! A run with `threads = 1` executes inline on the calling thread (no
 //! spawn) in both executors, so serial and parallel callers share one
@@ -45,16 +46,9 @@
 //! 3. the `RUMOR_THREADS` environment variable,
 //! 4. [`std::thread::available_parallelism`].
 //!
-//! [`resolve_inner_threads`] resolves the *intra*-replica count:
-//! explicit argument, then [`set_inner_thread_override`], then
-//! `RUMOR_INNER_THREADS`, then 1. Intra-solve parallelism is opt-in:
-//! ensembles fan out replicas and never construct inner pools, and a
-//! single solve (an FBSM sweep) runs its kernels serially unless one of
-//! the first three asks for a pool. On the two-core hosts measured so
-//! far the pooled kernels ran slower than serial at 10k and 71k nodes,
-//! and a 10k-node optimize took 1.2–2.4× longer at two inner threads
-//! than at one. Because pooled kernels are bit-identical to serial, the
-//! count affects wall-clock only, never results.
+//! [`resolve_inner_threads`] resolves the *intra*-replica count: the
+//! explicit argument, else 1. No option or environment variable selects
+//! a pool.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -110,45 +104,11 @@ fn parse_count(raw: Option<&str>) -> Option<usize> {
     raw?.trim().parse::<usize>().ok().filter(|&t| t >= 1)
 }
 
-/// Process-wide intra-replica thread-count override; 0 means "unset".
-static INNER_THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Installs (or clears, with `None`) a process-wide override for the
-/// *intra*-replica thread count, consulted by [`resolve_inner_threads`]
-/// after an explicit argument but before the `RUMOR_INNER_THREADS`
-/// environment variable. The CLI wires its `--inner-threads` flag
-/// through this.
-///
-/// A count of `Some(0)` is treated as `Some(1)`.
-pub fn set_inner_thread_override(threads: Option<usize>) {
-    INNER_THREAD_OVERRIDE.store(threads.map_or(0, |t| t.max(1)), Ordering::Relaxed);
-}
-
-/// The currently installed intra-replica override, if any.
-pub fn inner_thread_override() -> Option<usize> {
-    match INNER_THREAD_OVERRIDE.load(Ordering::Relaxed) {
-        0 => None,
-        t => Some(t),
-    }
-}
-
-/// Resolves the intra-replica thread count for a *single* solve:
-/// explicit argument, then the [`set_inner_thread_override`] override,
-/// then `RUMOR_INNER_THREADS`, then 1. A single solve therefore runs
-/// serially unless one of those asks for a pool; ensembles keep the
-/// thread budget at replica level by never constructing inner pools.
-/// Always at least 1; malformed or zero environment values are ignored.
+/// Resolves the intra-replica thread count for a *single* solve: the
+/// explicit argument (at least 1), else 1. Only the benchmark probes
+/// call it, with no argument, so they always resolve 1.
 pub fn resolve_inner_threads(explicit: Option<usize>) -> usize {
-    inner_threads_from(
-        explicit,
-        inner_thread_override(),
-        env_count("RUMOR_INNER_THREADS"),
-    )
-}
-
-/// The [`resolve_inner_threads`] precedence over already-read inputs.
-fn inner_threads_from(explicit: Option<usize>, over: Option<usize>, env: Option<usize>) -> usize {
-    explicit.map(|t| t.max(1)).or(over).or(env).unwrap_or(1)
+    explicit.map_or(1, |t| t.max(1))
 }
 
 /// Maps `f` over `0..n` with up to `threads` workers, returning results
@@ -297,31 +257,13 @@ mod tests {
         // Explicit always wins and is clamped to >= 1.
         assert_eq!(resolve_inner_threads(Some(3)), 3);
         assert_eq!(resolve_inner_threads(Some(0)), 1);
-        // The inner override beats the environment/outer-chain fallback.
-        set_inner_thread_override(Some(6));
-        assert_eq!(inner_thread_override(), Some(6));
-        assert_eq!(resolve_inner_threads(None), 6);
-        assert_eq!(resolve_inner_threads(Some(2)), 2);
-        set_inner_thread_override(Some(0));
-        assert_eq!(inner_thread_override(), Some(1));
-        set_inner_thread_override(None);
-        assert_eq!(inner_thread_override(), None);
-        // Without an override the chain bottoms out at >= 1 whatever the
-        // environment says.
-        assert!(resolve_inner_threads(None) >= 1);
     }
 
     #[test]
     fn inner_threads_default_to_serial() {
-        // Nothing given, no override, RUMOR_INNER_THREADS unset: one
-        // thread, whatever the outer budget or this process's
-        // environment (CI runs a RUMOR_INNER_THREADS=4 leg).
-        assert_eq!(inner_threads_from(None, None, None), 1);
-        // The same precedence as resolve_inner_threads.
-        assert_eq!(inner_threads_from(None, None, Some(4)), 4);
-        assert_eq!(inner_threads_from(None, Some(6), Some(4)), 6);
-        assert_eq!(inner_threads_from(Some(3), Some(6), Some(4)), 3);
-        assert_eq!(inner_threads_from(Some(0), Some(6), Some(4)), 1);
+        // Nothing given is serial, whatever this process's environment
+        // says.
+        assert_eq!(resolve_inner_threads(None), 1);
     }
 
     #[test]

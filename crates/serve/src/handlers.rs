@@ -311,9 +311,6 @@ fn optimize_kind<M: CompartmentModel>(
         tolerance: 1e-4,
         relaxation: 0.3,
         initial_control: initial,
-        // Same split policy as the paper path: a single solve runs its
-        // kernels serially unless RUMOR_INNER_THREADS asks for a pool.
-        inner_threads: None,
         ..Default::default()
     };
     let result = optimize_compartments_monitored(
@@ -378,14 +375,6 @@ fn optimize_paper(
                 tolerance: 1e-4,
                 relaxation: 0.3,
                 initial_control: initial,
-                // Split policy: an optimize request (and each point of a
-                // durable optimize_sweep campaign) is a *single* solve.
-                // `None` resolves through RUMOR_INNER_THREADS, else 1:
-                // the intra-replica kernels run serially unless asked,
-                // since a pool measured slower than serial at these
-                // sizes. Ensembles keep their replica-level parallelism
-                // and never construct inner pools.
-                inner_threads: None,
                 ..Default::default()
             },
             ..Default::default()

@@ -61,18 +61,23 @@ impl AbmConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] unless `0 < dt <= tf`, the
-    /// rates are non-negative, the initial infected fraction lies in
-    /// `(0, 1]` and `record_every` is positive.
+    /// Returns [`SimError::InvalidConfig`] unless `0 < dt <= tf` with a
+    /// finite `tf`, the rates are non-negative and finite, the initial
+    /// infected fraction lies in `(0, 1]` and `record_every` is positive.
     pub fn validate(&self) -> Result<()> {
-        if !(self.dt > 0.0) || !(self.tf > 0.0) || self.dt > self.tf {
+        // An infinite `tf` would saturate the step count and never end.
+        if !(self.dt > 0.0) || !(self.tf > 0.0) || self.dt > self.tf || !self.tf.is_finite() {
             return Err(SimError::InvalidConfig(format!(
-                "need 0 < dt <= tf, got dt = {}, tf = {}",
+                "need 0 < dt <= tf with a finite tf, got dt = {}, tf = {}",
                 self.dt, self.tf
             )));
         }
-        if self.eps1 < 0.0 || self.eps2 < 0.0 || self.alpha < 0.0 {
-            return Err(SimError::InvalidConfig("rates must be non-negative".into()));
+        let rates = [self.eps1, self.eps2, self.alpha];
+        if !rates.iter().all(|r| *r >= 0.0 && r.is_finite()) {
+            return Err(SimError::InvalidConfig(format!(
+                "rates must be non-negative and finite, got eps1 = {}, eps2 = {}, alpha = {}",
+                self.eps1, self.eps2, self.alpha
+            )));
         }
         if !(self.initial_infected > 0.0 && self.initial_infected <= 1.0) {
             return Err(SimError::InvalidConfig(format!(
@@ -462,6 +467,29 @@ mod tests {
             },
         ] {
             assert!(run(&g, &p, &bad, &mut rng).is_err());
+        }
+    }
+
+    #[test]
+    fn non_finite_horizons_and_rates_are_rejected() {
+        let (g, p) = setup(100, 0.5);
+        let mut rng = StdRng::seed_from_u64(0);
+        for field in 0..4 {
+            for value in [f64::NAN, f64::INFINITY, -1.0] {
+                let mut cfg = AbmConfig::default();
+                let slot = match field {
+                    0 => &mut cfg.tf,
+                    1 => &mut cfg.eps1,
+                    2 => &mut cfg.eps2,
+                    _ => &mut cfg.alpha,
+                };
+                *slot = value;
+                assert!(
+                    matches!(cfg.validate(), Err(SimError::InvalidConfig(_))),
+                    "{cfg:?}"
+                );
+                assert!(run(&g, &p, &cfg, &mut rng).is_err(), "{cfg:?}");
+            }
         }
     }
 

@@ -267,11 +267,12 @@ fn two_rumor_trajectory_bit_identical_across_inner_pool_sizes() {
 
 #[test]
 fn two_rumor_ensemble_bit_identical_across_outer_and_inner_threads() {
-    // CI's RUMOR_INNER_THREADS axis, two-rumor leg: replica-level
-    // (outer) ensemble workers each integrating the two-rumor
-    // compartment ODE through their own inner pool. Merged statistics
-    // must match the fully serial run bit for bit over the whole
-    // {1,4} x {1,4} outer x inner matrix.
+    // Replica-level (outer) ensemble workers each integrating the
+    // two-rumor compartment ODE through their own forward inner pool.
+    // Production solves never build that pool; this pins that it could
+    // not change the merged statistics either. They must match the
+    // fully serial run bit for bit over the whole {1,4} x {1,4}
+    // outer x inner matrix.
     use rumor_models::two_rumor::TwoRumorModel;
 
     let p = two_rumor_params();
